@@ -143,15 +143,13 @@ def validate(instance_path, plan_path, no_charging, single_visit, single_trip, f
 @click.option("--single-visit", is_flag=True)
 @click.option("--single-trip", is_flag=True)
 @click.option("--fixed-docking", is_flag=True)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="reserved; the construction heuristic is deterministic")
-def solve(instance_path, out, mode, no_charging, single_visit, single_trip, fixed_docking, seed):
+def solve(instance_path, out, mode, no_charging, single_visit, single_trip, fixed_docking):
     """Solve with the construction heuristic and write the plan JSON."""
     inst = _load_instance(instance_path)
     fleet = bench_mod.mode_fleet(inst.fleet, mode)
     options = _options(no_charging, single_visit, single_trip, fixed_docking)
     try:
-        plan = finder_mod.solve_finder(inst, fleet, options, seed=seed)
+        plan = finder_mod.solve_finder(inst, fleet, options)
     except InfeasibleError as exc:
         click.echo(f"infeasible: {exc} (ids {list(exc.offending_ids)})", err=True)
         sys.exit(2)

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 DRONE = "drone"
 ROBOT = "robot"
 VEHICLE_KINDS = (DRONE, ROBOT)
+TIME_TOL = 1e-6  # hours; slack allowed on every timing comparison
 
 
 class VrpdrError(Exception):
@@ -292,7 +293,6 @@ class Instance:
         self.nodes = nodes
         self.fleet = fleet
         self.seed = seed
-        self._dist_cache: dict = {}
 
     @property
     def depot(self) -> Node:
@@ -323,30 +323,29 @@ class Instance:
         return manhattan_distance(a.point, b.point)
 
     def matrix(self, which: str):
-        """Cached dense distance matrix: 'truck' (masked), 'drone', 'robot'."""
-        if which not in self._dist_cache:
-            import numpy as np
+        """Dense distance matrix: 'truck' (masked), 'drone', 'robot'.
 
-            n = len(self.nodes)
-            xs = np.array([nd.x for nd in self.nodes])
-            ys = np.array([nd.y for nd in self.nodes])
-            dx = xs[:, None] - xs[None, :]
-            dy = ys[:, None] - ys[None, :]
-            manh = np.abs(dx) + np.abs(dy)
-            if which == DRONE:
-                mat = np.sqrt(dx * dx + dy * dy)
-            elif which == ROBOT:
-                mat = manh
-            elif which == "truck":
-                mat = manh.copy()
-                reach = np.array([nd.truck_reachable for nd in self.nodes])
-                bad = ~(reach[:, None] & reach[None, :])
-                np.fill_diagonal(bad, False)
-                mat[bad] = self.fleet.big_M
-            else:
-                raise ValueError(f"unknown matrix {which!r}")
-            self._dist_cache[which] = mat
-        return self._dist_cache[which]
+        Built on every call and not kept on the instance; a caller that
+        reads it repeatedly holds its own copy.
+        """
+        import numpy as np
+
+        xs = np.array([nd.x for nd in self.nodes])
+        ys = np.array([nd.y for nd in self.nodes])
+        dx = xs[:, None] - xs[None, :]
+        dy = ys[:, None] - ys[None, :]
+        manh = np.abs(dx) + np.abs(dy)
+        if which == DRONE:
+            return np.sqrt(dx * dx + dy * dy)
+        if which == ROBOT:
+            return manh
+        if which == "truck":
+            reach = np.array([nd.truck_reachable for nd in self.nodes])
+            bad = ~(reach[:, None] & reach[None, :])
+            np.fill_diagonal(bad, False)
+            manh[bad] = self.fleet.big_M
+            return manh
+        raise ValueError(f"unknown matrix {which!r}")
 
 
 def sortie_distance(sortie: Sortie, inst: Instance) -> float:

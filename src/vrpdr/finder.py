@@ -7,7 +7,8 @@ greedily assigns drone/robot sorties that satisfy payload, range, energy
 and synchronization checks, recharging carried vehicles from the truck as
 it drives.  Phase 3 inserts whatever remains into the truck routes at the
 cheapest Manhattan detour, then re-times the accepted sorties against the
-rebuilt timeline.
+rebuilt timeline.  One incremental cheapest-insertion kernel over the truck
+distance table serves phase 3 and the truck-detour prices of phase 2.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set
 
 from . import energy as energy_mod
-from . import validator as validator_mod
 from .core import (
     DRONE,
     ROBOT,
+    TIME_TOL,
     ConfigurationError,
     FleetSpec,
     InfeasibleError,
@@ -35,7 +36,6 @@ from .core import (
 )
 from .milp import objective_value
 
-TIME_TOL = validator_mod.TIME_TOL
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
 
@@ -82,14 +82,14 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
         return []
     per_truck = max(3, inst.num_customers // (2 * fleet.num_trucks))
     available = set(customers)
+    points = [nd.point for nd in inst.nodes]
     routes = []
     for _t in range(fleet.num_trucks):
         route = [0]
         while len(route) - 1 < per_truck and available:
-            here = inst.node(route[-1]).point
+            here = points[route[-1]]
             nearest = min(
-                available,
-                key=lambda c: (euclidean_distance(here, inst.node(c).point), c),
+                available, key=lambda c: (euclidean_distance(here, points[c]), c)
             )
             route.append(nearest)
             available.remove(nearest)
@@ -194,35 +194,78 @@ def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
     return fleet.alpha * fleet.C_t * delta_km + (1.0 - fleet.alpha) * delta_km / fleet.s_t
 
 
-def _insertion_alternative(routes, unserved, inst: Instance, fleet: FleetSpec) -> dict:
+def _best_insertion(route, t, c, dist) -> tuple:
+    """Lowest (delta, truck, pos, customer) key for customer c on route t.
+
+    delta = d(a,c) + d(c,b) - d(a,b) for the edge (a, b) at ``pos``; the
+    first of equal deltas wins, which is the lowest position.
+    """
+    row = dist[c]
+    best_delta, best_pos = math.inf, -1
+    for pos in range(len(route) - 1):
+        a, b = route[pos], route[pos + 1]
+        delta = row[a] + row[b] - dist[a][b]
+        if delta < best_delta:
+            best_delta, best_pos = delta, pos
+    return (best_delta, t, best_pos, c)
+
+
+def _cheapest_insertion(routes, customers, dist):
+    """Insert every customer at its cheapest edge, cheapest first.
+
+    ``dist`` is the truck distance table (lists of lists).  Each step takes
+    the lowest (delta, truck, pos, customer) key over all customers and
+    edges.  Every customer keeps its best key per route; after an insert at
+    (t, p) only the two new edges are scored, keys on t past p shift by
+    one, and a customer whose best edge was the one split rescans route t.
+    Returns (new routes, summed delta).
+    """
+    routes = [list(r) for r in routes]
+    cache = {c: [_best_insertion(r, t, c, dist) for t, r in enumerate(routes)] for c in customers}
+    total = 0.0
+    while cache:
+        delta, t, p, c = min(min(keys) for keys in cache.values())
+        del cache[c]
+        route = routes[t]
+        route.insert(p + 1, c)
+        total += delta
+        a, b = route[p], route[p + 2]
+        split_ac, split_cb = dist[a][c], dist[c][b]
+        for u, keys in cache.items():
+            d_u, _, p_u, _ = keys[t]
+            if p_u == p:
+                keys[t] = _best_insertion(route, t, u, dist)
+                continue
+            row = dist[u]
+            keys[t] = min(
+                (d_u, t, p_u + 1 if p_u > p else p_u, u),
+                (row[a] + row[c] - split_ac, t, p, u),
+                (row[c] + row[b] - split_cb, t, p + 1, u),
+            )
+    return routes, total
+
+
+def _insertion_alternative(routes, unserved, inst: Instance, fleet: FleetSpec, truck_km) -> dict:
     """Weighted cost of serving each open customer by truck detour instead.
 
-    Cheapest Manhattan insertion delta against the phase-1 routes, priced at
-    truck unit cost plus the travel-time share of the objective.  Customers
-    the truck cannot reach price at the distance mask, so a sortie always
-    wins for them.
+    Cheapest insertion delta against the phase-1 routes in ``truck_km``
+    (the truck distance table), priced at truck unit cost plus the
+    travel-time share of the objective.  Customers the truck cannot reach
+    price at the distance mask, so a sortie always wins for them.
     """
     out = {}
     for c in unserved:
-        pc = inst.node(c).point
         best = math.inf
         if inst.node(c).truck_reachable:
-            for route in routes:
-                for a, b in zip(route[:-1], route[1:]):
-                    delta = (
-                        manhattan_distance(inst.node(a).point, pc)
-                        + manhattan_distance(pc, inst.node(b).point)
-                        - inst.truck_distance(a, b)
-                    )
-                    if delta < best:
-                        best = delta
+            for t, route in enumerate(routes):
+                best = min(best, _best_insertion(route, t, c, truck_km)[0])
         else:
             best = fleet.big_M
         out[c] = _detour_price(best, fleet)
     return out
 
 
-def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec) -> float:
+def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_km) -> float:
     """Detour cost of inserting a whole sequence into copies of the routes.
 
     Clustered customers share one detour, so summing solo deltas overstates
@@ -230,30 +273,7 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec) -> flo
     """
     if any(not inst.node(c).truck_reachable for c in seq):
         return _detour_price(fleet.big_M, fleet)
-    work = [list(r) for r in routes]
-    total = 0.0
-    remaining = sorted(seq)
-    while remaining:
-        best = None
-        for c in remaining:
-            pc = inst.node(c).point
-            for t, route in enumerate(work):
-                for pos in range(len(route) - 1):
-                    a = inst.node(route[pos]).point
-                    b = inst.node(route[pos + 1]).point
-                    delta = (
-                        manhattan_distance(a, pc)
-                        + manhattan_distance(pc, b)
-                        - manhattan_distance(a, b)
-                    )
-                    key = (delta, t, pos, c)
-                    if best is None or key < best:
-                        best = key
-        delta, t, pos, c = best
-        work[t].insert(pos + 1, c)
-        remaining.remove(c)
-        total += delta
-    return _detour_price(total, fleet)
+    return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
 
 
 def assign_sorties(
@@ -286,7 +306,8 @@ def assign_sorties(
         used_recovery.add((s.vehicle_kind, s.recovery_node))
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
-    alternative = _insertion_alternative(routes, unserved, inst, fleet)
+    truck_km = inst.matrix("truck").tolist()
+    alternative = _insertion_alternative(routes, unserved, inst, fleet, truck_km)
 
     events = []
     for t, stops in enumerate(timeline.stops):
@@ -393,7 +414,9 @@ def assign_sorties(
                         # re-verify multi-customer picks against the joint
                         # detour: clustered customers can share one insertion
                         if seq not in joint_cache:
-                            joint_cache[seq] = _joint_insertion_price(seq, routes, inst, fleet)
+                            joint_cache[seq] = _joint_insertion_price(
+                                seq, routes, inst, fleet, truck_km
+                            )
                         if price > joint_cache[seq]:
                             continue
                     best = (seq, rec_node, e, t2, q)
@@ -427,31 +450,13 @@ def assign_sorties(
 def insert_unserved(routes, unserved, inst: Instance) -> list:
     """Cheapest-insertion of leftovers: minimize d(i,c)+d(c,j)-d(i,j).
 
-    Manhattan metric, ties broken by (truck, position); iterates until the
-    set is empty.  Callers keep truck-unreachable customers out.
+    Manhattan truck distances, ties broken by (truck, position, customer);
+    iterates until the set is empty.  Runs the incremental kernel
+    :func:`_cheapest_insertion`, which re-scores only the edges each insert
+    creates and picks exactly what a full rescan would.  Callers keep
+    truck-unreachable customers out.
     """
-    routes = [list(r) for r in routes]
-    remaining = sorted(unserved)
-    while remaining:
-        best = None
-        for c in remaining:
-            pc = inst.node(c).point
-            for t, route in enumerate(routes):
-                for pos in range(len(route) - 1):
-                    a = inst.node(route[pos]).point
-                    b = inst.node(route[pos + 1]).point
-                    delta = (
-                        manhattan_distance(a, pc)
-                        + manhattan_distance(pc, b)
-                        - manhattan_distance(a, b)
-                    )
-                    key = (delta, t, pos, c)
-                    if best is None or key < best:
-                        best = key
-        _, t, pos, c = best
-        routes[t].insert(pos + 1, c)
-        remaining.remove(c)
-    return routes
+    return _cheapest_insertion(routes, unserved, inst.matrix("truck").tolist())[0]
 
 
 def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=True):
@@ -533,12 +538,11 @@ def solve_finder(
     inst: Instance,
     fleet: FleetSpec = None,
     options: ModelOptions = ModelOptions(),
-    seed: int = 0,
 ) -> Plan:
-    """Run the three construction phases and return a validated plan.
+    """Run the three construction phases and return the scored plan.
 
-    ``seed`` is accepted for interface stability; the construction itself is
-    deterministic.
+    The construction is deterministic.  The plan is not validated here;
+    :func:`vrpdr.validator.validate` checks it.
     """
     fleet = fleet or inst.fleet
     if fleet.num_trucks < 1 and inst.num_customers:

@@ -20,12 +20,12 @@ from .core import (
     ModelOptions,
     Plan,
     PlanStructureError,
+    TIME_TOL,
     Sortie,
     sortie_distance,
     sortie_travel_time,
 )
 
-TIME_TOL = 1e-6
 ENERGY_TOL = 1e-6
 
 

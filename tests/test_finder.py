@@ -184,14 +184,49 @@ def test_insert_unserved_examples(fleet):
 
 def test_insertion_delta_value(fleet):
     inst = make_instance([(0, 0), (4, 0), (2, 2)], weights=[1, 1], fleet=fleet)
-    deltas = finder._insertion_alternative([[0, 1, 0]], {2}, inst, fleet)
+    table = inst.matrix("truck").tolist()
+    deltas = finder._insertion_alternative([[0, 1, 0]], {2}, inst, fleet, table)
     # cheapest manhattan detour for (2,2) onto 0->1 or 1->0 is 4 km
     expected = fleet.alpha * fleet.C_t * 4 + (1 - fleet.alpha) * 4 / fleet.s_t
     assert deltas[2] == pytest.approx(expected)
 
 
+def _full_rescan_insertion(routes, customers, inst):
+    """Reference cheapest insertion: rescan every (customer, edge) per step.
+
+    Returns (routes, summed delta), the contract of the incremental kernel.
+    """
+    from vrpdr.core import manhattan_distance
+
+    routes = [list(r) for r in routes]
+    remaining = sorted(customers)
+    total = 0.0
+    while remaining:
+        best = None
+        for c in remaining:
+            pc = inst.node(c).point
+            for t, route in enumerate(routes):
+                for pos in range(len(route) - 1):
+                    a = inst.node(route[pos]).point
+                    b = inst.node(route[pos + 1]).point
+                    delta = (
+                        manhattan_distance(a, pc)
+                        + manhattan_distance(pc, b)
+                        - manhattan_distance(a, b)
+                    )
+                    key = (delta, t, pos, c)
+                    if best is None or key < best:
+                        best = key
+        delta, t, pos, c = best
+        routes[t].insert(pos + 1, c)
+        remaining.remove(c)
+        total += delta
+    return routes, total
+
+
 def test_single_insertion_matches_brute_force(fleet):
-    """Each placement is the true argmin of the detour over all positions."""
+    """Each placement is the true argmin of the detour over all positions,
+    and the incremental kernel picks exactly what a full rescan picks."""
     import random
 
     from vrpdr.core import manhattan_distance
@@ -216,6 +251,34 @@ def test_single_insertion_matches_brute_force(fleet):
         chosen_pos = out.index(5) - 1
         best_delta = min(delta(pos, 5) for pos in range(len(route) - 1))
         assert delta(chosen_pos, 5) == pytest.approx(best_delta, abs=1e-12)
+
+    # integer grid points make equal deltas common, so the tie-break is
+    # exercised; prices must agree bit for bit, not approximately
+    for _ in range(200):
+        trucks = rng.randint(1, 3)
+        leftovers = rng.randint(2, 10)
+        n = rng.randint(0, 6) + leftovers
+        pts = [(float(rng.randint(0, 6)), float(rng.randint(0, 6))) for _ in range(n + 1)]
+        inst = make_instance(pts, fleet=FleetSpec(num_trucks=trucks))
+        ids = list(range(1, n + 1))
+        rng.shuffle(ids)
+        routes = [[0] for _ in range(trucks)]
+        for c in ids[leftovers:]:
+            routes[rng.randrange(trucks)].append(c)
+        routes = [r + [0] for r in routes]
+        open_ids = ids[:leftovers]
+        table = inst.matrix("truck").tolist()
+        ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
+
+        assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
+        seq = tuple(open_ids)
+        assert finder._joint_insertion_price(seq, routes, inst, fleet, table) == (
+            finder._detour_price(ref_total, fleet)
+        )
+        alternative = finder._insertion_alternative(routes, open_ids, inst, fleet, table)
+        for c in open_ids:
+            solo = _full_rescan_insertion(routes, [c], inst)[1]
+            assert alternative[c] == finder._detour_price(solo, fleet)
 
 
 def test_truck_only_equals_construct_plus_insert(fleet):
@@ -305,6 +368,32 @@ def test_determinism_byte_identical(fleet):
     a = plan_to_json(finder.solve_finder(inst, fleet))
     b = plan_to_json(finder.solve_finder(inst, fleet))
     assert a == b
+
+
+# sha256 of plan_to_json(solve_finder(...)), recorded with the full-rescan
+# insertion; a change meant only to speed the finder up keeps every plan
+GOLDEN_PLANS = [
+    ("to", 150, 1, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
+    ("to", 150, 2, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
+    ("ef", 20, 1, "74016c3ddf5fee6e65bdcbd2bab135ff4cd2541aa257f4f4eb74eb63ceadf8dc"),
+    ("ef", 20, 2, "8d2cbe94c3ff8d32f4b37c1d94201d3c3d2974145d189da19dd6b7bd9fd91497"),
+    ("ef", 20, 3, "3bce3aa1c32e54a7222753cdb6ce7eb04cb5c6b0f7f6708b81921e29c1eed0af"),
+    ("docking", 30, 0, "73186953b31bea7019274c699476eddea218ac84d8b23cab5db0a3a0e5083d66"),
+]
+
+
+@pytest.mark.parametrize("fleet_name, size, seed, digest", GOLDEN_PLANS)
+def test_golden_plan_hashes(fleet_name, size, seed, digest):
+    import hashlib
+
+    fleet = {
+        "to": FleetSpec(num_drones=0, num_robots=0),
+        "ef": FleetSpec(),
+        "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
+    }[fleet_name]
+    inst = bench.generate_instance(size, seed=seed, fleet=fleet)
+    text = plan_to_json(finder.solve_finder(inst, fleet))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_full_plan_json_round_trip(fleet):
