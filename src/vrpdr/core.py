@@ -287,6 +287,10 @@ class Instance:
         for idx, node in enumerate(nodes):
             if node.id != idx:
                 raise InstanceError(f"node ids must be dense 0..n, got {node.id} at position {idx}")
+            if not (math.isfinite(node.x) and math.isfinite(node.y)):
+                raise InstanceError(f"node {node.id} has a non-finite coordinate")
+            if not (math.isfinite(node.weight) and node.weight >= 0):
+                raise InstanceError(f"node {node.id} has weight {node.weight}; need finite >= 0")
         depot = nodes[0]
         if depot.weight != 0.0 or not depot.truck_reachable:
             raise InstanceError("depot must have zero weight and be truck reachable")
@@ -323,15 +327,15 @@ class Instance:
         return manhattan_distance(a.point, b.point)
 
     def matrix(self, which: str):
-        """Dense distance matrix: 'truck' (masked), 'drone', 'robot'.
+        """Dense float distance matrix: 'truck' (masked), 'drone', 'robot'.
 
         Built on every call and not kept on the instance; a caller that
         reads it repeatedly holds its own copy.
         """
         import numpy as np
 
-        xs = np.array([nd.x for nd in self.nodes])
-        ys = np.array([nd.y for nd in self.nodes])
+        xs = np.array([nd.x for nd in self.nodes], dtype=float)
+        ys = np.array([nd.y for nd in self.nodes], dtype=float)
         dx = xs[:, None] - xs[None, :]
         dy = ys[:, None] - ys[None, :]
         manh = np.abs(dx) + np.abs(dy)

@@ -10,6 +10,11 @@ time (hours) and converts watt-hours into the same battery units through
 Wh treats one unit as one mAh of a 11.1 V pack; with the default parameters
 an unloaded robot walking its full ``D_max_r`` range drains almost exactly
 one battery, which keeps the range and energy constraints on the same axis.
+
+Both formulas live in one kernel, :func:`leg_energy`, which reads only leg
+distances and parcel weights.  The per-sortie functions check the vehicle
+kind and look the legs up on the instance before they call it; the finder
+calls it directly with the leg distances it already holds.
 """
 
 from __future__ import annotations
@@ -123,9 +128,8 @@ def charge_amount(duration: float, kind: str, fleet: FleetSpec) -> float:
     return fleet.charge_rate(kind) * duration
 
 
-def _leg_weights(sequence, inst: Instance):
+def _leg_weights(weights):
     """Carried parcel mass at the start of each leg (last leg carries 0)."""
-    weights = [inst.node(c).weight for c in sequence]
     carried = []
     remaining = sum(weights)
     carried.append(remaining)
@@ -134,17 +138,6 @@ def _leg_weights(sequence, inst: Instance):
         carried.append(remaining)
     carried.append(0.0)
     return carried
-
-
-def drone_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
-    """Flight energy: alpha_d * sum of (self weight + carried mass) * leg km."""
-    if sortie.vehicle_kind != DRONE:
-        raise KindMismatchError(f"expected a drone sortie, got {sortie.vehicle_kind}")
-    carried = _leg_weights(sortie.sequence, inst)
-    total = 0.0
-    for (i, j), mass in zip(sortie.legs(), carried):
-        total += (fleet.W_d + mass) * inst.distance(DRONE, i, j)
-    return fleet.alpha_d * total
 
 
 def robot_power(payload: float, fleet: FleetSpec) -> float:
@@ -164,19 +157,55 @@ def robot_power(payload: float, fleet: FleetSpec) -> float:
     return (1.0 + fleet.k2) * p_mech
 
 
+def leg_energy(kind: str, leg_dists, weights, fleet: FleetSpec) -> float:
+    """Sortie energy from its leg distances: the one drone and robot formula.
+
+    ``leg_dists`` are the launch -> customers -> recovery distances in the
+    kind's metric; ``weights`` are the parcel masses in visiting order, one
+    fewer than the legs.  Drone: alpha_d * sum of (self weight + carried
+    mass) * leg km.  Robot: walking power at each leg's carried mass times
+    leg hours, in battery units.  It looks nothing up and checks only the
+    kind, so a caller that already holds the legs pays only the arithmetic.
+    """
+    carried = _leg_weights(weights)
+    if kind == DRONE:
+        total = 0.0
+        for d, mass in zip(leg_dists, carried):
+            total += (fleet.W_d + mass) * d
+        return fleet.alpha_d * total
+    if kind == ROBOT:
+        wh = 0.0
+        for d, mass in zip(leg_dists, carried):
+            hours = d / fleet.s_r
+            wh += robot_power(mass, fleet) * hours
+        return wh * fleet.robot_energy_scale
+    raise KindMismatchError(f"unknown vehicle kind {kind!r}")
+
+
+def _checked_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
+    """:func:`leg_energy` over the sortie's legs, node ids checked by ``inst``."""
+    kind = sortie.vehicle_kind
+    weights = [inst.node(c).weight for c in sortie.sequence]
+    dists = [inst.distance(kind, i, j) for i, j in sortie.legs()]
+    return leg_energy(kind, dists, weights, fleet)
+
+
+def drone_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
+    """Flight energy: alpha_d * sum of (self weight + carried mass) * leg km."""
+    if sortie.vehicle_kind != DRONE:
+        raise KindMismatchError(f"expected a drone sortie, got {sortie.vehicle_kind}")
+    return _checked_sortie_energy(sortie, inst, fleet)
+
+
 def robot_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
     """Walking energy: power at each leg's payload times leg hours, in units."""
     if sortie.vehicle_kind != ROBOT:
         raise KindMismatchError(f"expected a robot sortie, got {sortie.vehicle_kind}")
-    carried = _leg_weights(sortie.sequence, inst)
-    wh = 0.0
-    for (i, j), mass in zip(sortie.legs(), carried):
-        hours = inst.distance(ROBOT, i, j) / fleet.s_r
-        wh += robot_power(mass, fleet) * hours
-    return wh * fleet.robot_energy_scale
+    return _checked_sortie_energy(sortie, inst, fleet)
 
 
 def sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
+    """Energy of a plan sortie in its vehicle's formula, node ids checked."""
     if sortie.vehicle_kind == DRONE:
         return drone_sortie_energy(sortie, inst, fleet)
     return robot_sortie_energy(sortie, inst, fleet)

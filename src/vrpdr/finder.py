@@ -5,10 +5,14 @@ takes at most max(3, |C| // (2T)) customers and the rest stay open for the
 auxiliary fleet.  Phase 2 walks the truck timeline chronologically and
 greedily assigns drone/robot sorties that satisfy payload, range, energy
 and synchronization checks, recharging carried vehicles from the truck as
-it drives.  Phase 3 inserts whatever remains into the truck routes at the
-cheapest Manhattan detour, then re-times the accepted sorties against the
-rebuilt timeline.  One incremental cheapest-insertion kernel over the truck
-distance table serves phase 3 and the truck-detour prices of phase 2.
+it drives.  Its candidates come from a depth-first walk over the nearby
+pool that stops extending a customer sequence once it is over the payload
+or range cap; distances come from rows cached per call, and energy from
+the leg distances the walk already holds.  Phase 3 inserts whatever
+remains into the truck routes at the cheapest Manhattan detour, then
+re-times the accepted sorties against the rebuilt timeline.  One
+incremental cheapest-insertion kernel over the truck distance table serves
+phase 3 and the truck-detour prices of phase 2.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from typing import List, Optional, Set
 from . import energy as energy_mod
 from .core import (
     DRONE,
+    METRICS,
     ROBOT,
     TIME_TOL,
     ConfigurationError,
@@ -29,9 +34,7 @@ from .core import (
     ModelOptions,
     Plan,
     Sortie,
-    enumerate_sequences,
     euclidean_distance,
-    manhattan_distance,
     sortie_travel_time,
 )
 from .milp import objective_value
@@ -276,6 +279,57 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_
     return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
 
 
+class _DistanceRows(dict):
+    """``rows[a][b]`` = ``metric(points[a], points[b])``; a row is built on first use.
+
+    Every entry comes from the same metric function :meth:`Instance.distance`
+    calls, so each float is the one a checked lookup would return.  Only the
+    rows a caller touches are built, never the full table.
+    """
+
+    def __init__(self, metric, points):
+        super().__init__()
+        self.metric = metric
+        self.points = points
+
+    def __missing__(self, a):
+        metric, here = self.metric, self.points[a]
+        row = self[a] = [metric(here, p) for p in self.points]
+        return row
+
+
+def _pruned_sequences(start, pool, m, rows, weight, payload_limit, range_limit):
+    """Every ordered tuple of 1..m distinct pool customers within both caps.
+
+    Walks depth first from the ``start`` node.  A prefix carries its running
+    payload, its distance ``0 + d1 + d2 ...`` summed in path order and its
+    leg distances; one over ``payload_limit`` or ``range_limit`` is not
+    extended, which loses nothing because weights and distances are
+    non-negative, so every extension is over the cap too.  ``rows[a][b]`` is
+    the distance a -> b and ``weight[c]`` the parcel mass of c.  Yields
+    (sequence, leg distances, distance) for each of the sequences
+    :func:`vrpdr.core.enumerate_sequences` returns that pass both caps.
+    """
+    stack = [((), start, 0, 0, ())]  # (prefix, its last node, payload, distance, legs)
+    while stack:
+        seq, last, payload, dist, legs = stack.pop()
+        row = rows[last]
+        for c in pool:
+            if c in seq:
+                continue
+            load = payload + weight[c]
+            if load > payload_limit:
+                continue
+            leg = row[c]
+            total = dist + leg
+            if total > range_limit:
+                continue
+            grown, grown_legs = seq + (c,), legs + (leg,)
+            yield grown, grown_legs, total
+            if len(grown) < m:
+                stack.append((grown, c, load, total, grown_legs))
+
+
 def assign_sorties(
     routes,
     timeline: Timeline,
@@ -294,10 +348,20 @@ def assign_sorties(
     passes payload, range, battery and timing checks and beats the cost of
     leaving its customers to the truck insertion phase.
 
+    Candidates come from :func:`_pruned_sequences`, a depth-first walk that
+    drops a prefix once it is over the payload or range cap, over distance
+    rows built once per call (:class:`_DistanceRows`).  Recovery points are
+    listed once per launch point, and the energy of each candidate is priced
+    by :func:`vrpdr.energy.leg_energy` from the legs the walk already holds.
+    Without drones and robots, or without open customers, nothing is priced.
+
     ``existing_sorties`` reserve their launch/recovery slots so a second
     assignment pass cannot double-book a node.
     """
     unserved = set(unserved)
+    kinds = [kind for kind in (DRONE, ROBOT) if fleet.count(kind)]
+    if not kinds or not unserved:
+        return [], states, unserved
     sorties: List[Sortie] = []
     used_launch: Set[tuple] = set()
     used_recovery: Set[tuple] = set()
@@ -308,6 +372,9 @@ def assign_sorties(
     max_trips = 1 if options.single_trip else math.inf
     truck_km = inst.matrix("truck").tolist()
     alternative = _insertion_alternative(routes, unserved, inst, fleet, truck_km)
+    points = [nd.point for nd in inst.nodes]
+    weight = [nd.weight for nd in inst.nodes]
+    distance_rows = {kind: _DistanceRows(METRICS[kind], points) for kind in kinds}
 
     events = []
     for t, stops in enumerate(timeline.stops):
@@ -319,10 +386,9 @@ def assign_sorties(
 
     for launch_time, t, pos in events:
         launch_node = timeline.node(t, pos)
-        for kind in (DRONE, ROBOT):
-            if fleet.count(kind) == 0 or not unserved:
-                continue
-            if (kind, launch_node) in used_launch:
+        recovery = None  # (t2, q, node, deadline) per recovery point, built on demand
+        for kind in kinds:
+            if not unserved or (kind, launch_node) in used_launch:
                 continue
             crew = sorted(
                 (
@@ -339,56 +405,54 @@ def assign_sorties(
             )
             if not crew:
                 continue
-            speed = fleet.speed(kind)
-            metric = euclidean_distance if kind == DRONE else manhattan_distance
-            here = inst.node(launch_node).point
-            pool = sorted(
-                (c for c in unserved if metric(here, inst.node(c).point) <= fleet.range_cap(kind)),
-                key=lambda c: (metric(here, inst.node(c).point), c),
-            )[:NEARBY_POOL]
-            if not pool:
+            rows = distance_rows[kind]
+            range_cap, speed = fleet.range_cap(kind), fleet.speed(kind)
+            unit_cost, fixed_cost = fleet.unit_cost(kind), fleet.fixed_cost(kind)
+            range_limit = range_cap + 1e-9
+            here = rows[launch_node]
+            nearby = sorted((here[c], c) for c in unserved if here[c] <= range_cap)
+            if not nearby:
                 continue
+            pool = sorted(c for _, c in nearby[:NEARBY_POOL])
+            if recovery is None:
+                recovery = [
+                    (t2, q, timeline.node(t2, q), timeline.arrival(t2, q) + TIME_TOL)
+                    for t2, q in _recovery_options(
+                        timeline, t, pos, launch_time, options.flexible_docking
+                    )
+                ]
+            open_recovery = [
+                r
+                for r in recovery
+                if (kind, r[2]) not in used_recovery and (r[2] != launch_node or r[2] == 0)
+            ]
             # recovery geometry depends on the vehicle only through its
-            # battery, so enumerate every statically feasible option once
-            # per launch point and scan per vehicle below
+            # battery, so price every statically feasible option once per
+            # launch point and scan per vehicle below
             seq_options = []
-            for seq in enumerate_sequences(pool, m_eff):
-                payload = sum(inst.node(c).weight for c in seq)
-                if payload > fleet.payload_cap(kind) + 1e-9:
-                    continue
-                path = (launch_node,) + seq
-                fixed_dist = sum(
-                    metric(inst.node(a).point, inst.node(b).point)
-                    for a, b in zip(path[:-1], path[1:])
-                )
-                if fixed_dist > fleet.range_cap(kind) + 1e-9:
-                    continue
-                alt_price = sum(alternative[c] for c in seq)
+            payload_limit = fleet.payload_cap(kind) + 1e-9
+            for seq, legs, fixed_dist in _pruned_sequences(
+                launch_node, pool, m_eff, rows, weight, payload_limit, range_limit
+            ):
+                last_row = rows[seq[-1]]
+                alt_price = None  # summed once a recovery passes range and timing
                 options_for_seq = []
-                for t2, q in _recovery_options(
-                    timeline, t, pos, launch_time, options.flexible_docking
-                ):
-                    rec_node = timeline.node(t2, q)
+                for t2, q, rec_node, deadline in open_recovery:
                     if rec_node in seq:
                         continue
-                    if rec_node == launch_node and rec_node != 0:
+                    last_leg = last_row[rec_node]
+                    dist = fixed_dist + last_leg
+                    if dist > range_limit:
                         continue
-                    if (kind, rec_node) in used_recovery:
+                    if launch_time + dist / speed > deadline:
                         continue
-                    dist = fixed_dist + metric(
-                        inst.node(seq[-1]).point, inst.node(rec_node).point
-                    )
-                    if dist > fleet.range_cap(kind) + 1e-9:
-                        continue
-                    if launch_time + dist / speed > timeline.arrival(t2, q) + TIME_TOL:
-                        continue
-                    sortie_price = fleet.alpha * (
-                        fleet.unit_cost(kind) * dist + fleet.fixed_cost(kind)
-                    )
+                    if alt_price is None:
+                        alt_price = sum(alternative[c] for c in seq)
+                        parcels = [weight[c] for c in seq]
+                    sortie_price = fleet.alpha * (unit_cost * dist + fixed_cost)
                     if sortie_price > alt_price:
                         continue  # letting the truck detour is cheaper
-                    probe = Sortie(kind, 0, launch_node, rec_node, seq, t, t2, launch_time)
-                    e = energy_mod.sortie_energy(probe, inst, fleet)
+                    e = energy_mod.leg_energy(kind, legs + (last_leg,), parcels, fleet)
                     options_for_seq.append((rec_node, e, t2, q, sortie_price))
                 if options_for_seq:
                     seq_options.append((seq, options_for_seq))

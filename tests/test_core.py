@@ -131,6 +131,17 @@ def test_instance_validation():
         Instance([Node(0, 0, 0), Node(2, 1, 1, 1.0)], FleetSpec())
 
 
+@pytest.mark.parametrize(
+    "x, y, weight",
+    [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0, math.nan)],
+    ids=["nan-x", "inf-y", "negative-weight", "nan-weight"],
+)
+def test_instance_rejects_bad_node_data(x, y, weight):
+    nodes = [Node(0, 0.0, 0.0), Node(1, 2.0, 2.0, 1.0), Node(2, x, y, weight)]
+    with pytest.raises(InstanceError, match="node 2"):
+        Instance(nodes, FleetSpec())
+
+
 def test_truck_distance_masking():
     inst = make_instance([(0, 0), (1, 0), (2, 0)], reachable=[True, False])
     assert inst.truck_distance(0, 1) == 1
@@ -141,6 +152,11 @@ def test_truck_distance_masking():
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == pytest.approx(inst.truck_distance(i, j))
+    # integer coordinates still give a float table, so a fractional mask survives
+    fractional = make_instance(
+        [(0, 0), (1, 0), (2, 0)], reachable=[True, False], fleet=FleetSpec(big_M=1e5 + 0.5)
+    )
+    assert fractional.matrix("truck")[0, 2] == fractional.truck_distance(0, 2) == 1e5 + 0.5
 
 
 def test_instance_json_roundtrip():

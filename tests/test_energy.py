@@ -4,16 +4,18 @@ import random
 
 import pytest
 
-from vrpdr.core import FleetSpec, KindMismatchError, Sortie
+from vrpdr.core import DRONE, ROBOT, FleetSpec, KindMismatchError, Sortie
 from vrpdr.energy import (
     ChargingEvent,
     InvalidEventError,
     apply_charging,
     charge_amount,
     drone_sortie_energy,
+    leg_energy,
     new_ledger,
     robot_power,
     robot_sortie_energy,
+    sortie_energy,
 )
 from conftest import make_instance
 
@@ -47,6 +49,69 @@ def test_drone_energy_kind_mismatch():
     s = Sortie("drone", 0, 0, 0, (1,), 0, 0)
     with pytest.raises(KindMismatchError):
         robot_sortie_energy(s, inst, inst.fleet)
+    with pytest.raises(KindMismatchError):
+        leg_energy("truck", [1.0, 1.0], [1.0], inst.fleet)
+
+
+def _reference_leg_weights(sequence, inst):
+    weights = [inst.node(c).weight for c in sequence]
+    carried = []
+    remaining = sum(weights)
+    carried.append(remaining)
+    for w in weights[:-1]:
+        remaining -= w
+        carried.append(remaining)
+    carried.append(0.0)
+    return carried
+
+
+def _reference_drone_energy(sortie, inst, fleet):
+    """The per-sortie drone formula as it stood before the leg kernel."""
+    carried = _reference_leg_weights(sortie.sequence, inst)
+    total = 0.0
+    for (i, j), mass in zip(sortie.legs(), carried):
+        total += (fleet.W_d + mass) * inst.distance(DRONE, i, j)
+    return fleet.alpha_d * total
+
+
+def _reference_robot_energy(sortie, inst, fleet):
+    """The per-sortie robot formula as it stood before the leg kernel."""
+    carried = _reference_leg_weights(sortie.sequence, inst)
+    wh = 0.0
+    for (i, j), mass in zip(sortie.legs(), carried):
+        hours = inst.distance(ROBOT, i, j) / fleet.s_r
+        wh += robot_power(mass, fleet) * hours
+    return wh * fleet.robot_energy_scale
+
+
+def test_leg_energy_matches_per_sortie_reference():
+    """The kernel fed with instance distances is bit-identical to the old formulas."""
+    rng = random.Random(17)
+    reference = {DRONE: _reference_drone_energy, ROBOT: _reference_robot_energy}
+    for trial in range(300):
+        kind = (DRONE, ROBOT)[trial % 2]
+        n = rng.randint(1, 6)
+        pts = [(rng.uniform(-10, 10), rng.uniform(-10, 10)) for _ in range(n + 1)]
+        weights = [rng.choice([0.0, 1.0, rng.uniform(0.5, 10.0)]) for _ in range(n)]
+        fleet = FleetSpec(W_d=rng.uniform(5, 20), k1=rng.uniform(0.05, 0.2))
+        inst = make_instance(pts, weights=weights, fleet=fleet)
+        seq = tuple(rng.sample(range(1, n + 1), rng.randint(1, min(3, n))))
+        rest = [v for v in range(n + 1) if v not in seq]
+        s = Sortie(kind, 0, rng.choice(rest), rng.choice(rest), seq, 0, 0)
+        legs = [inst.distance(kind, i, j) for i, j in s.legs()]
+        parcels = [inst.node(c).weight for c in seq]
+        expected = _outcome(reference[kind], s, inst, fleet)
+        assert _outcome(leg_energy, kind, legs, parcels, fleet) == expected
+        assert _outcome(sortie_energy, s, inst, fleet) == expected
+
+
+def _outcome(fn, *args):
+    """The value, or the error type and message: a zero-weight last parcel
+    can leave a carried mass of about -1e-15, which robot_power rejects."""
+    try:
+        return fn(*args)
+    except InvalidEventError as err:
+        return (type(err), str(err))
 
 
 def _direct_drone_energy(alpha_d, w_self, weights, legs):

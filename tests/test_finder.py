@@ -370,20 +370,106 @@ def test_determinism_byte_identical(fleet):
     assert a == b
 
 
-# sha256 of plan_to_json(solve_finder(...)), recorded with the full-rescan
-# insertion; a change meant only to speed the finder up keeps every plan
+def test_pruned_sequences_match_filtered_enumeration():
+    """The depth-first walk keeps exactly the sequences, and the distances,
+    that full enumeration followed by the payload and range filters keeps."""
+    import random
+
+    from vrpdr.core import DRONE, METRICS, ROBOT, enumerate_sequences
+
+    rng = random.Random(23)
+    for trial in range(200):
+        kind = (DRONE, ROBOT)[trial % 2]
+        metric = METRICS[kind]
+        m = rng.choice([1, 2, 3])
+        n = rng.randint(1, 9)
+        pts = [(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(n + 1)]
+        weights = [rng.choice([0.0, rng.uniform(0.5, 10.0)]) for _ in range(n)]
+        inst = make_instance(pts, weights=weights)
+        start = rng.randrange(n + 1)
+        pool = rng.sample([c for c in range(1, n + 1) if c != start], rng.randint(0, min(6, n - 1)))
+        payload_cap, range_cap = rng.uniform(0, 25), rng.uniform(0, 30)
+
+        expected = set()
+        for seq in enumerate_sequences(pool, m):
+            if sum(inst.node(c).weight for c in seq) > payload_cap + 1e-9:
+                continue
+            path = (start,) + seq
+            fixed_dist = sum(
+                metric(inst.node(a).point, inst.node(b).point)
+                for a, b in zip(path[:-1], path[1:])
+            )
+            if fixed_dist > range_cap + 1e-9:
+                continue
+            expected.add((seq, fixed_dist))
+
+        rows = finder._DistanceRows(metric, [nd.point for nd in inst.nodes])
+        walked = list(
+            finder._pruned_sequences(
+                start, sorted(pool), m, rows, [nd.weight for nd in inst.nodes],
+                payload_cap + 1e-9, range_cap + 1e-9,
+            )
+        )
+        assert {(seq, dist) for seq, _, dist in walked} == expected
+        assert len(walked) == len(expected)
+        for seq, legs, _ in walked:
+            path = (start,) + seq
+            assert legs == tuple(inst.distance(kind, a, b) for a, b in zip(path[:-1], path[1:]))
+
+
+def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
+    """No drone or robot, or no open customer: return before any table is built."""
+    truck_only = FleetSpec(num_drones=0, num_robots=0)
+    inst = make_instance([(0, 0), (1, 0), (2, 1)], fleet=truck_only)
+    states = finder.initial_states(truck_only)
+    # None stands in for the routes and the timeline: neither may be read
+    assert finder.assign_sorties(None, None, {2}, states, inst, truck_only) == ([], states, {2})
+    full = FleetSpec()
+    full_states = finder.initial_states(full)
+    assert finder.assign_sorties(None, None, set(), full_states, inst, full) == (
+        [], full_states, set()
+    )
+
+
+# sha256 of plan_to_json(solve_finder(...)), recorded before the insertion
+# kernel (first six rows) and before the pruned sortie walk (the rest); a
+# change meant only to speed the finder up keeps every plan
 GOLDEN_PLANS = [
-    ("to", 150, 1, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
-    ("to", 150, 2, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
-    ("ef", 20, 1, "74016c3ddf5fee6e65bdcbd2bab135ff4cd2541aa257f4f4eb74eb63ceadf8dc"),
-    ("ef", 20, 2, "8d2cbe94c3ff8d32f4b37c1d94201d3c3d2974145d189da19dd6b7bd9fd91497"),
-    ("ef", 20, 3, "3bce3aa1c32e54a7222753cdb6ce7eb04cb5c6b0f7f6708b81921e29c1eed0af"),
-    ("docking", 30, 0, "73186953b31bea7019274c699476eddea218ac84d8b23cab5db0a3a0e5083d66"),
+    ("to", 150, 1, {}, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
+    ("to", 150, 2, {}, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
+    ("ef", 20, 1, {}, "74016c3ddf5fee6e65bdcbd2bab135ff4cd2541aa257f4f4eb74eb63ceadf8dc"),
+    ("ef", 20, 2, {}, "8d2cbe94c3ff8d32f4b37c1d94201d3c3d2974145d189da19dd6b7bd9fd91497"),
+    ("ef", 20, 3, {}, "3bce3aa1c32e54a7222753cdb6ce7eb04cb5c6b0f7f6708b81921e29c1eed0af"),
+    ("docking", 30, 0, {}, "73186953b31bea7019274c699476eddea218ac84d8b23cab5db0a3a0e5083d66"),
+    ("ef", 60, 4242, {}, "97389971257576487f5f942321d3ea7481211198365b481b8e20bc24395f2d2e"),
+    ("docking", 60, 1, {}, "fdc11093385abef733a5ffe7b79a44ffb7fb3ca531e360f6f2c8dd70401a16f4"),
+    (
+        "ef", 40, 5, {"single_visit": True},
+        "110f1621c8a07b780c43a65f896dd1bba1532498481bab4b4dd207f3a3b45ec8",
+    ),
+    (
+        "ef", 40, 6, {"charging": False},
+        "e47ba6cbe05492f7bb3512c64479e5ebac7bea0f01e98d5a93e58e3beb202c83",
+    ),
+    (
+        "ef", 40, 7, {"single_trip": True},
+        "39be1fc9fd44712fb7c10a78888084a3c65cad96e0b70b589ed766f7fed06406",
+    ),
 ]
 
 
-@pytest.mark.parametrize("fleet_name, size, seed, digest", GOLDEN_PLANS)
-def test_golden_plan_hashes(fleet_name, size, seed, digest):
+def _golden_id(case):
+    fleet_name, size, seed, options, digest = case
+    flags = [f"{name}={value}" for name, value in sorted(options.items())]
+    return "-".join([fleet_name, str(size), str(seed), *flags, digest])
+
+
+@pytest.mark.parametrize(
+    "fleet_name, size, seed, options, digest",
+    GOLDEN_PLANS,
+    ids=[_golden_id(case) for case in GOLDEN_PLANS],
+)
+def test_golden_plan_hashes(fleet_name, size, seed, options, digest):
     import hashlib
 
     fleet = {
@@ -392,7 +478,7 @@ def test_golden_plan_hashes(fleet_name, size, seed, digest):
         "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
     }[fleet_name]
     inst = bench.generate_instance(size, seed=seed, fleet=fleet)
-    text = plan_to_json(finder.solve_finder(inst, fleet))
+    text = plan_to_json(finder.solve_finder(inst, fleet, ModelOptions(**options)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
