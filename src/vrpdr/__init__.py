@@ -3,7 +3,8 @@
 Submodules:
   core       data model, metrics, sortie sequence enumeration, JSON I/O
   energy     drone/robot energy formulas, battery ledgers, charging
-  milp       mixed-integer model builder, LP export, objective scoring
+  milp       mixed-integer model builder, LP export
+  schedule   plan objective and truck timeline with waiting for sorties
   validator  full constraint checker and simulated makespan
   exact      exhaustive reference optimum for tiny instances
   finder     three-phase construction heuristic with en-route charging

@@ -1,4 +1,8 @@
-"""Command line interface: generate, export-lp, exact, validate, solve, bench."""
+"""Command line interface: generate, export-lp, exact, validate, solve, bench.
+
+Exit codes: 1 an infeasible plan (validate), 2 no feasible plan found, 3
+search budget exhausted, 4 a malformed instance, fleet or plan.
+"""
 
 from __future__ import annotations
 
@@ -13,18 +17,30 @@ from . import milp as milp_mod
 from . import validator as validator_mod
 from .core import (
     BudgetExceededError,
+    ConfigurationError,
     FleetSpec,
     InfeasibleError,
+    InstanceError,
     ModelOptions,
+    PlanStructureError,
     instance_from_json,
     plan_from_json,
     plan_to_json,
 )
 
 
+def _bad_input(exc: Exception) -> None:
+    """Report malformed input in one line and exit with code 4."""
+    click.echo(f"bad input: {exc}", err=True)
+    sys.exit(4)
+
+
 def _load_instance(path: str):
     with open(path) as fh:
-        return instance_from_json(fh.read())
+        try:
+            return instance_from_json(fh.read())
+        except (InstanceError, ConfigurationError) as exc:
+            _bad_input(exc)
 
 
 def _options(no_charging, single_visit, single_trip, fixed_docking) -> ModelOptions:
@@ -128,9 +144,12 @@ def validate(instance_path, plan_path, no_charging, single_visit, single_trip, f
     """Check a plan against every constraint family; exit 0 iff feasible."""
     inst = _load_instance(instance_path)
     with open(plan_path) as fh:
-        plan = plan_from_json(fh.read())
+        text = fh.read()
     options = _options(no_charging, single_visit, single_trip, fixed_docking)
-    report = validator_mod.validate(plan, inst, inst.fleet, options)
+    try:
+        report = validator_mod.validate(plan_from_json(text), inst, inst.fleet, options)
+    except PlanStructureError as exc:
+        _bad_input(exc)
     click.echo(report.to_json())
     sys.exit(0 if report.feasible else 1)
 

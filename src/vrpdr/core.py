@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 DRONE = "drone"
@@ -147,6 +147,10 @@ class FleetSpec:
         for count in ("num_trucks", "num_drones", "num_robots"):
             if getattr(self, count) < 0:
                 raise ConfigurationError(f"{count} must be nonnegative")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{f.name} must be finite and >= 0, got {value}")
         if self.num_trucks > 0 and self.s_t <= 0:
             raise ConfigurationError("truck speed must be positive")
         if self.num_drones > 0:

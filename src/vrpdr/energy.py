@@ -129,13 +129,16 @@ def charge_amount(duration: float, kind: str, fleet: FleetSpec) -> float:
 
 
 def _leg_weights(weights):
-    """Carried parcel mass at the start of each leg (last leg carries 0)."""
+    """Carried parcel mass at the start of each leg (last leg carries 0).
+
+    Clamped at 0: after zero-weight parcels the running sum can be -1e-17.
+    """
     carried = []
     remaining = sum(weights)
     carried.append(remaining)
     for w in weights[:-1]:
         remaining -= w
-        carried.append(remaining)
+        carried.append(remaining if remaining > 0.0 else 0.0)
     carried.append(0.0)
     return carried
 

@@ -5,8 +5,11 @@ remaining customers with non-overlapping drone/robot sortie chains anchored
 on the tour.  Timing never prunes a candidate because trucks may wait at
 recovery nodes for free (the makespan counts travel only); battery
 chronology with en-route charging, payload, range and per-node docking
-rules do.  Every improving candidate is confirmed by the validator before
-it becomes the incumbent.
+rules do.  Candidates are scored by :func:`vrpdr.schedule.score`, and an
+incumbent's truck arrivals, waits included, come from
+:func:`vrpdr.schedule.arrival_times`: the objective and timeline the
+validator reads.  Every improving candidate is confirmed by the validator
+before it becomes the incumbent.
 
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
@@ -16,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import time as time_mod
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from . import energy as energy_mod
 from . import validator as validator_mod
@@ -34,7 +37,7 @@ from .core import (
     Sortie,
     enumerate_sequences,
 )
-from .milp import objective_value
+from .schedule import arrival_times, objective_value, score
 
 _EPS = 1e-12
 
@@ -162,33 +165,13 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
 
 
 def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
-    """Replay with waiting and build a full plan from vehicle chains."""
+    """Build a full plan from vehicle chains; the truck waits for its sorties."""
     inst, fleet = search.inst, search.fleet
-    arrivals = [0.0] * len(route)
-    sortie_rows: List[Tuple[int, str, int, _ChainSortie]] = []
-    for (kind, vid), chain in assignment.items():
-        for cs in chain:
-            sortie_rows.append((cs.recovery_pos, kind, vid, cs))
-    clock = 0.0
-    for pos in range(1, len(route)):
-        clock += leg_times[pos - 1]
-        if pos != len(route) - 1:
-            for rpos, kind, vid, cs in sortie_rows:
-                if rpos == pos:
-                    launch_at = arrivals[cs.launch_pos] if cs.launch_pos != 0 else 0.0
-                    clock = max(clock, launch_at + cs.distance / fleet.speed(kind))
-        arrivals[pos] = clock
-    # the declared depot return also covers sorties flying home on their own
-    for rpos, kind, vid, cs in sortie_rows:
-        if rpos == len(route) - 1:
-            launch_at = arrivals[cs.launch_pos] if cs.launch_pos != 0 else 0.0
-            arrivals[-1] = max(arrivals[-1], launch_at + cs.distance / fleet.speed(kind))
-
     sorties = []
+    launch_positions = []
     events = []
     for (kind, vid), chain in sorted(assignment.items()):
         for cs in chain:
-            launch_time = arrivals[cs.launch_pos] if cs.launch_pos != 0 else 0.0
             sorties.append(
                 Sortie(
                     vehicle_kind=kind,
@@ -198,9 +181,9 @@ def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
                     sequence=cs.sequence,
                     launch_truck=0,
                     recovery_truck=0,
-                    launch_time=launch_time,
                 )
             )
+            launch_positions.append(cs.launch_pos)
             for leg_pos, amount in cs.charge_legs:
                 events.append(
                     energy_mod.ChargingEvent(
@@ -212,22 +195,19 @@ def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
                         amount=amount,
                     )
                 )
-    arrivals_map = {route[pos]: arrivals[pos] for pos in range(1, len(route))}
+    arrivals = arrival_times([route], inst, fleet, sorties)[0]
     plan = Plan(
         truck_routes=(route,),
-        sorties=tuple(sorties),
-        truck_arrivals=(arrivals_map,),
+        sorties=tuple(
+            replace(s, launch_time=arrivals[pos]) for s, pos in zip(sorties, launch_positions)
+        ),
+        truck_arrivals=({route[pos]: arrivals[pos] for pos in range(1, len(route))},),
         charging_events=tuple(events),
     )
-    ledgers = validator_mod.build_ledgers(plan, inst, fleet)
-    breakdown = objective_value(plan, inst, fleet)
-    return Plan(
-        truck_routes=plan.truck_routes,
-        sorties=plan.sorties,
-        truck_arrivals=plan.truck_arrivals,
-        charging_events=plan.charging_events,
-        ledgers=ledgers,
-        objective_breakdown=breakdown,
+    return replace(
+        plan,
+        ledgers=validator_mod.build_ledgers(plan, inst, fleet),
+        objective_breakdown=objective_value(plan, inst, fleet),
     )
 
 
@@ -273,7 +253,6 @@ def solve_exact(
         )
 
     search = _Search(inst, fleet, options, budget)
-    alpha = fleet.alpha
 
     max_trips = 1 if options.single_trip else None
 
@@ -290,16 +269,11 @@ def solve_exact(
                 continue
             for perm in itertools.permutations(subset):
                 route = (0,) + perm + (0,)
-                leg_times = [
-                    inst.truck_distance(a, b) / fleet.s_t
-                    for a, b in zip(route[:-1], route[1:])
-                ]
-                route_dist = sum(
-                    inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])
-                )
-                route_time = route_dist / fleet.s_t
-                base_cost = fleet.C_t * route_dist + fleet.f_t
-                bound = alpha * base_cost + (1.0 - alpha) * route_time
+                km = [inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])]
+                leg_times = [d / fleet.s_t for d in km]
+                route_rows = [(sum(km), True)]
+                # sorties only add cost and flight time, so the bare route bounds the plan
+                bound = score(route_rows, (), fleet).weighted_objective
                 if search.best_obj is not None and bound >= search.best_obj - _EPS:
                     search.tick()
                     continue
@@ -318,15 +292,12 @@ def solve_exact(
 
                 def _consider(route, leg_times, assignment):
                     search.tick()
-                    cost = base_cost
-                    flight: Dict[tuple, float] = {}
-                    for (kind, vid), chain in assignment.items():
-                        for cs in chain:
-                            cost += fleet.unit_cost(kind) * cs.distance + fleet.fixed_cost(kind)
-                            key = (kind, vid)
-                            flight[key] = flight.get(key, 0.0) + cs.distance / fleet.speed(kind)
-                    gamma = max([route_time] + list(flight.values()))
-                    obj = alpha * cost + (1.0 - alpha) * gamma
+                    sortie_rows = [
+                        (kind, vid, cs.distance)
+                        for (kind, vid), chain in assignment.items()
+                        for cs in chain
+                    ]
+                    obj = score(route_rows, sortie_rows, fleet).weighted_objective
                     if search.best_obj is not None and obj >= search.best_obj - _EPS:
                         if (
                             abs(obj - (search.best_obj or 0.0)) > _EPS

@@ -12,7 +12,10 @@ the leg distances the walk already holds.  Phase 3 inserts whatever
 remains into the truck routes at the cheapest Manhattan detour, then
 re-times the accepted sorties against the rebuilt timeline.  One
 incremental cheapest-insertion kernel over the truck distance table serves
-phase 3 and the truck-detour prices of phase 2.
+phase 3 and the truck-detour prices of phase 2.  The truck timeline is the
+sortie-free case of :func:`vrpdr.schedule.arrival_times` and the plan is
+scored by :func:`vrpdr.schedule.objective_value`; sorties that no longer
+fit are dropped rather than waited for.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .core import (
     euclidean_distance,
     sortie_travel_time,
 )
-from .milp import objective_value
+from .schedule import arrival_times, objective_value
 
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
@@ -64,9 +67,7 @@ class VehicleState:
     aboard_truck: Optional[int] = None
     aboard_pos: int = 0       # boarding position on the carrying truck
     charged_upto: int = 0     # charging accrued for legs before this position
-    at_node: Optional[int] = None
     ledger: energy_mod.BatteryLedger = None
-    served: Set[int] = field(default_factory=set)
     events: List[energy_mod.ChargingEvent] = field(default_factory=list)
     sortie_count: int = 0
     retired: bool = False
@@ -102,17 +103,16 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
 
 
 def build_timeline(routes, inst: Instance, fleet: FleetSpec) -> Timeline:
-    """Arrival recurrence: next = current + manhattan / truck speed."""
+    """Sortie-free arrivals: next = current + manhattan / truck speed.
+
+    A truck that never leaves the depot (route ``[0, 0]``) has one stop.
+    """
     stops = []
-    for route in routes:
-        t = 0.0
-        row = [(route[0], 0.0)]
-        for a, b in zip(route[:-1], route[1:]):
-            t += inst.truck_distance(a, b) / fleet.s_t
-            row.append((b, t))
+    for route, arrivals in zip(routes, arrival_times(routes, inst, fleet)):
         if len(route) == 2 and route[0] == route[1] == 0:
-            row = [(0, 0.0)]
-        stops.append(tuple(row))
+            stops.append(((0, 0.0),))
+        else:
+            stops.append(tuple(zip(route, arrivals)))
     return Timeline(stops=tuple(stops))
 
 
@@ -168,6 +168,23 @@ def apply_enroute_charging(states, timeline: Timeline, fleet: FleetSpec) -> list
                 state, timeline, fleet, len(timeline.stops[state.aboard_truck]) - 1, True
             )
     return states
+
+
+def _dock(
+    state: VehicleState, timeline: Timeline, launch_time: float, energy: float, truck: int, pos: int
+) -> None:
+    """Accept a sortie: draw its energy and count the trip, then retire the
+    vehicle at ``truck``'s final depot stop or re-board it at stop ``pos``."""
+    state.ledger = state.ledger.consume(launch_time, energy)
+    state.sortie_count += 1
+    if timeline.node(truck, pos) == 0 and pos == len(timeline.stops[truck]) - 1:
+        state.retired = True
+        state.aboard_truck = None
+    else:
+        state.aboard_truck = truck
+        state.aboard_pos = pos
+        state.charged_upto = pos
+    state.available_from = timeline.arrival(truck, pos)
 
 
 def _recovery_options(timeline: Timeline, truck: int, pos: int, launch_time: float, flexible: bool):
@@ -495,18 +512,7 @@ def assign_sorties(
                 unserved -= set(seq)
                 used_launch.add((kind, launch_node))
                 used_recovery.add((kind, rec_node))
-                vehicle.ledger = vehicle.ledger.consume(launch_time, e)
-                vehicle.served |= set(seq)
-                vehicle.sortie_count += 1
-                if rec_node == 0 and q == len(timeline.stops[t2]) - 1:
-                    vehicle.retired = True
-                    vehicle.aboard_truck = None
-                    vehicle.at_node = 0
-                else:
-                    vehicle.aboard_truck = t2
-                    vehicle.aboard_pos = q
-                    vehicle.charged_upto = q
-                vehicle.available_from = timeline.arrival(t2, q)
+                _dock(vehicle, timeline, launch_time, e, t2, q)
                 break  # one sortie per launch point and kind
     return sorties, states, unserved
 
@@ -576,16 +582,7 @@ def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=Tr
         if not ok:
             dropped.extend(s.sequence)
             continue
-        state.ledger = state.ledger.consume(launch_time, e)
-        state.sortie_count += 1
-        if s.recovery_node == 0 and rp == len(timeline.stops[s.recovery_truck]) - 1:
-            state.retired = True
-            state.aboard_truck = None
-        else:
-            state.aboard_truck = s.recovery_truck
-            state.aboard_pos = rp
-            state.charged_upto = rp
-        state.available_from = deadline
+        _dock(state, timeline, launch_time, e, s.recovery_truck, rp)
         kept.append(replace(s, launch_time=launch_time))
     state_list = sorted(states.values(), key=lambda s: (s.vehicle_kind, s.vehicle_id))
     if finalize and options.charging:
@@ -669,12 +666,4 @@ def solve_finder(
         charging_events=events,
         ledgers=ledgers,
     )
-    breakdown = objective_value(plan, inst, fleet)
-    return Plan(
-        truck_routes=plan.truck_routes,
-        sorties=plan.sorties,
-        truck_arrivals=plan.truck_arrivals,
-        charging_events=plan.charging_events,
-        ledgers=plan.ledgers,
-        objective_breakdown=breakdown,
-    )
+    return replace(plan, objective_breakdown=objective_value(plan, inst, fleet))

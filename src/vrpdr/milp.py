@@ -1,4 +1,4 @@
-"""Mixed-integer model builder, LP text export and plan scoring.
+"""Mixed-integer model builder and LP text export.
 
 The model is sortie-indexed: every candidate sortie (launch node, ordered
 customer sequence, recovery node) gets one binary per vehicle and per
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from . import energy as energy_mod
+from . import schedule as schedule_mod
 from .core import (
     DRONE,
     ROBOT,
@@ -24,7 +25,6 @@ from .core import (
     Instance,
     ModelOptions,
     ModelSizeError,
-    ObjectiveBreakdown,
     Plan,
     Sortie,
     VrpdrError,
@@ -617,45 +617,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
 
 
 # ---------------------------------------------------------------------------
-# plan scoring
-# ---------------------------------------------------------------------------
-
-def objective_value(plan: Plan, inst: Instance, fleet: FleetSpec) -> ObjectiveBreakdown:
-    """Score a plan: weighted cost plus makespan, mirroring the model objective.
-
-    The makespan is the maximum summed travel time over all vehicles; truck
-    waiting is deliberately not counted here (the validator's simulated
-    makespan reports it separately).
-    """
-    from .core import sortie_distance
-
-    variable_cost = 0.0
-    fixed_cost = 0.0
-    truck_times = []
-    for route in plan.truck_routes:
-        dist = sum(inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:]))
-        variable_cost += fleet.C_t * dist
-        truck_times.append(dist / fleet.s_t)
-        if len(route) > 2:
-            fixed_cost += fleet.f_t
-    vehicle_time: Dict[Tuple[str, int], float] = {}
-    for s in plan.sorties:
-        dist = sortie_distance(s, inst)
-        variable_cost += fleet.unit_cost(s.vehicle_kind) * dist
-        fixed_cost += fleet.fixed_cost(s.vehicle_kind)
-        key = (s.vehicle_kind, s.vehicle_id)
-        vehicle_time[key] = vehicle_time.get(key, 0.0) + dist / fleet.speed(s.vehicle_kind)
-    makespan = max(truck_times + list(vehicle_time.values()) + [0.0])
-    weighted = fleet.alpha * (variable_cost + fixed_cost) + (1.0 - fleet.alpha) * makespan
-    return ObjectiveBreakdown(
-        variable_cost=variable_cost,
-        fixed_cost=fixed_cost,
-        makespan=makespan,
-        weighted_objective=weighted,
-    )
-
-
-# ---------------------------------------------------------------------------
 # plan -> assignment substitution
 # ---------------------------------------------------------------------------
 
@@ -718,8 +679,7 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
                 if a == v:
                     values[var] = inst.truck_distance(a, b) / fleet.s_t
                     break
-    breakdown = objective_value(plan, inst, fleet)
-    values[model.info["gamma"]] = breakdown.makespan
+    values[model.info["gamma"]] = schedule_mod.objective_value(plan, inst, fleet).makespan
     return values
 
 

@@ -3,14 +3,17 @@
 Violations carry the same family names that :mod:`vrpdr.milp` uses for its
 constraint groups, so a failed check always points at the corresponding
 model block.  Timing checks use a 1e-6 hour tolerance and energy checks a
-1e-6 unit tolerance.
+1e-6 unit tolerance.  The report's two makespans come from
+:mod:`vrpdr.schedule`: the model makespan is the objective's travel-time
+maximum, and the simulated makespan replays the routes with trucks waiting
+for their sorties.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from . import energy as energy_mod
 from . import milp as milp_mod
@@ -21,10 +24,10 @@ from .core import (
     Plan,
     PlanStructureError,
     TIME_TOL,
-    Sortie,
     sortie_distance,
     sortie_travel_time,
 )
+from .schedule import arrival_times, objective_value
 
 ENERGY_TOL = 1e-6
 
@@ -53,20 +56,6 @@ class ValidationReport:
             "battery_ledgers": [asdict(l) for l in self.battery_ledgers],
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def model_makespan(plan: Plan, inst: Instance, fleet: FleetSpec) -> float:
-    """Maximum summed travel time over trucks, drones and robots."""
-    times = [0.0]
-    for route in plan.truck_routes:
-        dist = sum(inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:]))
-        times.append(dist / fleet.s_t)
-    per_vehicle: Dict[Tuple[str, int], float] = {}
-    for s in plan.sorties:
-        key = (s.vehicle_kind, s.vehicle_id)
-        per_vehicle[key] = per_vehicle.get(key, 0.0) + sortie_travel_time(s, inst, fleet)
-    times.extend(per_vehicle.values())
-    return max(times)
 
 
 def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
@@ -397,13 +386,11 @@ def validate(
                 )
 
     feasible = not violations
-    mk = model_makespan(plan, inst, fleet)
-    sim = simulated_makespan(plan, inst, fleet)
     return ValidationReport(
         feasible=feasible,
         violations=violations,
-        model_makespan=mk,
-        simulated_makespan=sim,
+        model_makespan=objective_value(plan, inst, fleet).makespan,
+        simulated_makespan=simulated_makespan(plan, inst, fleet),
         battery_ledgers=ledgers,
     )
 
@@ -445,43 +432,12 @@ def build_ledgers(plan: Plan, inst: Instance, fleet: FleetSpec) -> tuple:
 
 
 def simulated_makespan(plan: Plan, inst: Instance, fleet: FleetSpec) -> float:
-    """Replay with waiting: trucks hold at recovery nodes for their sorties.
+    """Replay with waiting: the last truck return to the depot.
 
-    Returns the time the last vehicle is back at the depot.  Launch times
-    re-derive from the simulated truck arrivals, so the result is a what-if
+    Trucks hold at each recovery stop, the depot included, until their
+    sorties are back (:func:`vrpdr.schedule.arrival_times`).  Launch times
+    re-derive from the replayed arrivals, so the result is a what-if
     schedule rather than a check of the plan's declared times.
     """
-    sim: List[Dict[int, float]] = [dict() for _ in plan.truck_routes]
-
-    def launch_sim_time(s: Sortie) -> float:
-        if s.launch_node == 0:
-            return 0.0
-        return sim[s.launch_truck].get(s.launch_node, s.launch_time)
-
-    # iterate to a fixpoint; cross-truck recoveries couple the timelines
-    for _ in range(max(2, len(plan.sorties) + 2)):
-        changed = False
-        for t, route in enumerate(plan.truck_routes):
-            clock = 0.0
-            for a, b in zip(route[:-1], route[1:]):
-                clock += inst.truck_distance(a, b) / fleet.s_t
-                if b != 0:
-                    # hold for sorties this truck must recover here; sorties
-                    # recovered at the depot return on their own
-                    for s in plan.sorties:
-                        if s.recovery_truck == t and s.recovery_node == b:
-                            back = launch_sim_time(s) + sortie_travel_time(s, inst, fleet)
-                            clock = max(clock, back)
-                if sim[t].get(b) != clock:
-                    sim[t][b] = clock
-                    changed = True
-        if not changed:
-            break
-
-    out = [0.0]
-    for t, route in enumerate(plan.truck_routes):
-        out.append(sim[t].get(0, 0.0) if len(route) > 1 else 0.0)
-    for s in plan.sorties:
-        if s.recovery_node == 0:
-            out.append(launch_sim_time(s) + sortie_travel_time(s, inst, fleet))
-    return max(out)
+    arrivals = arrival_times(plan.truck_routes, inst, fleet, plan.sorties)
+    return max([0.0] + [row[-1] for row in arrivals])

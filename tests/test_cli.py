@@ -86,3 +86,29 @@ def test_cli_exact_infeasible_exit_code(tmp_path):
     r = runner.invoke(main, ["exact", "--instance", str(inst)])
     assert r.exit_code == 2
     assert "infeasible" in r.output or "infeasible" in (r.stderr or "")
+
+
+def test_cli_bad_instance_exit_code(tmp_path):
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    doc["customers"][0]["x"] = float("nan")
+    inst.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert r.exit_code == 4
+    assert "node 1 has a non-finite coordinate" in r.output + (r.stderr or "")
+
+
+def test_cli_validate_unknown_node_exit_code(tmp_path):
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    plan = tmp_path / "plan.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "1", "--out", str(inst)])
+    runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(plan)])
+    doc = json.loads(plan.read_text())
+    doc["truck_routes"][0].insert(1, 99)
+    plan.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["validate", "--instance", str(inst), "--plan", str(plan)])
+    assert r.exit_code == 4
+    assert "unknown node 99" in r.output + (r.stderr or "")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vrpdr.core import (
+    ConfigurationError,
     FleetSpec,
     Instance,
     InstanceError,
@@ -229,3 +230,12 @@ def test_benchmark_defaults_frozen():
     assert f.m == 3
     assert f.alpha == 0.5
     assert f.big_M == 1e5
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("s_d", math.nan), ("B_r", math.inf), ("C_t", -1.0), ("k1", math.nan)],
+)
+def test_fleet_rejects_non_finite_or_negative_values(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        FleetSpec(**{field: value})

@@ -98,3 +98,46 @@ def test_exact_respects_single_trip_and_visit_options(fleet):
     assert base.objective_breakdown.weighted_objective <= (
         st.objective_breakdown.weighted_objective + 1e-9
     )
+
+
+# sha256 of plan_to_json(solve_exact(...)) under each toggle; the cases hold
+# sorties, trucks that wait at a recovery stop and en-route charging, so a
+# change to how plans are scored or timed that alters any plan shows here
+EXACT_GOLDEN_PLANS = [
+    ("full", 4, 1, 0.0, {}, "c98c358bbd5579181bbbe9071fe84b17c1b333eb4cb028311172419b3f1058c8"),
+    ("full", 5, 2, 0.0, {}, "22af622fa5cc8dcebfdd5737a9ab18a0fb6e4d26a8f4875ad9c12074251e3dbf"),
+    (
+        "low_battery", 5, 4, 0.4, {},
+        "c3db6f9d124675cfab091cc68e18172ef8a2f7198b9d2f2e6d8e3a78c2b06785",
+    ),
+    (
+        "full", 5, 5, 0.0, {"charging": False},
+        "6dd93642749fdc7b8ed3c6166f2f04a3d41ae3dcd7c036dac6926501c7b3df3b",
+    ),
+    (
+        "full", 5, 4, 0.4, {"charging": False},
+        "b1c9308a4cfe5dae74c97af001aca0a7cd12a2fd6577edd62a660e3012fb4489",
+    ),
+    (
+        "full", 5, 15, 0.4, {"single_trip": True},
+        "7a3f3c060a5e8492828f3750d4607b441e9c32f8af41b4be5ff651daa0b17a2f",
+    ),
+    (
+        "full", 5, 17, 0.4, {"single_visit": True},
+        "02a57ba1482e428ebab9c978818ec294da4e82e6a0126c2b40becc36b237aa79",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "fleet_name, size, seed, unreachable_frac, options, digest", EXACT_GOLDEN_PLANS
+)
+def test_exact_golden_plan_hashes(fleet_name, size, seed, unreachable_frac, options, digest):
+    import hashlib
+
+    from vrpdr.core import plan_to_json
+
+    fleet = {"full": FleetSpec(), "low_battery": FleetSpec(B_d=8000.0)}[fleet_name]
+    inst = bench.generate_instance(size, seed=seed, fleet=fleet, unreachable_frac=unreachable_frac)
+    plan = exact.solve_exact(inst, fleet, ModelOptions(**options))
+    assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from vrpdr import bench, finder, validator
@@ -5,7 +7,9 @@ from vrpdr.core import (
     ConfigurationError,
     FleetSpec,
     InfeasibleError,
+    Instance,
     ModelOptions,
+    Node,
     plan_to_json,
 )
 from conftest import make_instance
@@ -519,3 +523,23 @@ def test_s5_objective_band(fleet):
     mean_gap = sum(gaps) / len(gaps)
     assert 79.0 <= mean_obj <= 125.0
     assert 0.0 <= mean_gap <= 30.0
+
+
+def test_robot_fleet_with_zero_weight_parcels():
+    """A robot-only fleet solves when zero-weight parcels end a sequence.
+
+    On this instance, the 18th drawn, subtracting parcels from their sum
+    leaves a carried mass of -2.8e-17, which the robot power formula
+    rejects unless it is clamped at 0.
+    """
+    rng = random.Random(0)
+    for _ in range(18):
+        nodes = [Node(0, 2.0, 2.0)]
+        for i in range(1, 11):
+            x, y = rng.uniform(0, 4), rng.uniform(0, 4)
+            nodes.append(Node(i, x, y, rng.choice([0.0, 0.0, rng.uniform(0.1, 3)])))
+    fleet = FleetSpec(num_drones=0, num_robots=1)
+    inst = Instance(nodes, fleet)
+    plan = finder.solve_finder(inst, fleet)
+    assert plan.sorties
+    assert validator.validate(plan, inst, fleet).feasible

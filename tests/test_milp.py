@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from vrpdr import bench, exact, lp_io, milp
+from vrpdr import bench, exact, lp_io, milp, schedule
 from vrpdr.core import FleetSpec, Instance, ModelOptions, ModelSizeError, Node, Plan
 from conftest import make_instance
 
@@ -166,16 +166,16 @@ def test_objective_value_examples(fleet):
     # 10 km Manhattan tour, no sorties: 0.5*(2.9*10+30) + 0.5*(10/45)
     inst = make_instance([(0, 0), (2.5, 2.5)], weights=[1.0], fleet=fleet)
     plan = Plan(truck_routes=((0, 1, 0),), truck_arrivals=({1: 5 / 45, 0: 10 / 45},))
-    b = milp.objective_value(plan, inst, fleet)
+    b = schedule.objective_value(plan, inst, fleet)
     assert b.variable_cost == pytest.approx(29.0)
     assert b.fixed_cost == pytest.approx(30.0)
     assert b.makespan == pytest.approx(10 / 45)
     assert b.weighted_objective == pytest.approx(0.5 * (2.9 * 10 + 30) + 0.5 * (10 / 45))
     assert b.weighted_objective == pytest.approx(29.6111, abs=1e-3)
 
-    pure_cost = milp.objective_value(plan, inst, FleetSpec(alpha=1.0))
+    pure_cost = schedule.objective_value(plan, inst, FleetSpec(alpha=1.0))
     assert pure_cost.weighted_objective == pytest.approx(59.0)
-    pure_time = milp.objective_value(plan, inst, FleetSpec(alpha=0.0))
+    pure_time = schedule.objective_value(plan, inst, FleetSpec(alpha=0.0))
     assert pure_time.weighted_objective == pytest.approx(10 / 45)
 
 

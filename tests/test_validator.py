@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from vrpdr import bench, exact, finder, milp, validator
-from vrpdr.core import Plan, PlanStructureError, Sortie
+from vrpdr.core import FleetSpec, Plan, PlanStructureError, Sortie
 from vrpdr.energy import ChargingEvent
 from conftest import make_instance
 
@@ -246,3 +246,24 @@ def test_simulated_makespan_dominates_model(fleet):
         report = validator.validate(plan, inst, fleet)
         assert report.feasible
         assert report.simulated_makespan >= report.model_makespan - 1e-9
+
+
+@pytest.mark.parametrize(
+    "trucks, per_kind, size, seed, model_mk, simulated_mk",
+    [
+        (2, 3, 16, 0, 1.6798329528121065, 1.6798329528121065),
+        (2, 3, 40, 5, 1.427685554109729, 1.4276855541097293),
+        (3, 1, 40, 6, 1.2200204790180142, 1.2200204790180145),
+        (3, 3, 40, 5, 1.1410731413718394, 1.1410731413718396),
+    ],
+)
+def test_multi_truck_makespans_pinned(trucks, per_kind, size, seed, model_mk, simulated_mk):
+    """Exact makespans of flexible-docking plans whose sorties cross trucks."""
+    fleet = FleetSpec(num_trucks=trucks, num_drones=per_kind, num_robots=per_kind)
+    inst = bench.generate_instance(size, seed=seed, fleet=fleet)
+    plan = finder.solve_finder(inst, fleet)
+    assert any(s.launch_truck != s.recovery_truck for s in plan.sorties)
+    report = validator.validate(plan, inst, fleet)
+    assert report.feasible
+    assert report.model_makespan == model_mk
+    assert report.simulated_makespan == simulated_mk
