@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterable, Optional, Sequence
 
 DRONE = "drone"
@@ -356,6 +356,43 @@ class Instance:
         raise ValueError(f"unknown matrix {which!r}")
 
 
+class DistanceRows(dict):
+    """``rows[a][b]`` = ``metric(points[a], points[b])``; a row is built on first use.
+
+    Every entry comes from the same metric function :meth:`Instance.distance`
+    calls, so each float is the one a checked lookup would return.  Only the
+    rows a caller touches are built, never the full table.
+    """
+
+    def __init__(self, metric, points):
+        super().__init__()
+        self.metric = metric
+        self.points = points
+
+    def __missing__(self, a):
+        metric, here = self.metric, self.points[a]
+        row = self[a] = [metric(here, p) for p in self.points]
+        return row
+
+    def path_legs(self, path) -> list:
+        """Leg distances along ``path``, in order."""
+        return [self[a][b] for a, b in zip(path, path[1:])]
+
+    def head(self, launch, sequence, inner) -> tuple:
+        """(legs, distance) of a sortie from ``launch`` up to its last customer.
+
+        ``inner`` is ``path_legs(sequence)``, hoisted by callers that try many
+        launches.  The distance is summed ``0.0 + d1 + d2 ...`` in path order,
+        so adding the last leg to it gives the float :func:`sortie_distance`
+        returns for the whole sortie.
+        """
+        legs = [self[launch][sequence[0]]] + inner
+        dist = 0.0
+        for d in legs:
+            dist += d
+        return legs, dist
+
+
 def sortie_distance(sortie: Sortie, inst: Instance) -> float:
     """Total leg distance of a sortie in its vehicle's metric."""
     metric = METRICS[sortie.vehicle_kind]
@@ -390,12 +427,75 @@ def enumerate_sequences(customers: Iterable[int], m: int) -> list:
 _FLEET_FIELDS = {f for f in FleetSpec.__dataclass_fields__}
 _FLEET_OPTIONAL = {"robot_energy_scale"}
 _CUSTOMER_FIELDS = {"id", "x", "y", "weight", "truck_reachable"}
+# JSON types a dataclass field annotation accepts; true and false are no numbers
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool, "tuple": list}
+_JSON_NAMES = {
+    dict: "an object",
+    list: "a list",
+    int: "an integer",
+    (int, float): "a number",
+    str: "a string",
+    bool: "true or false",
+}
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
+def _reject_unknown(d: dict, allowed: set, where: str, error=InstanceError) -> None:
     unknown = set(d) - allowed
     if unknown:
-        raise InstanceError(f"unknown field(s) {sorted(unknown)} in {where}")
+        raise error(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def _typed(value, types, path: str, error):
+    """``value`` when it is a JSON value of ``types``; else ``error`` naming ``path``."""
+    if isinstance(value, types) and (types is bool or not isinstance(value, bool)):
+        return value
+    raise error(f"{path} must be {_JSON_NAMES[types]}, got {value!r}")
+
+
+def _field(doc: dict, key: str, path: str, types, error):
+    """``doc[key]`` checked by :func:`_typed`; a missing key raises ``error`` too."""
+    where = f"{path}.{key}"
+    if key not in doc:
+        raise error(f"missing field {where}")
+    return _typed(doc[key], types, where, error)
+
+
+def _int_tuple(value, path: str, error) -> tuple:
+    """A JSON list of integers as a tuple; else ``error`` naming ``path``."""
+    _typed(value, list, path, error)
+    return tuple(_typed(v, int, f"{path}[{k}]", error) for k, v in enumerate(value))
+
+
+def _json_object(text: str, what: str, error) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    return _typed(doc, dict, what, error)
+
+
+def _record(cls, doc, path: str, error, skip=()) -> dict:
+    """Keyword arguments for dataclass ``cls`` from the JSON object ``doc``.
+
+    Every field not in ``skip`` must be present unless it has a default and
+    hold the JSON type its annotation names (a ``tuple`` is a list of
+    integers); a ``vehicle_kind`` must name a vehicle kind.  Anything else
+    raises ``error`` naming the field path.
+    """
+    _typed(doc, dict, path, error)
+    cls_fields = fields(cls)
+    _reject_unknown(doc, {f.name for f in cls_fields}, path, error)
+    kwargs = {}
+    for f in cls_fields:
+        if f.name in skip or (f.name not in doc and f.default is not MISSING):
+            continue
+        kwargs[f.name] = _field(doc, f.name, path, _JSON_TYPES[f.type], error)
+        if f.type == "tuple":
+            kwargs[f.name] = _int_tuple(kwargs[f.name], f"{path}.{f.name}", error)
+    kind = kwargs.get("vehicle_kind")
+    if kind is not None and kind not in VEHICLE_KINDS:
+        raise error(f"{path}.vehicle_kind must be one of {list(VEHICLE_KINDS)}, got {kind!r}")
+    return kwargs
 
 
 def instance_to_json(inst: Instance) -> str:
@@ -418,28 +518,43 @@ def instance_to_json(inst: Instance) -> str:
 
 
 def instance_from_json(text: str) -> Instance:
-    doc = json.loads(text)
+    """Instance from :func:`instance_to_json` text.
+
+    A missing, unknown or mistyped field raises :class:`InstanceError`
+    naming its path, such as ``customers[0].weight``.
+    """
+    doc = _json_object(text, "instance", InstanceError)
     _reject_unknown(doc, {"depot", "customers", "fleet", "seed"}, "instance")
-    _reject_unknown(doc["depot"], {"x", "y"}, "depot")
-    fleet_doc = dict(doc["fleet"])
-    _reject_unknown(fleet_doc, _FLEET_FIELDS, "fleet")
+    fleet_doc = _field(doc, "fleet", "instance", dict, InstanceError)
     missing = _FLEET_FIELDS - _FLEET_OPTIONAL - set(fleet_doc)
     if missing:
         raise InstanceError(f"fleet is missing field(s) {sorted(missing)}")
-    fleet = FleetSpec(**fleet_doc)
-    nodes = [Node(0, float(doc["depot"]["x"]), float(doc["depot"]["y"]))]
-    for c in doc["customers"]:
-        _reject_unknown(c, _CUSTOMER_FIELDS, f"customer {c.get('id')}")
+    fleet = FleetSpec(**_record(FleetSpec, fleet_doc, "fleet", InstanceError))
+    depot = _field(doc, "depot", "instance", dict, InstanceError)
+    _reject_unknown(depot, {"x", "y"}, "depot")
+    nodes = [
+        Node(
+            0,
+            float(_field(depot, "x", "depot", (int, float), InstanceError)),
+            float(_field(depot, "y", "depot", (int, float), InstanceError)),
+        )
+    ]
+    customers = _field(doc, "customers", "instance", list, InstanceError)
+    for k, c in enumerate(customers):
+        path = f"customers[{k}]"
+        _typed(c, dict, path, InstanceError)
+        _reject_unknown(c, _CUSTOMER_FIELDS, path)
         nodes.append(
             Node(
-                int(c["id"]),
-                float(c["x"]),
-                float(c["y"]),
-                float(c["weight"]),
-                bool(c["truck_reachable"]),
+                _field(c, "id", path, int, InstanceError),
+                float(_field(c, "x", path, (int, float), InstanceError)),
+                float(_field(c, "y", path, (int, float), InstanceError)),
+                float(_field(c, "weight", path, (int, float), InstanceError)),
+                _field(c, "truck_reachable", path, bool, InstanceError),
             )
         )
-    return Instance(nodes, fleet, seed=int(doc.get("seed", 0)))
+    seed = _typed(doc.get("seed", 0), int, "instance.seed", InstanceError)
+    return Instance(nodes, fleet, seed=seed)
 
 
 def plan_to_json(plan: Plan) -> str:
@@ -458,10 +573,22 @@ def plan_to_json(plan: Plan) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _plan_list(doc: dict, key: str, required: bool = False) -> list:
+    if key not in doc and not required:
+        return []
+    return _field(doc, key, "plan", list, PlanStructureError)
+
+
 def plan_from_json(text: str) -> Plan:
+    """Plan from :func:`plan_to_json` text.
+
+    A missing, unknown or mistyped field raises :class:`PlanStructureError`
+    naming its path, such as ``sorties[0].launch_node``.
+    """
     from . import energy
 
-    doc = json.loads(text)
+    error = PlanStructureError
+    doc = _json_object(text, "plan", error)
     allowed = {
         "truck_routes",
         "sorties",
@@ -470,27 +597,51 @@ def plan_from_json(text: str) -> Plan:
         "ledgers",
         "objective_breakdown",
     }
-    _reject_unknown(doc, allowed, "plan")
-    sorties = tuple(Sortie(**{**s, "sequence": tuple(s["sequence"])}) for s in doc["sorties"])
-    arrivals = tuple(
-        {int(k): float(v) for k, v in a.items()} for a in doc.get("truck_arrivals", [])
+    _reject_unknown(doc, allowed, "plan", error)
+    routes = tuple(
+        _int_tuple(route, f"truck_routes[{t}]", error)
+        for t, route in enumerate(_plan_list(doc, "truck_routes", required=True))
     )
-    events = tuple(energy.ChargingEvent(**e) for e in doc.get("charging_events", []))
-    ledgers = tuple(
-        energy.BatteryLedger(
-            vehicle_kind=l["vehicle_kind"],
-            vehicle_id=l["vehicle_id"],
-            capacity=l["capacity"],
-            entries=tuple(energy.LedgerEntry(**en) for en in l["entries"]),
+    sorties = tuple(
+        Sortie(**_record(Sortie, s, f"sorties[{k}]", error))
+        for k, s in enumerate(_plan_list(doc, "sorties", required=True))
+    )
+    arrivals = []
+    for t, a in enumerate(_plan_list(doc, "truck_arrivals")):
+        path = f"truck_arrivals[{t}]"
+        _typed(a, dict, path, error)
+        times = {}
+        for node, at in a.items():
+            try:
+                node_id = int(node)
+            except ValueError:
+                raise error(f"{path} key {node!r} is not a node id") from None
+            times[node_id] = float(_typed(at, (int, float), f"{path}[{node!r}]", error))
+        arrivals.append(times)
+    events = tuple(
+        energy.ChargingEvent(**_record(energy.ChargingEvent, e, f"charging_events[{k}]", error))
+        for k, e in enumerate(_plan_list(doc, "charging_events"))
+    )
+    ledgers = []
+    for k, l in enumerate(_plan_list(doc, "ledgers")):
+        path = f"ledgers[{k}]"
+        kwargs = _record(energy.BatteryLedger, l, path, error, skip=("entries",))
+        entries = _field(l, "entries", path, list, error)
+        kwargs["entries"] = tuple(
+            energy.LedgerEntry(**_record(energy.LedgerEntry, en, f"{path}.entries[{j}]", error))
+            for j, en in enumerate(entries)
         )
-        for l in doc.get("ledgers", [])
-    )
+        ledgers.append(energy.BatteryLedger(**kwargs))
     breakdown = doc.get("objective_breakdown")
+    if breakdown is not None:
+        breakdown = ObjectiveBreakdown(
+            **_record(ObjectiveBreakdown, breakdown, "objective_breakdown", error)
+        )
     return Plan(
-        truck_routes=tuple(tuple(r) for r in doc["truck_routes"]),
+        truck_routes=routes,
         sorties=sorties,
-        truck_arrivals=arrivals,
+        truck_arrivals=tuple(arrivals),
         charging_events=events,
-        ledgers=ledgers,
-        objective_breakdown=ObjectiveBreakdown(**breakdown) if breakdown else None,
+        ledgers=tuple(ledgers),
+        objective_breakdown=breakdown,
     )

@@ -11,6 +11,13 @@ incumbent's truck arrivals, waits included, come from
 validator reads.  Every improving candidate is confirmed by the validator
 before it becomes the incumbent.
 
+Sortie legs are read from :class:`vrpdr.core.DistanceRows` built once per
+search (and truck legs from a table built once per search), never from
+checked lookups; each (sequence, launch, recovery) energy is priced by
+:func:`vrpdr.energy.leg_energy` once per search and no probe ``Sortie`` is
+built, so only plan assembly and validation call
+:func:`vrpdr.energy.sortie_energy`.
+
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
 """
@@ -26,9 +33,12 @@ from . import energy as energy_mod
 from . import validator as validator_mod
 from .core import (
     DRONE,
+    METRICS,
     ROBOT,
+    VEHICLE_KINDS,
     BudgetExceededError,
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -74,6 +84,11 @@ class _Search:
         self.best_obj: Optional[float] = None
         self.best_key = None
         self.best_plan: Optional[Plan] = None
+        points = [nd.point for nd in inst.nodes]
+        self.rows = {kind: DistanceRows(METRICS[kind], points) for kind in VEHICLE_KINDS}
+        self.weight = [nd.weight for nd in inst.nodes]
+        # (kind, sequence, launch node, recovery node) -> sortie energy
+        self.energies = {}
 
     def tick(self, amount: int = 1) -> None:
         self.candidates_seen += amount
@@ -94,16 +109,17 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
     Yields (chain, served) pairs; a chain is a tuple of _ChainSortie.  The
     battery starts full, drains by sortie energy at each launch, and
     recharges (clamped) on carried legs between recovery and next launch.
-    Charging on the leg out of the depot is not allowed.
+    Charging on the leg out of the depot is not allowed.  A launch whose
+    legs up to the last customer (:meth:`DistanceRows.head`) are already
+    over the range cap is skipped.
     """
-    inst, fleet, options = search.inst, search.fleet, search.options
+    fleet, options = search.fleet, search.options
     m_eff = options.effective_m(fleet)
     cap = fleet.battery(kind)
     rate = fleet.charge_rate(kind) if options.charging else 0.0
-    payload_cap = fleet.payload_cap(kind)
-    range_cap = fleet.range_cap(kind)
-    speed = fleet.speed(kind)
-    metric_kind = kind
+    payload_limit = fleet.payload_cap(kind) + 1e-9
+    range_limit = fleet.range_cap(kind) + 1e-9
+    rows, weight, energies = search.rows[kind], search.weight, search.energies
     last_pos = len(route) - 1
 
     def charge_between(start_pos, launch_pos, level):
@@ -123,30 +139,38 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
         if not remaining or start_pos > last_pos:
             return
         for seq in enumerate_sequences(remaining, m_eff):
-            payload = sum(inst.node(c).weight for c in seq)
-            if payload > payload_cap + 1e-9:
+            parcels = [weight[c] for c in seq]
+            if sum(parcels) > payload_limit:
                 continue
+            inner = rows.path_legs(seq)
+            last_row = rows[seq[-1]]
+            rest = tuple(c for c in remaining if c not in seq)
             for launch_pos in range(start_pos, last_pos):
-                charge_legs, level_at_launch = charge_between(start_pos, launch_pos, level)
                 launch_node = route[launch_pos]
                 if launch_pos != 0 and launch_node == 0:
                     continue
+                legs, head = rows.head(launch_node, seq, inner)
+                if head > range_limit:
+                    continue  # the last leg only adds distance
+                charge_legs, level_at_launch = charge_between(start_pos, launch_pos, level)
                 for recovery_pos in range(launch_pos + 1, last_pos + 1):
                     recovery_node = route[recovery_pos]
-                    s = Sortie(kind, 0, launch_node, recovery_node, seq, 0, 0)
-                    dist = 0.0
-                    for a, b in s.legs():
-                        dist += inst.distance(metric_kind, a, b)
-                    if dist > range_cap + 1e-9:
+                    last_leg = last_row[recovery_node]
+                    dist = head + last_leg
+                    if dist > range_limit:
                         continue
-                    e = energy_mod.sortie_energy(s, inst, fleet)
+                    key = (kind, seq, launch_node, recovery_node)
+                    e = energies.get(key)
+                    if e is None:
+                        e = energies[key] = energy_mod.leg_energy(
+                            kind, legs + [last_leg], parcels, fleet
+                        )
                     if e > level_at_launch + 1e-9:
                         continue
                     search.tick()
                     entry = _ChainSortie(
                         launch_pos, recovery_pos, seq, dist, e, charge_legs
                     )
-                    rest = tuple(c for c in remaining if c not in seq)
                     if recovery_pos == last_pos:
                         # recovered at the depot: the vehicle is retired
                         yield tuple(acc) + (entry,), frozenset(
@@ -253,6 +277,8 @@ def solve_exact(
         )
 
     search = _Search(inst, fleet, options, budget)
+    node_ids = range(len(inst.nodes))
+    truck_km = [[inst.truck_distance(a, b) for b in node_ids] for a in node_ids]
 
     max_trips = 1 if options.single_trip else None
 
@@ -269,7 +295,7 @@ def solve_exact(
                 continue
             for perm in itertools.permutations(subset):
                 route = (0,) + perm + (0,)
-                km = [inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])]
+                km = [truck_km[a][b] for a, b in zip(route[:-1], route[1:])]
                 leg_times = [d / fleet.s_t for d in km]
                 route_rows = [(sum(km), True)]
                 # sorties only add cost and flight time, so the bare route bounds the plan

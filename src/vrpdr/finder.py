@@ -31,6 +31,7 @@ from .core import (
     ROBOT,
     TIME_TOL,
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -296,25 +297,6 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_
     return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
 
 
-class _DistanceRows(dict):
-    """``rows[a][b]`` = ``metric(points[a], points[b])``; a row is built on first use.
-
-    Every entry comes from the same metric function :meth:`Instance.distance`
-    calls, so each float is the one a checked lookup would return.  Only the
-    rows a caller touches are built, never the full table.
-    """
-
-    def __init__(self, metric, points):
-        super().__init__()
-        self.metric = metric
-        self.points = points
-
-    def __missing__(self, a):
-        metric, here = self.metric, self.points[a]
-        row = self[a] = [metric(here, p) for p in self.points]
-        return row
-
-
 def _pruned_sequences(start, pool, m, rows, weight, payload_limit, range_limit):
     """Every ordered tuple of 1..m distinct pool customers within both caps.
 
@@ -367,7 +349,7 @@ def assign_sorties(
 
     Candidates come from :func:`_pruned_sequences`, a depth-first walk that
     drops a prefix once it is over the payload or range cap, over distance
-    rows built once per call (:class:`_DistanceRows`).  Recovery points are
+    rows built once per call (:class:`vrpdr.core.DistanceRows`).  Recovery points are
     listed once per launch point, and the energy of each candidate is priced
     by :func:`vrpdr.energy.leg_energy` from the legs the walk already holds.
     Without drones and robots, or without open customers, nothing is priced.
@@ -391,7 +373,7 @@ def assign_sorties(
     alternative = _insertion_alternative(routes, unserved, inst, fleet, truck_km)
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
-    distance_rows = {kind: _DistanceRows(METRICS[kind], points) for kind in kinds}
+    distance_rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
 
     events = []
     for t, stops in enumerate(timeline.stops):

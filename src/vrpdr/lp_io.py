@@ -2,15 +2,22 @@
 
 The reader targets the dialect written by :func:`vrpdr.milp.export_lp`
 (one constraint per line), which is enough for round-trip checks and for
-handing exported models to an external MILP solver.  The solve bridge goes
-through ``scipy.optimize.milp`` (HiGHS), giving an independent optimization
-path that never touches the in-package model structures.
+handing exported models to an external MILP solver.  A constraint line
+splits at its last ``=`` into terms and sense/rhs; the terms are split on
+whitespace and read as ``sign coef name`` triples, never matching a
+pattern per term.  A bounds line is matched by one pattern.  Every
+malformed line, number included, raises :class:`LpParseError`.  The solve
+bridge goes through ``scipy.optimize.milp`` (HiGHS), giving an independent
+optimization path that never touches the in-package model structures; it
+hands HiGHS a constraint matrix built from NumPy arrays, not per-term
+appends, with columns in :meth:`ParsedLp.variable_names` order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Tuple
 
 from .core import VrpdrError
@@ -28,88 +35,134 @@ class ParsedLp:
     binaries: List[str] = field(default_factory=list)
 
     def variable_names(self) -> list:
-        seen: Dict[str, None] = {}
-        for _, name in self.objective:
-            seen.setdefault(name)
-        for _, terms, _, _ in self.constraints:
-            for _, name in terms:
-                seen.setdefault(name)
-        for name in self.bounds:
-            seen.setdefault(name)
-        for name in self.binaries:
-            seen.setdefault(name)
-        return list(seen)
+        """Every variable once, in order of first appearance: objective,
+        constraints, bounds, then binaries."""
+        return list(
+            dict.fromkeys(
+                chain(
+                    [name for _, name in self.objective],
+                    [name for _, terms, _, _ in self.constraints for _, name in terms],
+                    self.bounds,
+                    self.binaries,
+                )
+            )
+        )
 
 
-_TERM = re.compile(r"([+-])\s+(\S+)\s+(\S+)")
+_BOUNDS = re.compile(r"(\S+)\s*<=\s*(\S+)\s*<=\s*(\S+)$")
 
 
-def _parse_terms(body: str, where: str) -> list:
+def _number(token: str, where: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise LpParseError(f"bad number {token!r} in {where}") from None
+
+
+def _parse_terms(tokens: list, where: str) -> list:
+    """``sign coef name`` triples from whitespace-split tokens; ``0`` alone is empty."""
+    if len(tokens) % 3:
+        if tokens == ["0"]:
+            return []
+        raise _bad_terms(tokens, where)
     terms = []
-    pos = 0
-    body = body.strip()
-    if body == "0":
-        return terms
-    while pos < len(body):
-        m = _TERM.match(body, pos)
-        if not m:
-            raise LpParseError(f"cannot parse terms in {where}: {body[pos:pos+40]!r}")
-        sign, num, name = m.groups()
-        coef = float(num)
-        terms.append((coef if sign == "+" else -coef, name))
-        pos = m.end()
-        while pos < len(body) and body[pos] == " ":
-            pos += 1
+    it = iter(tokens)
+    try:
+        for sign, num, name in zip(it, it, it):
+            if sign == "+":
+                terms.append((float(num), name))
+            elif sign == "-":
+                terms.append((-float(num), name))
+            else:
+                raise _bad_terms(tokens, where)
+    except ValueError:
+        raise LpParseError(f"bad number {num!r} in {where}") from None
     return terms
 
 
+def _bad_terms(tokens: list, where: str) -> LpParseError:
+    """The error for a term list that is not ``sign coef name`` triples."""
+    signs = tokens[0::3]
+    pos = next(
+        (3 * i for i, sign in enumerate(signs) if sign != "+" and sign != "-"),
+        len(tokens) - len(tokens) % 3,
+    )
+    return LpParseError(f"cannot parse terms in {where}: {' '.join(tokens[pos:])[:40]!r}")
+
+
+def _constraint(line: str, name: str, rest: str) -> tuple:
+    """(name, terms, sense, rhs) of a constraint line split at its colon.
+
+    Every sense ends in ``=`` and the rhs holds none, so the line splits at
+    its last ``=``; a ``<`` or ``>`` right before it widens the sense.
+    """
+    name = name.strip()
+    where = f"constraint {name}"
+    head, eq, tail = rest.rpartition("=")
+    rhs = tail.split()
+    if not eq or len(rhs) != 1 or "<" in tail or ">" in tail:
+        raise LpParseError(f"constraint without sense/rhs: {line!r}")
+    sense = "="
+    if head[-1:] in ("<", ">"):
+        sense = head[-1] + "="
+        head = head[:-1]
+    return name, _parse_terms(head.split(), where), sense, _number(rhs[0], where)
+
+
+def _bounds(line: str):
+    """(name, lower, upper) of a ``lo <= name <= hi`` line."""
+    m = _BOUNDS.match(line)
+    if not m:
+        raise LpParseError(f"unsupported bounds line: {line!r}")
+    lo, name, hi = m.groups()
+    where = f"bounds of {name}"
+    lo_v = float("-inf") if lo.lstrip("+-") == "inf" else _number(lo, where)
+    hi_v = float("inf") if hi.lstrip("+-") == "inf" else _number(hi, where)
+    return name, lo_v, hi_v
+
+
+_SECTIONS = {
+    "minimize": "objective",
+    "subject to": "constraints",
+    "bounds": "bounds",
+    "binaries": "binaries",
+    "binary": "binaries",
+    "end": None,
+}
+
+
 def parse_lp(text: str) -> ParsedLp:
+    """Read the dialect :func:`vrpdr.milp.export_lp` writes into a :class:`ParsedLp`.
+
+    Raises :class:`LpParseError` on a maximization, a constraint without a
+    name or without sense and rhs, a malformed term, a number that does not
+    parse (naming its constraint), a bounds line other than
+    ``lo <= name <= hi`` and content outside any section.
+    """
     parsed = ParsedLp()
+    constraints = parsed.constraints
     section = None
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line.startswith("\\"):
+        if not line or line[0] == "\\":
+            continue
+        name, colon, rest = line.partition(":")
+        if colon and section == "constraints":  # no section keyword has a colon
+            constraints.append(_constraint(line, name, rest))
             continue
         low = line.lower()
-        if low in ("minimize", "maximize"):
-            if low == "maximize":
-                raise LpParseError("only minimization models are supported")
-            section = "objective"
+        if low in _SECTIONS:
+            section = _SECTIONS[low]
             continue
-        if low == "subject to":
-            section = "constraints"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low in ("binaries", "binary"):
-            section = "binaries"
-            continue
-        if low == "end":
-            section = None
-            continue
+        if low == "maximize":
+            raise LpParseError("only minimization models are supported")
+        if section == "constraints":
+            raise LpParseError(f"constraint line without a name: {line!r}")
         if section == "objective":
-            if ":" in line:
-                line = line.split(":", 1)[1]
-            parsed.objective.extend(_parse_terms(line, "objective"))
-        elif section == "constraints":
-            if ":" not in line:
-                raise LpParseError(f"constraint line without a name: {line!r}")
-            name, rest = line.split(":", 1)
-            m = re.search(r"(<=|>=|=)\s*([^\s<>=]+)\s*$", rest)
-            if not m:
-                raise LpParseError(f"constraint without sense/rhs: {line!r}")
-            sense, rhs = m.group(1), float(m.group(2))
-            terms = _parse_terms(rest[: m.start()], f"constraint {name.strip()}")
-            parsed.constraints.append((name.strip(), terms, sense, rhs))
+            parsed.objective.extend(_parse_terms((rest if colon else line).split(), "objective"))
         elif section == "bounds":
-            m = re.match(r"(\S+)\s*<=\s*(\S+)\s*<=\s*(\S+)$", line)
-            if not m:
-                raise LpParseError(f"unsupported bounds line: {line!r}")
-            lo, name, hi = m.groups()
-            lo_v = float("-inf") if lo.lstrip("+-") == "inf" else float(lo)
-            hi_v = float("inf") if hi.lstrip("+-") == "inf" else float(hi)
-            parsed.bounds[name] = (lo_v, hi_v)
+            name, lo, hi = _bounds(line)
+            parsed.bounds[name] = (lo, hi)
         elif section == "binaries":
             parsed.binaries.extend(line.split())
         else:
@@ -135,23 +188,15 @@ def solve_lp_text(text: str, time_limit: float = None, mip_gap: float = 0.0):
     for coef, name in parsed.objective:
         c[index[name]] += coef
 
-    rows, cols, vals = [], [], []
-    lo_c, hi_c = [], []
-    for rno, (_, terms, sense, rhs) in enumerate(parsed.constraints):
-        for coef, name in terms:
-            rows.append(rno)
-            cols.append(index[name])
-            vals.append(coef)
-        if sense == "<=":
-            lo_c.append(-np.inf)
-            hi_c.append(rhs)
-        elif sense == ">=":
-            lo_c.append(rhs)
-            hi_c.append(np.inf)
-        else:
-            lo_c.append(rhs)
-            hi_c.append(rhs)
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(len(parsed.constraints), n))
+    # COO triplets as arrays, one row number per term, rows expanded by length
+    rows = [terms for _, terms, _, _ in parsed.constraints]
+    terms = list(chain.from_iterable(rows))
+    row_index = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    cols = np.array([index[name] for _, name in terms], dtype=np.int64)
+    vals = np.array([coef for coef, _ in terms], dtype=float)
+    A = sparse.csr_matrix((vals, (row_index, cols)), shape=(len(rows), n))
+    lo_c = [-np.inf if sense == "<=" else rhs for _, _, sense, rhs in parsed.constraints]
+    hi_c = [np.inf if sense == ">=" else rhs for _, _, sense, rhs in parsed.constraints]
 
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
@@ -159,10 +204,10 @@ def solve_lp_text(text: str, time_limit: float = None, mip_gap: float = 0.0):
     for name, (lo, hi) in parsed.bounds.items():
         lower[index[name]] = lo
         upper[index[name]] = hi
-    for name in parsed.binaries:
-        lower[index[name]] = 0.0
-        upper[index[name]] = 1.0
-        integrality[index[name]] = 1
+    binary = [index[name] for name in parsed.binaries]
+    lower[binary] = 0.0
+    upper[binary] = 1.0
+    integrality[binary] = 1
 
     options = {"mip_rel_gap": mip_gap}
     if time_limit is not None:
@@ -176,5 +221,5 @@ def solve_lp_text(text: str, time_limit: float = None, mip_gap: float = 0.0):
     )
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not reach optimality: {res.message}")
-    values = {name: float(res.x[index[name]]) for name in names}
+    values = dict(zip(names, res.x.tolist()))
     return float(res.fun), values

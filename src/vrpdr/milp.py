@@ -8,10 +8,15 @@ battery constraints stay linear in the selection binaries.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
+
+Candidate constants come from :class:`vrpdr.core.DistanceRows` and
+:func:`vrpdr.energy.leg_energy`, the kernels the heuristic and exact search
+use, and :func:`export_lp` formats each distinct number once per call.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -19,21 +24,22 @@ from . import energy as energy_mod
 from . import schedule as schedule_mod
 from .core import (
     DRONE,
+    METRICS,
     ROBOT,
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     Instance,
     ModelOptions,
     ModelSizeError,
     Plan,
-    Sortie,
     VrpdrError,
     enumerate_sequences,
-    sortie_distance,
 )
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
+SENSES = ("<=", ">=", "=")
 
 # constraint family names (the validator reports violations under these)
 MAKESPAN = "makespan_bound"
@@ -84,7 +90,7 @@ class Constraint:
     name: str
     family: str
     terms: Tuple[Tuple[float, str], ...]
-    sense: str  # '<=', '=', '>='
+    sense: str  # one of SENSES
     rhs: float
 
 
@@ -115,11 +121,17 @@ class MilpModel:
         return name
 
     def add_constraint(self, name, family, terms, sense, rhs) -> None:
-        terms = tuple((float(c), v) for c, v in terms if c != 0.0)
-        for _, v in terms:
-            if v not in self._by_name:
-                raise VrpdrError(f"constraint {name} references undeclared variable {v}")
-        self.constraints.append(Constraint(name, family, terms, sense, float(rhs)))
+        """Append a row; zero coefficients are dropped, every variable must exist."""
+        if sense not in SENSES:
+            raise VrpdrError(f"constraint {name} has sense {sense!r}; expected <=, >= or =")
+        declared = self._by_name
+        kept = []
+        for c, v in terms:
+            if c != 0.0:
+                if v not in declared:
+                    raise VrpdrError(f"constraint {name} references undeclared variable {v}")
+                kept.append((float(c), v))
+        self.constraints.append(Constraint(name, family, tuple(kept), sense, float(rhs)))
 
     def families(self) -> set:
         return {c.family for c in self.constraints}
@@ -154,39 +166,47 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
     """All (i, l, k) triples; launch may equal recovery only at the depot.
 
     A cyclic sortie at a customer node can never satisfy the precedence
-    constraints, so those triples are not generated.
+    constraints, so those triples are not generated.  Legs and distances
+    come from :meth:`vrpdr.core.DistanceRows.head`.
     """
     node_ids = [n.id for n in inst.nodes]
     customers = [n.id for n in inst.customers]
-    sequences = enumerate_sequences(customers, options.effective_m(fleet))
+    points = [nd.point for nd in inst.nodes]
+    weight = [nd.weight for nd in inst.nodes]
+    rows = {kind: DistanceRows(METRICS[kind], points) for kind in (DRONE, ROBOT)}
     out = []
-    sid = 0
-    for seq in sequences:
+    for seq in enumerate_sequences(customers, options.effective_m(fleet)):
         inside = set(seq)
         anchors = [v for v in node_ids if v not in inside]
-        payload = sum(inst.node(c).weight for c in seq)
+        parcels = [weight[c] for c in seq]
+        payload = sum(parcels)
+        inner = {kind: r.path_legs(seq) for kind, r in rows.items()}
         for i in anchors:
+            # kind -> (legs up to the last customer, their distance)
+            heads = {kind: r.head(i, seq, inner[kind]) for kind, r in rows.items()}
             for k in anchors:
                 if i == k and i != 0:
                     continue
-                drone_sortie = Sortie(DRONE, 0, i, k, seq, 0, 0)
-                robot_sortie = Sortie(ROBOT, 0, i, k, seq, 0, 0)
-                d_d = sortie_distance(drone_sortie, inst)
-                d_r = sortie_distance(robot_sortie, inst)
+                priced = {}  # kind -> (distance, energy)
+                for kind, (legs, dist) in heads.items():
+                    last = rows[kind][seq[-1]][k]
+                    priced[kind] = (
+                        dist + last,
+                        energy_mod.leg_energy(kind, legs + [last], parcels, fleet),
+                    )
                 out.append(
                     SortieCandidate(
-                        sid=sid,
+                        sid=len(out),
                         i=i,
                         sequence=seq,
                         k=k,
-                        dist_drone=d_d,
-                        dist_robot=d_r,
+                        dist_drone=priced[DRONE][0],
+                        dist_robot=priced[ROBOT][0],
                         payload=payload,
-                        energy_drone=energy_mod.drone_sortie_energy(drone_sortie, inst, fleet),
-                        energy_robot=energy_mod.robot_sortie_energy(robot_sortie, inst, fleet),
+                        energy_drone=priced[DRONE][1],
+                        energy_robot=priced[ROBOT][1],
                     )
                 )
-                sid += 1
     return out
 
 
@@ -715,15 +735,21 @@ def check_assignment(model: MilpModel, values: dict, tol: float = 1e-6) -> list:
 # ---------------------------------------------------------------------------
 
 _LP_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+# names the cleaning below leaves as they are: LP-safe characters only, and a
+# first character that cannot start a number
+_LP_CLEAN_NAME = re.compile(r"[A-DF-Za-df-z][A-Za-z0-9_]*")
 
 
 def _sanitize(name: str, seen: dict) -> str:
-    cleaned = "".join(ch if ch in _LP_SAFE else "_" for ch in name)
-    if not cleaned or cleaned[0].isdigit() or cleaned[0] in "eE._":
-        cleaned = "n_" + cleaned
-    if cleaned in seen and seen[cleaned] != name:
-        raise VrpdrError(f"LP name collision: {name!r} and {seen[cleaned]!r} both map to {cleaned}")
-    seen[cleaned] = name
+    if _LP_CLEAN_NAME.fullmatch(name):
+        cleaned = name
+    else:
+        cleaned = "".join(ch if ch in _LP_SAFE else "_" for ch in name)
+        if not cleaned or cleaned[0].isdigit() or cleaned[0] in "eE._":
+            cleaned = "n_" + cleaned
+    first = seen.setdefault(cleaned, name)
+    if first != name:
+        raise VrpdrError(f"LP name collision: {name!r} and {first!r} both map to {cleaned}")
     return cleaned
 
 
@@ -731,38 +757,46 @@ def _num(v: float) -> str:
     return format(v, ".17g")
 
 
+def _signed(coef: float) -> str:
+    """A term's text before its variable name: `` + 2.5 `` or `` - 1 ``."""
+    return f" {'+' if coef >= 0 else '-'} {_num(abs(coef))} "
+
+
 def export_lp(model: MilpModel) -> str:
-    """Deterministic CPLEX-LP text: objective, constraints, bounds, binaries."""
+    """Deterministic CPLEX-LP text: objective, constraints, bounds, binaries.
+
+    A name that is already LP-safe passes through unchanged after one regex
+    match; any other is cleaned, and two names that clean to the same text
+    raise :class:`VrpdrError`.  Each distinct coefficient is formatted once
+    per call.
+    """
     seen: dict = {}
     names = {v.name: _sanitize(v.name, seen) for v in model.variables}
     cseen: dict = {}
-    lines = ["\\ vrpdr model export", "Minimize", " obj:"]
-    if not model.objective_terms:
-        lines[-1] = " obj: 0"
-    else:
-        chunks = []
-        for coef, var in model.objective_terms:
-            sign = "+" if coef >= 0 else "-"
-            chunks.append(f" {sign} {_num(abs(coef))} {names[var]}")
-        lines[-1] = " obj:" + "".join(chunks)
+    term: dict = {}  # coefficient -> its text before a variable name
+
+    def body(terms) -> str:
+        return "".join(
+            [
+                (term.get(coef) or term.setdefault(coef, _signed(coef))) + names[var]
+                for coef, var in terms
+            ]
+        )
+
+    lines = ["\\ vrpdr model export", "Minimize"]
+    lines.append((" obj:" + body(model.objective_terms)) if model.objective_terms else " obj: 0")
     lines.append("Subject To")
     for c in model.constraints:
         cname = _sanitize(c.name, cseen)
         if not c.terms:
             raise VrpdrError(f"constraint {c.name} has no terms and cannot be exported")
-        body = "".join(
-            f" {'+' if coef >= 0 else '-'} {_num(abs(coef))} {names[var]}"
-            for coef, var in c.terms
-        )
-        sense = {"<=": "<=", ">=": ">=", "=": "="}[c.sense]
-        lines.append(f" {cname}:{body} {sense} {_num(c.rhs)}")
+        lines.append(f" {cname}:{body(c.terms)} {c.sense} {_num(c.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.kind == BINARY:
             continue
-        lo = _num(v.lower)
         hi = "+inf" if v.upper == float("inf") else _num(v.upper)
-        lines.append(f" {lo} <= {names[v.name]} <= {hi}")
+        lines.append(f" {_num(v.lower)} <= {names[v.name]} <= {hi}")
     binaries = [names[v.name] for v in model.variables if v.kind == BINARY]
     lines.append("Binaries")
     for group_start in range(0, len(binaries), 8):

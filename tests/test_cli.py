@@ -112,3 +112,15 @@ def test_cli_validate_unknown_node_exit_code(tmp_path):
     r = runner.invoke(main, ["validate", "--instance", str(inst), "--plan", str(plan)])
     assert r.exit_code == 4
     assert "unknown node 99" in r.output + (r.stderr or "")
+
+
+def test_cli_missing_field_exit_code(tmp_path):
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    del doc["customers"][0]["weight"]
+    inst.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert r.exit_code == 4
+    assert r.output.strip().splitlines() == ["bad input: missing field customers[0].weight"]

@@ -1,11 +1,14 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from vrpdr.core import (
+    METRICS,
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     Instance,
     InstanceError,
@@ -71,6 +74,30 @@ def test_sortie_distance_examples():
     inst = make_instance([(0, 0), (3, 4), (6, 8)])
     s = Sortie("drone", 0, 0, 2, (1,), 0, 0)
     assert sortie_distance(s, inst) == pytest.approx(10.0)
+
+
+def test_distance_rows_head_matches_sortie_distance():
+    # irregular coordinates, so a different summation order would show in the last bits
+    rng = random.Random(3)
+    pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(7)]
+    inst = make_instance(pts)
+    for kind in ("drone", "robot"):
+        rows = DistanceRows(METRICS[kind], [nd.point for nd in inst.nodes])
+        for seq in enumerate_sequences(range(1, 7), 3):
+            inner = rows.path_legs(seq)
+            for launch in (0, 1, 6):
+                if launch in seq:
+                    continue
+                legs, head = rows.head(launch, seq, inner)
+                for recovery in (0, 2, 5):
+                    if recovery in seq:
+                        continue
+                    s = Sortie(kind, 0, launch, recovery, seq, 0, 0)
+                    last = rows[seq[-1]][recovery]
+                    assert legs + [last] == [
+                        METRICS[kind](inst.node(i).point, inst.node(j).point) for i, j in s.legs()
+                    ]
+                    assert head + last == sortie_distance(s, inst)
 
 
 def test_sortie_distance_unknown_node():
@@ -239,3 +266,96 @@ def test_benchmark_defaults_frozen():
 def test_fleet_rejects_non_finite_or_negative_values(field, value):
     with pytest.raises(ConfigurationError, match=field):
         FleetSpec(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["customers"][0].pop("weight"), r"missing field customers\[0\]\.weight"),
+        (lambda d: d["customers"][1].update(x="3"), r"customers\[1\]\.x must be a number"),
+        (lambda d: d["customers"][0].update(truck_reachable=1), r"customers\[0\]\.truck_reachable"),
+        (lambda d: d["customers"][0].update(id=1.0), r"customers\[0\]\.id must be an integer"),
+        (lambda d: d.__setitem__("customers", {}), r"instance\.customers must be a list"),
+        (lambda d: d.pop("depot"), r"missing field instance\.depot"),
+        (lambda d: d["depot"].pop("y"), r"missing field depot\.y"),
+        (lambda d: d["fleet"].update(m="3"), r"fleet\.m must be an integer"),
+        (lambda d: d["fleet"].update(s_t=True), r"fleet\.s_t must be a number"),
+        (lambda d: d.__setitem__("seed", "7"), r"instance\.seed must be an integer"),
+    ],
+    ids=[
+        "missing_weight",
+        "string_coordinate",
+        "integer_flag",
+        "float_id",
+        "customers_not_a_list",
+        "missing_depot",
+        "missing_depot_y",
+        "string_fleet_count",
+        "boolean_fleet_speed",
+        "string_seed",
+    ],
+)
+def test_instance_json_names_bad_field(edit, message):
+    import json
+
+    doc = json.loads(instance_to_json(make_instance([(0, 0), (1, 1), (2, 0)])))
+    edit(doc)
+    with pytest.raises(InstanceError, match=message):
+        instance_from_json(json.dumps(doc))
+
+
+def test_instance_json_rejects_non_object_text():
+    for text in ("not json", "[1, 2]"):
+        with pytest.raises(InstanceError, match="instance"):
+            instance_from_json(text)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["sorties"][0].pop("launch_node"), r"missing field sorties\[0\]\.launch_node"),
+        (lambda d: d["sorties"][0].update(sequence=["3"]), r"sorties\[0\]\.sequence\[0\]"),
+        (lambda d: d["sorties"][0].update(vehicle_kind="truck"), r"sorties\[0\]\.vehicle_kind"),
+        (lambda d: d["sorties"][0].update(color="red"), r"\['color'\] in sorties\[0\]"),
+        (lambda d: d.pop("truck_routes"), r"missing field plan\.truck_routes"),
+        (lambda d: d["truck_routes"][0].append("x"), r"truck_routes\[0\]\[4\] must be an integer"),
+        (lambda d: d["truck_arrivals"][0].update(a=1.0), r"truck_arrivals\[0\] key 'a'"),
+        (lambda d: d["truck_arrivals"][0].update({"1": None}), r"truck_arrivals\[0\]\['1'\]"),
+        (lambda d: d["charging_events"][0].pop("amount"), r"charging_events\[0\]\.amount"),
+        (lambda d: d["ledgers"][0]["entries"][0].pop("delta"), r"entries\[0\]\.delta"),
+        (lambda d: d["objective_breakdown"].update(makespan="1"), r"objective_breakdown\.makespan"),
+    ],
+    ids=[
+        "missing_launch_node",
+        "string_in_sequence",
+        "unknown_kind",
+        "unknown_field",
+        "missing_routes",
+        "string_in_route",
+        "bad_arrival_key",
+        "null_arrival_time",
+        "missing_charge_amount",
+        "missing_ledger_delta",
+        "string_breakdown",
+    ],
+)
+def test_plan_json_names_bad_field(edit, message):
+    import json
+
+    from vrpdr import energy
+    from vrpdr.core import ObjectiveBreakdown, PlanStructureError
+
+    ledger = energy.new_ledger("drone", 0, FleetSpec()).consume(0.1, 500.0)
+    plan = Plan(
+        truck_routes=((0, 1, 2, 0),),
+        sorties=(Sortie("drone", 0, 1, 2, (3,), 0, 0, launch_time=0.1),),
+        truck_arrivals=({1: 0.1, 2: 0.3, 0: 0.5},),
+        charging_events=(energy.ChargingEvent("drone", 0, 0, 2, 0.2, 300.0),),
+        ledgers=(ledger,),
+        objective_breakdown=ObjectiveBreakdown(10.0, 30.0, 0.5, 20.25),
+    )
+    doc = json.loads(plan_to_json(plan))
+    assert plan_from_json(json.dumps(doc)) == plan
+    edit(doc)
+    with pytest.raises(PlanStructureError, match=message):
+        plan_from_json(json.dumps(doc))

@@ -5,6 +5,7 @@ import pytest
 from vrpdr import bench, finder, validator
 from vrpdr.core import (
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -407,7 +408,7 @@ def test_pruned_sequences_match_filtered_enumeration():
                 continue
             expected.add((seq, fixed_dist))
 
-        rows = finder._DistanceRows(metric, [nd.point for nd in inst.nodes])
+        rows = DistanceRows(metric, [nd.point for nd in inst.nodes])
         walked = list(
             finder._pruned_sequences(
                 start, sorted(pool), m, rows, [nd.weight for nd in inst.nodes],

@@ -1,10 +1,21 @@
+import hashlib
 import math
 import os
+import random
+import re
 
 import pytest
 
 from vrpdr import bench, exact, lp_io, milp, schedule
-from vrpdr.core import FleetSpec, Instance, ModelOptions, ModelSizeError, Node, Plan
+from vrpdr.core import (
+    FleetSpec,
+    Instance,
+    ModelOptions,
+    ModelSizeError,
+    Node,
+    Plan,
+    VrpdrError,
+)
 from conftest import make_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -231,3 +242,252 @@ def test_two_truck_finder_plan_substitutes():
     assert milp.evaluate_objective(model, values) == pytest.approx(
         plan.objective_breakdown.weighted_objective, abs=1e-9
     )
+
+
+# sha256 of export_lp text for realistic models, recorded before export_lp was
+# rewritten for speed; any change to a name, number or line order shows here
+GOLDEN_LP_CASES = [
+    pytest.param(
+        5, 1, FleetSpec(), ModelOptions(),
+        "218dcb62b3f253b9e3485c6a2282534dcbd925c5bf86f210b57905a910bff332",
+        id="n5_all_on",
+    ),
+    pytest.param(
+        5, 2, FleetSpec(), ModelOptions(charging=False),
+        "f6c6f24560a3096102ab745be2c4961aaaf181eee6c065666f193fbcdd8bcc9f",
+        id="n5_no_charging",
+    ),
+    pytest.param(
+        5, 3, FleetSpec(), ModelOptions(single_visit=True),
+        "b1eaefb2a625ade2410e7f59b6f7ebdc9b2d22d0851d6de62287f430342dfe25",
+        id="n5_single_visit",
+    ),
+    pytest.param(
+        3, 4, FleetSpec(num_trucks=2), ModelOptions(),
+        "76425f3562bc52fd154303c879699f3467f933aac18e554089a1d2cd39bc222e",
+        id="n3_two_trucks_flexible",
+    ),
+]
+
+
+def _golden_text(n, seed, fleet, options):
+    inst = bench.generate_instance(n, seed, fleet)
+    return milp.export_lp(milp.build_model(inst, fleet, options))
+
+
+@pytest.mark.parametrize("n, seed, fleet, options, digest", GOLDEN_LP_CASES)
+def test_golden_lp_export_hashes(n, seed, fleet, options, digest):
+    text = _golden_text(n, seed, fleet, options)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# --- reference LP reader ------------------------------------------------------
+# A verbatim copy of the regex reader that lp_io.parse_lp replaced; the new
+# reader must return an equal ParsedLp wherever this one succeeds.
+
+_REF_TERM = re.compile(r"([+-])\s+(\S+)\s+(\S+)")
+
+
+def _ref_parse_terms(body: str, where: str) -> list:
+    terms = []
+    pos = 0
+    body = body.strip()
+    if body == "0":
+        return terms
+    while pos < len(body):
+        m = _REF_TERM.match(body, pos)
+        if not m:
+            raise lp_io.LpParseError(f"cannot parse terms in {where}: {body[pos:pos+40]!r}")
+        sign, num, name = m.groups()
+        coef = float(num)
+        terms.append((coef if sign == "+" else -coef, name))
+        pos = m.end()
+        while pos < len(body) and body[pos] == " ":
+            pos += 1
+    return terms
+
+
+def _ref_parse_lp(text: str) -> lp_io.ParsedLp:
+    parsed = lp_io.ParsedLp()
+    section = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        low = line.lower()
+        if low in ("minimize", "maximize"):
+            if low == "maximize":
+                raise lp_io.LpParseError("only minimization models are supported")
+            section = "objective"
+            continue
+        if low == "subject to":
+            section = "constraints"
+            continue
+        if low == "bounds":
+            section = "bounds"
+            continue
+        if low in ("binaries", "binary"):
+            section = "binaries"
+            continue
+        if low == "end":
+            section = None
+            continue
+        if section == "objective":
+            if ":" in line:
+                line = line.split(":", 1)[1]
+            parsed.objective.extend(_ref_parse_terms(line, "objective"))
+        elif section == "constraints":
+            if ":" not in line:
+                raise lp_io.LpParseError(f"constraint line without a name: {line!r}")
+            name, rest = line.split(":", 1)
+            m = re.search(r"(<=|>=|=)\s*([^\s<>=]+)\s*$", rest)
+            if not m:
+                raise lp_io.LpParseError(f"constraint without sense/rhs: {line!r}")
+            sense, rhs = m.group(1), float(m.group(2))
+            terms = _ref_parse_terms(rest[: m.start()], f"constraint {name.strip()}")
+            parsed.constraints.append((name.strip(), terms, sense, rhs))
+        elif section == "bounds":
+            m = re.match(r"(\S+)\s*<=\s*(\S+)\s*<=\s*(\S+)$", line)
+            if not m:
+                raise lp_io.LpParseError(f"unsupported bounds line: {line!r}")
+            lo, name, hi = m.groups()
+            lo_v = float("-inf") if lo.lstrip("+-") == "inf" else float(lo)
+            hi_v = float("inf") if hi.lstrip("+-") == "inf" else float(hi)
+            parsed.bounds[name] = (lo_v, hi_v)
+        elif section == "binaries":
+            parsed.binaries.extend(line.split())
+        else:
+            raise lp_io.LpParseError(f"content outside any section: {line!r}")
+    return parsed
+
+
+@pytest.mark.parametrize("n, seed, fleet, options, digest", GOLDEN_LP_CASES)
+def test_parse_lp_matches_reference_on_golden_models(n, seed, fleet, options, digest):
+    text = _golden_text(n, seed, fleet, options)
+    assert lp_io.parse_lp(text) == _ref_parse_lp(text)
+
+
+LP_SNIPPETS = {
+    "negative_coefficients": (
+        "Minimize\n obj: - 2.5 x + 1e-3 y - 0 z\nSubject To\n"
+        " c1: - 1 x - 3.25 y >= -7\n c2: + 4 x - 0.5 z <= 1e+5\n c3: - 1 y = -0\nEnd\n"
+    ),
+    "infinite_bounds": (
+        "Minimize\n obj: + 1 x + 1 y\nSubject To\n c: + 1 x + 1 y >= 1\n"
+        "Bounds\n -inf <= x <= +inf\n 0 <= y <= inf\n +inf <= w <= -inf\n -3.5 <= v <= 2\nEnd\n"
+    ),
+    "zero_objective": "Minimize\n obj: 0\nSubject To\n c: + 1 x >= 0\nEnd\n",
+    "empty_binaries": (
+        "\\ comment\nMinimize\n obj: + 1 x\nSubject To\n c: + 1 x >= 1\n"
+        "Bounds\n 0 <= x <= 10\nBinaries\nEnd\n"
+    ),
+    "layout_variants": (
+        "MINIMIZE\n + 1 x\n - 2 y\nsubject to\n c_1: + 1 x  + 1 y<=3\n"
+        " c_2:+ 1 x >=   0.5  \n c_3: 0 = 0\nbinary\n x y\n z\nend\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", LP_SNIPPETS.values(), ids=LP_SNIPPETS.keys())
+def test_parse_lp_matches_reference_on_snippets(text):
+    assert lp_io.parse_lp(text) == _ref_parse_lp(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Maximize\n obj: + 1 x\nEnd\n", "only minimization"),
+        ("Minimize\n obj: + 1 x\nSubject To\n + 1 x >= 1\nEnd\n", "without a name"),
+        ("Minimize\n obj: + 1 x\nSubject To\n c1: + 1 x\nEnd\n", "without sense/rhs"),
+        ("Minimize\n obj: + 1 x\nSubject To\n c1: + 1 x 1 >= 1\nEnd\n", "cannot parse terms"),
+        ("Minimize\n obj: + 1 x +\nEnd\n", "cannot parse terms in objective"),
+        ("Minimize\n obj: + 1 x\nBounds\n x >= 0\nEnd\n", "unsupported bounds line"),
+        ("+ 1 x\nMinimize\n obj: + 1 x\nEnd\n", "content outside any section"),
+        ("Minimize\n obj: + 1 x\nEnd\n c1: + 1 x >= 1\n", "content outside any section"),
+        ("Minimize\n obj: + 1 x\nSubject To\n c1: + abc x >= 1\nEnd\n", "constraint c1"),
+        ("Minimize\n obj: - 1e x\nEnd\n", "objective"),
+    ],
+    ids=[
+        "maximize",
+        "unnamed_constraint",
+        "no_sense_or_rhs",
+        "malformed_term",
+        "dangling_sign",
+        "unsupported_bounds",
+        "before_any_section",
+        "after_end",
+        "non_numeric_coefficient",
+        "non_numeric_objective_coefficient",
+    ],
+)
+def test_parse_lp_errors(text, message):
+    with pytest.raises(lp_io.LpParseError, match=message):
+        lp_io.parse_lp(text)
+
+
+def test_add_constraint_rejects_unknown_sense():
+    model = milp.MilpModel()
+    model.add_var("x", milp.BINARY)
+    for sense in ("<", "==", "=>", ""):
+        with pytest.raises(VrpdrError, match="row_a"):
+            model.add_constraint("row_a", "family", [(1.0, "x")], sense, 1.0)
+    assert model.constraints == []
+    with pytest.raises(VrpdrError, match="undeclared variable y"):
+        model.add_constraint("row_b", "family", [(1.0, "x"), (2.0, "y")], "<=", 1.0)
+    model.add_constraint("row_c", "family", [(1, "x"), (0.0, "x")], ">=", 0)
+    assert model.constraints == [milp.Constraint("row_c", "family", ((1.0, "x"),), ">=", 0.0)]
+
+
+def test_parse_lp_matches_reference_on_mutated_text():
+    """Random token edits: both readers agree, or both reject the text.
+
+    Where the old reader raised a bare ValueError (a bad number), the new
+    one raises LpParseError.  Tabs are left out: the new reader splits on
+    any whitespace, the old one only on spaces between terms.
+    """
+    fleet = FleetSpec()
+    bases = list(LP_SNIPPETS.values())
+    bases.append(milp.export_lp(milp.build_model(bench.generate_instance(1, 3, fleet), fleet)))
+    pieces = ["+", "-", "1", "-1", "x", "<=", ">=", "=", "<=5", "=3", "x<=", ":", "0",
+              "inf", "-inf", "+inf", "abc", "  ", "1e5", "End", "Bounds", "c9:", "nan"]
+    rng = random.Random(0)
+    for _ in range(2000):
+        lines = rng.choice(bases).split("\n")
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            tokens = lines[i].split(" ")
+            j = min(rng.randrange(len(tokens) + 1), len(tokens) - 1)
+            op = rng.random()
+            if op < 0.4:
+                tokens.insert(j, rng.choice(pieces))
+            elif op < 0.7:
+                del tokens[j]
+            else:
+                tokens[j] = rng.choice(pieces)
+            lines[i] = " ".join(tokens)
+        text = "\n".join(lines)
+        try:
+            expected = repr(_ref_parse_lp(text))
+        except ValueError:  # the old reader's bare error for a bad number
+            expected = "error"
+        except lp_io.LpParseError:
+            expected = "error"
+        try:
+            got = repr(lp_io.parse_lp(text))
+        except lp_io.LpParseError:
+            got = "error"
+        assert got == expected, text  # repr, because nan != nan
+
+
+def test_export_lp_keeps_the_sign_of_zero():
+    # 0.0 == -0.0, yet the writer prints "0" and "-0" as the old writer did
+    model = milp.MilpModel()
+    model.add_var("x", milp.CONTINUOUS, -0.0, 0.0)
+    model.add_var("y", milp.CONTINUOUS, 0.0, -0.0)
+    model.add_constraint("row_a", "family", [(1.0, "x")], "<=", 0.0)
+    model.add_constraint("row_b", "family", [(1.0, "y")], ">=", -0.0)
+    lines = milp.export_lp(model).splitlines()
+    assert " row_a: + 1 x <= 0" in lines
+    assert " row_b: + 1 y >= -0" in lines
+    assert " -0 <= x <= 0" in lines
+    assert " 0 <= y <= -0" in lines
