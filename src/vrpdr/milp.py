@@ -2,9 +2,9 @@
 
 The model is sortie-indexed: every candidate sortie (launch node, ordered
 customer sequence, recovery node) gets one binary per vehicle and per
-(launch truck, recovery truck) pair.  Drone sortie energy is a constant
-coefficient; robot sortie energy keeps the big-M linearization variables so
-battery constraints stay linear in the selection binaries.
+(launch truck, recovery truck) pair.  A candidate fixes its legs and its
+payload, so its distance and energy are constants per vehicle kind, and every
+battery row is linear in the selection binaries as ``energy * z``.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import energy as energy_mod
 from . import schedule as schedule_mod
@@ -51,7 +51,6 @@ DOCKING = "docking_truck_presence"
 PRECEDENCE = "sortie_precedence"
 PAYLOAD = "payload_capacity"
 RANGE = "sortie_range"
-ROBOT_ENERGY_LIN = "robot_energy_linearization"
 SORTIE_BATTERY = "sortie_energy_capacity"
 UNREACHABLE = "truck_unreachable_arc"
 DEPOT_BATTERY = "depot_launch_battery"
@@ -85,8 +84,7 @@ class Variable:
     upper: float = float("inf")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     family: str
     terms: Tuple[Tuple[float, str], ...]
@@ -136,26 +134,21 @@ class MilpModel:
     def families(self) -> set:
         return {c.family for c in self.constraints}
 
-    def group(self, family: str) -> list:
-        return [c for c in self.constraints if c.family == family]
-
     def variable(self, name: str) -> Variable:
         return self._by_name[name]
 
 
 @dataclass(frozen=True)
 class SortieCandidate:
-    """One (launch, sequence, recovery) template with its constants."""
+    """One (launch, sequence, recovery) template with its constants per kind."""
 
     sid: int
     i: int
     sequence: tuple
     k: int
-    dist_drone: float
-    dist_robot: float
     payload: float
-    energy_drone: float
-    energy_robot: float
+    dist: Dict[str, float]  # kind -> sortie distance
+    energy: Dict[str, float]  # kind -> sortie energy
 
 
 def _seq_tag(seq) -> str:
@@ -187,26 +180,13 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
             for k in anchors:
                 if i == k and i != 0:
                     continue
-                priced = {}  # kind -> (distance, energy)
-                for kind, (legs, dist) in heads.items():
+                dist = {}
+                energy = {}
+                for kind, (legs, head) in heads.items():
                     last = rows[kind][seq[-1]][k]
-                    priced[kind] = (
-                        dist + last,
-                        energy_mod.leg_energy(kind, legs + [last], parcels, fleet),
-                    )
-                out.append(
-                    SortieCandidate(
-                        sid=len(out),
-                        i=i,
-                        sequence=seq,
-                        k=k,
-                        dist_drone=priced[DRONE][0],
-                        dist_robot=priced[ROBOT][0],
-                        payload=payload,
-                        energy_drone=priced[DRONE][1],
-                        energy_robot=priced[ROBOT][1],
-                    )
-                )
+                    dist[kind] = head + last
+                    energy[kind] = energy_mod.leg_energy(kind, legs + [last], parcels, fleet)
+                out.append(SortieCandidate(len(out), i, seq, k, payload, dist, energy))
     return out
 
 
@@ -221,12 +201,11 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     nC = len(C)
     nV = len(V)
     T = list(range(fleet.num_trucks))
-    drones = list(range(fleet.num_drones))
-    robots = list(range(fleet.num_robots))
+    fleet_kinds = [(kind, veh) for kind in (DRONE, ROBOT) for veh in range(fleet.count(kind))]
     M = fleet.big_M
 
     candidates = enumerate_sortie_candidates(inst, fleet, options)
-    n_sortie_vars = len(candidates) * len(T) * len(T) * (len(drones) + len(robots))
+    n_sortie_vars = len(candidates) * len(T) * len(T) * len(fleet_kinds)
     if n_sortie_vars > options.max_sorties:
         raise ModelSizeError(
             f"{n_sortie_vars} sortie variables exceed the budget of {options.max_sorties}; "
@@ -248,11 +227,9 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     gamma = model.add_var("Gamma", CONTINUOUS)
     A = {(t, i): model.add_var(f"A_t{t}_{i}", CONTINUOUS) for t in T for i in V}
 
-    # selection, launch-time and (robots) linearized-energy variables
+    # selection and launch-time variables
     sel = {}     # (kind, veh, ti, tk, sid) -> var
     launch = {}  # same key -> launch-time var
-    elin = {}    # robot keys -> linearization var
-    fleet_kinds = [(DRONE, d) for d in drones] + [(ROBOT, r) for r in robots]
     for kind, veh in fleet_kinds:
         letter = "y" if kind == DRONE else "z"
         for ti in T:
@@ -264,15 +241,12 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     tag = f"{letter}_{kind[0]}{veh}_t{ti}_t{tk}_s{cand.sid}"
                     sel[key] = model.add_var(tag, BINARY)
                     launch[key] = model.add_var(f"G_{tag}", CONTINUOUS)
-                    if kind == ROBOT:
-                        elin[key] = model.add_var(f"lin_{tag}", CONTINUOUS)
     model.info["sel"] = sel
     model.info["x"] = x
     model.info["u"] = u
     model.info["A"] = A
     model.info["gamma"] = gamma
     model.info["launch"] = launch
-    model.info["elin"] = elin
 
     charge = {}
     ctime = {}
@@ -289,12 +263,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     model.info["charge"] = charge
     model.info["ctime"] = ctime
 
-    def cand_dist(kind, cand):
-        return cand.dist_drone if kind == DRONE else cand.dist_robot
-
-    def cand_energy(kind, cand):
-        return cand.energy_drone if kind == DRONE else cand.energy_robot
-
     # --- makespan bounds ----------------------------------------------------
     for t in T:
         terms = [(1.0, gamma)] + [
@@ -310,7 +278,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                 if not keyset:
                     continue
                 terms = [(1.0, gamma)] + [
-                    (-cand_dist(kind, candidates[key[4]]) / fleet.speed(kind), sel[key])
+                    (-candidates[key[4]].dist[kind] / fleet.speed(kind), sel[key])
                     for key in keyset
                 ]
                 model.add_constraint(
@@ -355,8 +323,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     )
 
     # --- launch / recovery truck presence (and per-node sortie cardinality) ---
-    for kind_letter, kind in (("d", DRONE), ("r", ROBOT)):
-        vehs = drones if kind == DRONE else robots
+    for kind in (DRONE, ROBOT):
+        vehs = range(fleet.count(kind))
         if not vehs:
             continue
         for ti in T:
@@ -373,7 +341,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     if terms:
                         terms += [(-1.0, x[ti, j, i]) for j in V if j != i]
                         model.add_constraint(
-                            f"{DOCKING}_launch_{kind_letter}_t{ti}_t{tk}_{i}",
+                            f"{DOCKING}_launch_{kind[0]}_t{ti}_t{tk}_{i}",
                             DOCKING,
                             terms,
                             "<=",
@@ -389,7 +357,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     if terms:
                         terms += [(-1.0, x[tk, k, j]) for j in V if j != k]
                         model.add_constraint(
-                            f"{DOCKING}_recover_{kind_letter}_t{ti}_t{tk}_{k}",
+                            f"{DOCKING}_recover_{kind[0]}_t{ti}_t{tk}_{k}",
                             DOCKING,
                             terms,
                             "<=",
@@ -416,28 +384,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             f"{PAYLOAD}_{var}", PAYLOAD, [(cand.payload, var)], "<=", fleet.payload_cap(kind)
         )
         model.add_constraint(
-            f"{RANGE}_{var}", RANGE, [(cand_dist(kind, cand), var)], "<=", fleet.range_cap(kind)
-        )
-
-    # --- robot energy linearization -------------------------------------------
-    for key, var in sel.items():
-        if key[0] != ROBOT:
-            continue
-        cand = candidates[key[4]]
-        e_const = cand.energy_robot
-        ev = elin[key]
-        model.add_constraint(
-            f"{ROBOT_ENERGY_LIN}_ub_{var}", ROBOT_ENERGY_LIN, [(1.0, ev)], "<=", e_const
-        )
-        model.add_constraint(
-            f"{ROBOT_ENERGY_LIN}_sel_{var}", ROBOT_ENERGY_LIN, [(1.0, ev), (-M, var)], "<=", 0.0
-        )
-        model.add_constraint(
-            f"{ROBOT_ENERGY_LIN}_lb_{var}",
-            ROBOT_ENERGY_LIN,
-            [(-1.0, ev), (M, var)],
-            "<=",
-            M - e_const,
+            f"{RANGE}_{var}", RANGE, [(cand.dist[kind], var)], "<=", fleet.range_cap(kind)
         )
 
     # --- per-sortie battery cut ------------------------------------------------
@@ -449,7 +396,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
         model.add_constraint(
             f"{SORTIE_BATTERY}_{var}",
             SORTIE_BATTERY,
-            [(cand_energy(kind, cand), var)],
+            [(cand.energy[kind], var)],
             "<=",
             fleet.battery(kind),
         )
@@ -472,12 +419,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                 for tk in T:
                     for cand in candidates:
                         key = (kind, veh, ti, tk, cand.sid)
-                        if key not in sel or cand.i != 0:
-                            continue
-                        if kind == DRONE:
-                            terms.append((cand.energy_drone, sel[key]))
-                        else:
-                            terms.append((1.0, elin[key]))
+                        if key in sel and cand.i == 0:
+                            terms.append((cand.energy[kind], sel[key]))
             if terms:
                 model.add_constraint(
                     f"{DEPOT_BATTERY}_{kind[0]}{veh}",
@@ -509,14 +452,11 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         0.0,
                     )
             # total consumption within battery plus charged energy
-            terms = []
-            for key, var in sel.items():
-                if key[0] != kind or key[1] != veh:
-                    continue
-                if kind == DRONE:
-                    terms.append((candidates[key[4]].energy_drone, var))
-                else:
-                    terms.append((1.0, elin[key]))
+            terms = [
+                (candidates[key[4]].energy[kind], var)
+                for key, var in sel.items()
+                if key[0] == kind and key[1] == veh
+            ]
             charge_terms = [
                 (-1.0, charge[kind, veh, v, t]) for t in T for v in V if v != 0
             ]
@@ -588,7 +528,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                 "<=",
                 M,
             )
-        travel = cand_dist(kind, cand) / fleet.speed(kind)
+        travel = cand.dist[kind] / fleet.speed(kind)
         model.add_constraint(
             f"{RETURN_SYNC}_{var}",
             RETURN_SYNC,
@@ -619,7 +559,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     for key, var in sel.items():
         kind = key[0]
         cand = candidates[key[4]]
-        obj.append((alpha * (fleet.unit_cost(kind) * cand_dist(kind, cand) + fleet.fixed_cost(kind)), var))
+        obj.append((alpha * (fleet.unit_cost(kind) * cand.dist[kind] + fleet.fixed_cost(kind)), var))
     for t in T:
         for j in C:
             obj.append((alpha * fleet.f_t, x[t, 0, j]))
@@ -646,7 +586,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
     x = model.info["x"]
     sel = model.info["sel"]
     launch = model.info["launch"]
-    elin = model.info["elin"]
     u = model.info["u"]
     A = model.info["A"]
     candidates = model.info["candidates"]
@@ -683,8 +622,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
             raise VrpdrError(f"plan sortie {s} has no counterpart in the model")
         values[sel[key]] = 1.0
         values[launch[key]] = s.launch_time
-        if s.vehicle_kind == ROBOT:
-            values[elin[key]] = candidates[key[4]].energy_robot
     charge = model.info["charge"]
     ctime = model.info["ctime"]
     if charge:

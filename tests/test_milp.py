@@ -8,6 +8,7 @@ import pytest
 
 from vrpdr import bench, exact, lp_io, milp, schedule
 from vrpdr.core import (
+    ROBOT,
     FleetSpec,
     Instance,
     ModelOptions,
@@ -130,7 +131,6 @@ def test_constraint_counts_match_closed_forms(n, fleet):
     assert counts[milp.PAYLOAD] == S * kinds
     assert counts[milp.RANGE] == S * kinds
     assert counts.get(milp.PRECEDENCE, 0) == Scc * kinds
-    assert counts[milp.ROBOT_ENERGY_LIN] == 3 * S
     assert counts[milp.SORTIE_BATTERY] == S * kinds
     assert counts[milp.DEPOT_BATTERY] == kinds
     assert counts[milp.NO_DEPOT_CHARGE] == kinds
@@ -146,13 +146,23 @@ def test_constraint_counts_match_closed_forms(n, fleet):
     anchor_launch = len({c.i for c in model.info["candidates"]})
     anchor_recover = len({c.k for c in model.info["candidates"]})
     assert counts[milp.DOCKING] == kinds * (anchor_launch + anchor_recover)
+    # columns: arcs, u, Gamma, A, a selection and a launch time per sortie
+    # variable, and the charge (per kind) and charge-time columns per node
+    assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * S * kinds + (kinds + 1) * V
 
 
 def test_feasible_plans_substitute_into_the_model(fleet):
-    for seed in (0, 4, 9):
-        inst = bench.generate_instance(4, seed=seed, fleet=fleet)
+    cases = [(bench.generate_instance(4, seed=seed, fleet=fleet), fleet) for seed in (0, 4, 9)]
+    # robot only, with a battery below the draw of its two sorties: the exact
+    # plan charges the robot between them, so the battery rows bind
+    robot_fleet = FleetSpec(num_drones=0, B_r=7000.0, C_rate_r=40000.0)
+    points = [(0, 0), (4, 0), (8, 0), (12, 0), (2, 4), (10, 4)]
+    cases.append((make_instance(points, fleet=robot_fleet), robot_fleet))
+    for inst, fleet in cases:
         model = milp.build_model(inst, fleet)
         plan = exact.solve_exact(inst, fleet)
+        if fleet is robot_fleet:
+            assert any(e.vehicle_kind == ROBOT for e in plan.charging_events)
         values = milp.plan_assignment(model, plan, inst, fleet)
         assert milp.check_assignment(model, values) == []
         assert milp.evaluate_objective(model, values) == pytest.approx(
@@ -244,27 +254,27 @@ def test_two_truck_finder_plan_substitutes():
     )
 
 
-# sha256 of export_lp text for realistic models, recorded before export_lp was
-# rewritten for speed; any change to a name, number or line order shows here
+# sha256 of export_lp text for realistic models; any change to a name, number
+# or line order shows here
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "218dcb62b3f253b9e3485c6a2282534dcbd925c5bf86f210b57905a910bff332",
+        "b8cfbebcdc5f36b01976de9ac6e70200968a3972643db9ad13f2e3b56c87c913",
         id="n5_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(), ModelOptions(charging=False),
-        "f6c6f24560a3096102ab745be2c4961aaaf181eee6c065666f193fbcdd8bcc9f",
+        "be864df3aa7aae676f1bef4cfe2a3ad1f40b1f24909ff6a0dd75ceafce8968de",
         id="n5_no_charging",
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "b1eaefb2a625ade2410e7f59b6f7ebdc9b2d22d0851d6de62287f430342dfe25",
+        "c9c4f4c45365a8c583f18385e5c58561a0b0718c5d83232b8d59189f397de4f5",
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "76425f3562bc52fd154303c879699f3467f933aac18e554089a1d2cd39bc222e",
+        "f5d97fcc357c8f8766a465a2b80f88c0c3bee3d56904c1411abde5e4a33b3f94",
         id="n3_two_trucks_flexible",
     ),
 ]
