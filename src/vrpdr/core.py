@@ -249,8 +249,8 @@ class Plan:
 
     ``truck_arrivals[t]`` maps each node of truck ``t``'s route to its
     arrival time; the depot entry holds the return time (departure is 0 by
-    convention).  ``ledgers`` carries the per-vehicle battery ledgers that
-    the charging events induce.
+    convention).  ``ledgers`` holds one battery ledger per fleet vehicle
+    (:func:`vrpdr.energy.build_ledgers`).
     """
 
     truck_routes: tuple

@@ -12,14 +12,18 @@ an unloaded robot walking its full ``D_max_r`` range drains almost exactly
 one battery, which keeps the range and energy constraints on the same axis.
 
 Both formulas live in one kernel, :func:`leg_energy`, which reads only leg
-distances and parcel weights.  The per-sortie functions check the vehicle
-kind and look the legs up on the instance before they call it; the finder
-calls it directly with the leg distances it already holds.
+distances and parcel weights; the finder and exact search call it with the
+leg distances they hold, :func:`sortie_energy` with a plan sortie's.
+
+A battery starts full, drains at each launch and refills on the truck legs
+it rides, clamped at capacity by :func:`charge_walk`, the one battery walk.
+:func:`build_ledgers` gives a plan one ledger per fleet vehicle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Tuple
 
 from .core import (
@@ -29,6 +33,7 @@ from .core import (
     Instance,
     InvalidEventError,
     KindMismatchError,
+    Plan,
     Sortie,
 )
 
@@ -36,6 +41,7 @@ KMH_TO_MS = 1.0 / 3.6
 
 CAUSE_SORTIE = "sortie"
 CAUSE_CHARGE = "charge"
+CHARGE_FLOOR = 1e-12  # a clamped amount at or below this is rounding, not charge
 
 
 @dataclass(frozen=True)
@@ -72,16 +78,11 @@ class BatteryLedger:
 
     @property
     def level(self) -> float:
-        return self.capacity + sum(e.delta for e in self.entries)
+        return self.levels()[-1] if self.entries else self.capacity
 
     def levels(self) -> list:
         """Running level after each entry."""
-        out = []
-        level = self.capacity
-        for e in self.entries:
-            level += e.delta
-            out.append(level)
-        return out
+        return list(accumulate((e.delta for e in self.entries), initial=self.capacity))[1:]
 
     def consume(self, time: float, amount: float) -> "BatteryLedger":
         """Record a sortie draw.  Feasibility (level >= 0) is the caller's check."""
@@ -95,12 +96,28 @@ def new_ledger(vehicle_kind: str, vehicle_id: int, fleet: FleetSpec) -> BatteryL
     return BatteryLedger(vehicle_kind, vehicle_id, fleet.battery(vehicle_kind))
 
 
+def charge_walk(level: float, capacity: float, offers) -> Tuple[list, float]:
+    """Charge consecutive carried legs; returns ([(leg, amount)], final level).
+
+    Leg ``k`` adds ``min(offers[k], capacity - level)`` to the running level
+    and is listed when that is above :data:`CHARGE_FLOOR` (a clamp can land
+    one ulp short of capacity; the next leg's one-ulp top-up is dropped).
+    """
+    charged = []
+    for k, offer in enumerate(offers):
+        amount = min(offer, capacity - level)
+        if amount > CHARGE_FLOOR:
+            charged.append((k, amount))
+            level += amount
+    return charged, level
+
+
 def apply_charging(
     ledger: BatteryLedger, event: ChargingEvent, time: float = None
 ) -> Tuple[BatteryLedger, float]:
     """Append a charge entry clamped at capacity; returns (ledger, applied).
 
-    The applied amount is ``min(event.amount, headroom)`` so the running
+    The one-leg :func:`charge_walk` from the ledger's level, so the running
     level can never exceed capacity; callers that need to know how much was
     lost to the clamp compare against ``event.amount``.  ``time`` is the
     truck's departure from the leg's start node; it defaults to the time of
@@ -112,9 +129,10 @@ def apply_charging(
         raise InvalidEventError(f"negative charging amount {event.amount}")
     if event.duration == 0 and event.amount > 0:
         raise InvalidEventError("zero-duration event cannot transfer energy")
-    applied = min(event.amount, max(0.0, ledger.capacity - ledger.level))
-    if applied == 0.0:
+    charged, _ = charge_walk(ledger.level, ledger.capacity, (event.amount,))
+    if not charged:
         return ledger, 0.0
+    applied = charged[0][1]
     if time is None:
         time = ledger.entries[-1].time if ledger.entries else 0.0
     entry = LedgerEntry(time=time, delta=applied, cause=CAUSE_CHARGE)
@@ -185,8 +203,8 @@ def leg_energy(kind: str, leg_dists, weights, fleet: FleetSpec) -> float:
     raise KindMismatchError(f"unknown vehicle kind {kind!r}")
 
 
-def _checked_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
-    """:func:`leg_energy` over the sortie's legs, node ids checked by ``inst``."""
+def sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
+    """:func:`leg_energy` over a plan sortie's legs, node ids checked by ``inst``."""
     kind = sortie.vehicle_kind
     weights = [inst.node(c).weight for c in sortie.sequence]
     dists = [inst.distance(kind, i, j) for i, j in sortie.legs()]
@@ -197,18 +215,33 @@ def drone_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> flo
     """Flight energy: alpha_d * sum of (self weight + carried mass) * leg km."""
     if sortie.vehicle_kind != DRONE:
         raise KindMismatchError(f"expected a drone sortie, got {sortie.vehicle_kind}")
-    return _checked_sortie_energy(sortie, inst, fleet)
+    return sortie_energy(sortie, inst, fleet)
 
 
 def robot_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
     """Walking energy: power at each leg's payload times leg hours, in units."""
     if sortie.vehicle_kind != ROBOT:
         raise KindMismatchError(f"expected a robot sortie, got {sortie.vehicle_kind}")
-    return _checked_sortie_energy(sortie, inst, fleet)
+    return sortie_energy(sortie, inst, fleet)
 
 
-def sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
-    """Energy of a plan sortie in its vehicle's formula, node ids checked."""
-    if sortie.vehicle_kind == DRONE:
-        return drone_sortie_energy(sortie, inst, fleet)
-    return robot_sortie_energy(sortie, inst, fleet)
+def build_ledgers(plan: Plan, inst: Instance, fleet: FleetSpec) -> tuple:
+    """One chronological ledger per fleet vehicle: drones, then robots, by id.
+
+    A sortie draws at launch; a charge lands when the truck leaves the leg's
+    start node (hour 0 at the depot); at equal times the draw comes first.
+    An idle vehicle gets an empty ledger; vehicles outside the fleet are the
+    caller's check.
+    """
+    rows = {(kind, v): [] for kind in (DRONE, ROBOT) for v in range(fleet.count(kind))}
+    for s in plan.sorties:
+        draw = LedgerEntry(s.launch_time, -sortie_energy(s, inst, fleet), CAUSE_SORTIE)
+        rows[s.vehicle_kind, s.vehicle_id].append((0, draw))
+    for e in plan.charging_events:
+        when = plan.truck_arrivals[e.truck_id].get(e.node, 0.0) if e.node != 0 else 0.0
+        rows[e.vehicle_kind, e.vehicle_id].append((1, LedgerEntry(when, e.amount, CAUSE_CHARGE)))
+    ledgers = []
+    for (kind, vid), timed in rows.items():
+        timed.sort(key=lambda row: (row[1].time, row[0]))
+        ledgers.append(BatteryLedger(kind, vid, fleet.battery(kind), tuple(e for _, e in timed)))
+    return tuple(ledgers)

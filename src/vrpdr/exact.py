@@ -5,7 +5,8 @@ remaining customers with non-overlapping drone/robot sortie chains anchored
 on the tour.  Timing never prunes a candidate because trucks may wait at
 recovery nodes for free (the makespan counts travel only); battery
 chronology with en-route charging, payload, range and per-node docking
-rules do.  Candidates are scored by :func:`vrpdr.schedule.score`, and an
+rules do, the battery walked by :func:`vrpdr.energy.charge_walk` as in the
+finder.  Candidates are scored by :func:`vrpdr.schedule.score`, and an
 incumbent's truck arrivals, waits included, come from
 :func:`vrpdr.schedule.arrival_times`: the objective and timeline the
 validator reads.  Every improving candidate is confirmed by the validator
@@ -16,7 +17,8 @@ search (and truck legs from a table built once per search), never from
 checked lookups; each (sequence, launch, recovery) energy is priced by
 :func:`vrpdr.energy.leg_energy` once per search and no probe ``Sortie`` is
 built, so only plan assembly and validation call
-:func:`vrpdr.energy.sortie_energy`.
+:func:`vrpdr.energy.sortie_energy`.  A plan carries one ledger per fleet
+vehicle (:func:`vrpdr.energy.build_ledgers`), empty for an idle one.
 
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
@@ -123,21 +125,19 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
     last_pos = len(route) - 1
 
     def charge_between(start_pos, launch_pos, level):
-        """Per-leg clamped charge amounts for legs [start_pos, launch_pos)."""
-        legs = []
-        for p in range(start_pos, launch_pos):
-            if route[p] == 0 and p == 0:
-                continue  # no charging on the depot departure leg
-            amt = min(rate * leg_times[p], cap - level)
-            if amt > 1e-12:
-                legs.append((p, amt))
-                level += amt
-        return tuple(legs), level
+        """Clamped (leg, amount) pairs for legs [start_pos, launch_pos) but leg 0."""
+        first = max(start_pos, 1)
+        charged, level = energy_mod.charge_walk(
+            level, cap, [rate * leg_times[p] for p in range(first, launch_pos)]
+        )
+        return tuple((first + k, amount) for k, amount in charged), level
 
     def rec(start_pos, level, remaining, acc):
         yield tuple(acc), frozenset(set(remaining_all) - set(remaining))
         if not remaining or start_pos > last_pos:
             return
+        # (charge legs, level at launch) per launch position, for every sequence
+        walks = [charge_between(start_pos, p, level) for p in range(start_pos, last_pos)]
         for seq in enumerate_sequences(remaining, m_eff):
             parcels = [weight[c] for c in seq]
             if sum(parcels) > payload_limit:
@@ -152,7 +152,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
                 legs, head = rows.head(launch_node, seq, inner)
                 if head > range_limit:
                     continue  # the last leg only adds distance
-                charge_legs, level_at_launch = charge_between(start_pos, launch_pos, level)
+                charge_legs, level_at_launch = walks[launch_pos - start_pos]
                 for recovery_pos in range(launch_pos + 1, last_pos + 1):
                     recovery_node = route[recovery_pos]
                     last_leg = last_row[recovery_node]
@@ -230,7 +230,7 @@ def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
     )
     return replace(
         plan,
-        ledgers=validator_mod.build_ledgers(plan, inst, fleet),
+        ledgers=energy_mod.build_ledgers(plan, inst, fleet),
         objective_breakdown=objective_value(plan, inst, fleet),
     )
 

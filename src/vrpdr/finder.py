@@ -2,20 +2,22 @@
 
 Phase 1 builds truck routes by nearest-neighbor growth, sized so each truck
 takes at most max(3, |C| // (2T)) customers and the rest stay open for the
-auxiliary fleet.  Phase 2 walks the truck timeline chronologically and
-greedily assigns drone/robot sorties that satisfy payload, range, energy
-and synchronization checks, recharging carried vehicles from the truck as
-it drives.  Its candidates come from a depth-first walk over the nearby
-pool that stops extending a customer sequence once it is over the payload
-or range cap; distances come from rows cached per call, and energy from
-the leg distances the walk already holds.  Phase 3 inserts whatever
-remains into the truck routes at the cheapest Manhattan detour, then
-re-times the accepted sorties against the rebuilt timeline.  One
-incremental cheapest-insertion kernel over the truck distance table serves
-phase 3 and the truck-detour prices of phase 2.  The truck timeline is the
-sortie-free case of :func:`vrpdr.schedule.arrival_times` and the plan is
-scored by :func:`vrpdr.schedule.objective_value`; sorties that no longer
-fit are dropped rather than waited for.
+auxiliary fleet, and each leaves one for every later truck.  Phase 2 walks
+the truck timeline chronologically and greedily assigns drone/robot
+sorties that satisfy payload, range, energy and synchronization checks,
+recharging carried vehicles (a float level, walked by
+:func:`vrpdr.energy.charge_walk`) from the truck as it drives.  Its
+candidates come from a depth-first walk over the nearby pool that stops
+extending a customer sequence once it is over the payload or range cap;
+distances come from rows cached per call, and energy from the leg
+distances the walk already holds.  Phase 3 inserts whatever remains into
+the truck routes at the cheapest Manhattan detour, then re-times the
+accepted sorties against the rebuilt timeline.  One incremental
+cheapest-insertion kernel over the truck distance table serves phase 3 and
+the truck-detour prices of phase 2.  The truck timeline is the sortie-free
+case of :func:`vrpdr.schedule.arrival_times` and the plan is scored by
+:func:`vrpdr.schedule.objective_value`; sorties that no longer fit are
+dropped rather than waited for.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class VehicleState:
     aboard_truck: Optional[int] = None
     aboard_pos: int = 0       # boarding position on the carrying truck
     charged_upto: int = 0     # charging accrued for legs before this position
-    ledger: energy_mod.BatteryLedger = None
+    level: float = 0.0        # running battery level
     events: List[energy_mod.ChargingEvent] = field(default_factory=list)
     sortie_count: int = 0
     retired: bool = False
@@ -78,7 +80,8 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
     """Nearest-neighbor routes, max(3, |C| // (2T)) customers per truck.
 
     Only truck-reachable customers are eligible; the rest wait for the
-    sortie and insertion phases.
+    sortie and insertion phases.  Each truck leaves one for every later
+    truck, so with at least T of them no truck stays at the depot.
     """
     customers = [c.id for c in inst.customers if inst.node(c.id).truck_reachable]
     if fleet.num_trucks < 1:
@@ -89,9 +92,10 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
     available = set(customers)
     points = [nd.point for nd in inst.nodes]
     routes = []
-    for _t in range(fleet.num_trucks):
+    for t in range(fleet.num_trucks):
+        quota = min(per_truck, len(available) - (fleet.num_trucks - 1 - t))
         route = [0]
-        while len(route) - 1 < per_truck and available:
+        while len(route) - 1 < quota:
             here = points[route[-1]]
             nearest = min(
                 available, key=lambda c: (euclidean_distance(here, points[c]), c)
@@ -121,14 +125,11 @@ def initial_states(fleet: FleetSpec) -> list:
     """All vehicles fully charged, riding the truck they are numbered onto."""
     states = []
     trucks = max(1, fleet.num_trucks)
-    for d in range(fleet.num_drones):
-        states.append(
-            VehicleState(DRONE, d, aboard_truck=d % trucks, ledger=energy_mod.new_ledger(DRONE, d, fleet))
-        )
-    for r in range(fleet.num_robots):
-        states.append(
-            VehicleState(ROBOT, r, aboard_truck=r % trucks, ledger=energy_mod.new_ledger(ROBOT, r, fleet))
-        )
+    for kind in (DRONE, ROBOT):
+        for v in range(fleet.count(kind)):
+            states.append(
+                VehicleState(kind, v, aboard_truck=v % trucks, level=fleet.battery(kind))
+            )
     return states
 
 
@@ -139,26 +140,19 @@ def _advance_charging(
     t = state.aboard_truck
     if t is None:
         return
-    stops = timeline.stops[t]
-    pos = max(state.charged_upto, state.aboard_pos)
-    while pos < min(upto_pos, len(stops) - 1):
+    kind, stops = state.vehicle_kind, timeline.stops[t]
+    end = min(upto_pos, len(stops) - 1)
+    legs = []  # (start node, duration) of each leg that can charge
+    for pos in range(max(state.charged_upto, state.aboard_pos), end if charging else 0):
         node, depart = stops[pos]
         duration = stops[pos + 1][1] - depart
-        if charging and node != 0 and duration > 0:
-            amount = energy_mod.charge_amount(duration, state.vehicle_kind, fleet)
-            event = energy_mod.ChargingEvent(
-                vehicle_kind=state.vehicle_kind,
-                vehicle_id=state.vehicle_id,
-                truck_id=t,
-                node=node,
-                duration=duration,
-                amount=amount,
-            )
-            state.ledger, applied = energy_mod.apply_charging(state.ledger, event, time=depart)
-            if applied > 0:
-                state.events.append(replace(event, amount=applied))
-        pos += 1
-    state.charged_upto = max(state.charged_upto, min(upto_pos, len(stops) - 1))
+        if node != 0 and duration > 0:
+            legs.append((node, duration))
+    offers = [energy_mod.charge_amount(duration, kind, fleet) for _, duration in legs]
+    charged, state.level = energy_mod.charge_walk(state.level, fleet.battery(kind), offers)
+    for k, amount in charged:
+        state.events.append(energy_mod.ChargingEvent(kind, state.vehicle_id, t, *legs[k], amount))
+    state.charged_upto = max(state.charged_upto, end)
 
 
 def apply_enroute_charging(states, timeline: Timeline, fleet: FleetSpec) -> list:
@@ -171,12 +165,10 @@ def apply_enroute_charging(states, timeline: Timeline, fleet: FleetSpec) -> list
     return states
 
 
-def _dock(
-    state: VehicleState, timeline: Timeline, launch_time: float, energy: float, truck: int, pos: int
-) -> None:
+def _dock(state: VehicleState, timeline: Timeline, energy: float, truck: int, pos: int) -> None:
     """Accept a sortie: draw its energy and count the trip, then retire the
     vehicle at ``truck``'s final depot stop or re-board it at stop ``pos``."""
-    state.ledger = state.ledger.consume(launch_time, energy)
+    state.level -= energy
     state.sortie_count += 1
     if timeline.node(truck, pos) == 0 and pos == len(timeline.stops[truck]) - 1:
         state.retired = True
@@ -459,7 +451,7 @@ def assign_sorties(
                 continue
             for vehicle in crew:
                 _advance_charging(vehicle, timeline, fleet, pos, options.charging)
-                level = vehicle.ledger.level
+                level = vehicle.level
                 cands = []
                 for seq, opts in seq_options:
                     for rec_node, e, t2, q, price in opts:
@@ -494,7 +486,7 @@ def assign_sorties(
                 unserved -= set(seq)
                 used_launch.add((kind, launch_node))
                 used_recovery.add((kind, rec_node))
-                _dock(vehicle, timeline, launch_time, e, t2, q)
+                _dock(vehicle, timeline, e, t2, q)
                 break  # one sortie per launch point and kind
     return sorties, states, unserved
 
@@ -514,8 +506,8 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
 def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=True):
     """Re-time accepted sorties on a rebuilt timeline; drop what no longer fits.
 
-    Returns (kept sorties with fresh launch times, charging events, ledgers,
-    dropped customer ids, vehicle states).  With ``finalize`` the vehicles
+    Returns (kept sorties with fresh launch times, charging events, dropped
+    customer ids, vehicle states).  With ``finalize`` the vehicles
     also charge across their remaining carried legs; a rescue assignment
     pass passes ``finalize=False`` so it can keep extending the schedule.
     """
@@ -560,21 +552,17 @@ def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=Tr
         if ok:
             _advance_charging(state, timeline, fleet, lp, options.charging)
             e = energy_mod.sortie_energy(s, inst, fleet)
-            ok = e <= state.ledger.level + 1e-9
+            ok = e <= state.level + 1e-9
         if not ok:
             dropped.extend(s.sequence)
             continue
-        _dock(state, timeline, launch_time, e, s.recovery_truck, rp)
+        _dock(state, timeline, e, s.recovery_truck, rp)
         kept.append(replace(s, launch_time=launch_time))
     state_list = sorted(states.values(), key=lambda s: (s.vehicle_kind, s.vehicle_id))
     if finalize and options.charging:
         apply_enroute_charging(state_list, timeline, fleet)
-    events = []
-    ledgers = []
-    for state in state_list:
-        events.extend(state.events)
-        ledgers.append(state.ledger)
-    return kept, tuple(events), tuple(ledgers), dropped, state_list
+    events = tuple(e for state in state_list for e in state.events)
+    return kept, events, dropped, state_list
 
 
 def solve_finder(
@@ -590,6 +578,13 @@ def solve_finder(
     fleet = fleet or inst.fleet
     if fleet.num_trucks < 1 and inst.num_customers:
         raise ConfigurationError("cannot plan deliveries with zero trucks")
+    reachable = sum(c.truck_reachable for c in inst.customers)
+    if reachable < fleet.num_trucks:
+        raise InfeasibleError(
+            f"{fleet.num_trucks} trucks must each visit a customer but only "
+            f"{reachable} are truck-reachable",
+            offending_ids=[c.id for c in inst.customers if not c.truck_reachable],
+        )
     routes = construct_truck_routes(inst, fleet)
     timeline = build_timeline(routes, inst, fleet)
     states = initial_states(fleet)
@@ -604,7 +599,7 @@ def solve_finder(
     routes = insert_unserved(routes, unserved - blocked, inst)
     for _round in range(2 * inst.num_customers + 2):
         timeline = build_timeline(routes, inst, fleet)
-        kept, events, ledgers, dropped, replay_states = _replay_sorties(
+        kept, events, dropped, replay_states = _replay_sorties(
             routes, timeline, sorties, inst, fleet, options, finalize=not blocked
         )
         blocked |= {c for c in dropped if not inst.node(c).truck_reachable}
@@ -646,6 +641,9 @@ def solve_finder(
         sorties=tuple(sorties),
         truck_arrivals=tuple(arrivals),
         charging_events=events,
-        ledgers=ledgers,
     )
-    return replace(plan, objective_breakdown=objective_value(plan, inst, fleet))
+    return replace(
+        plan,
+        ledgers=energy_mod.build_ledgers(plan, inst, fleet),
+        objective_breakdown=objective_value(plan, inst, fleet),
+    )

@@ -3,7 +3,9 @@
 Violations carry the same family names that :mod:`vrpdr.milp` uses for its
 constraint groups, so a failed check always points at the corresponding
 model block.  Timing checks use a 1e-6 hour tolerance and energy checks a
-1e-6 unit tolerance.  The report's two makespans come from
+1e-6 unit tolerance.  Battery levels are the running walk of the ledgers
+:func:`vrpdr.energy.build_ledgers` derives from the plan, one per fleet
+vehicle.  The report's two makespans come from
 :mod:`vrpdr.schedule`: the model makespan is the objective's travel-time
 maximum, and the simulated makespan replays the routes with trucks waiting
 for their sorties.
@@ -15,9 +17,9 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
-from . import energy as energy_mod
 from . import milp as milp_mod
 from .core import (
+    VEHICLE_KINDS,
     FleetSpec,
     Instance,
     ModelOptions,
@@ -27,6 +29,7 @@ from .core import (
     sortie_distance,
     sortie_travel_time,
 )
+from .energy import build_ledgers
 from .schedule import arrival_times, objective_value
 
 ENERGY_TOL = 1e-6
@@ -91,6 +94,8 @@ def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
                 f"{fleet.count(s.vehicle_kind)}"
             )
     for e in plan.charging_events:
+        if e.vehicle_kind not in VEHICLE_KINDS:
+            raise PlanStructureError(f"charging event has unknown vehicle kind {e.vehicle_kind!r}")
         if not 0 <= e.node < n:
             raise PlanStructureError(f"charging event references unknown node {e.node}")
         if not 0 <= e.truck_id < fleet.num_trucks:
@@ -363,9 +368,7 @@ def validate(
     # battery ledgers: consumption at launch instants, charge at departures
     ledgers = build_ledgers(plan, inst, fleet)
     for ledger in ledgers:
-        level = ledger.capacity
-        for entry in ledger.entries:
-            level += entry.delta
+        for entry, level in zip(ledger.entries, ledger.levels()):
             if entry.delta < 0 and level < -ENERGY_TOL:
                 add(
                     Violation(
@@ -393,42 +396,6 @@ def validate(
         simulated_makespan=simulated_makespan(plan, inst, fleet),
         battery_ledgers=ledgers,
     )
-
-
-def build_ledgers(plan: Plan, inst: Instance, fleet: FleetSpec) -> tuple:
-    """Chronological battery ledgers induced by a plan's sorties and charges."""
-    vehicles = sorted(
-        {(s.vehicle_kind, s.vehicle_id) for s in plan.sorties}
-        | {(e.vehicle_kind, e.vehicle_id) for e in plan.charging_events}
-    )
-    ledgers = []
-    for kind, vid in vehicles:
-        events = []
-        for s in plan.sorties:
-            if (s.vehicle_kind, s.vehicle_id) == (kind, vid):
-                draw = energy_mod.sortie_energy(s, inst, fleet)
-                events.append((s.launch_time, 0, -draw))
-        for e in plan.charging_events:
-            if (e.vehicle_kind, e.vehicle_id) == (kind, vid):
-                when = plan.truck_arrivals[e.truck_id].get(e.node, 0.0) if e.node != 0 else 0.0
-                events.append((when, 1, e.amount))
-        entries = tuple(
-            energy_mod.LedgerEntry(
-                time=when,
-                delta=delta,
-                cause=energy_mod.CAUSE_SORTIE if delta <= 0 else energy_mod.CAUSE_CHARGE,
-            )
-            for when, _, delta in sorted(events, key=lambda ev: (ev[0], ev[1]))
-        )
-        ledgers.append(
-            energy_mod.BatteryLedger(
-                vehicle_kind=kind,
-                vehicle_id=vid,
-                capacity=fleet.battery(kind),
-                entries=entries,
-            )
-        )
-    return tuple(ledgers)
 
 
 def simulated_makespan(plan: Plan, inst: Instance, fleet: FleetSpec) -> float:

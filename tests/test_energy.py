@@ -10,6 +10,7 @@ from vrpdr.energy import (
     InvalidEventError,
     apply_charging,
     charge_amount,
+    charge_walk,
     drone_sortie_energy,
     leg_energy,
     new_ledger,
@@ -303,3 +304,68 @@ def test_ledger_random_schedules_stay_in_range(fleet):
                 assert applied == pytest.approx(min(request, cap - before), abs=1e-9)
         for level in ledger.levels():
             assert -1e-9 <= level <= cap + 1e-9
+
+
+def _old_exact_charge_between(route, rate, leg_times, cap, start_pos, launch_pos, level):
+    """Exact search's charge loop before it called charge_walk, verbatim."""
+    legs = []
+    for p in range(start_pos, launch_pos):
+        if route[p] == 0 and p == 0:
+            continue  # no charging on the depot departure leg
+        amt = min(rate * leg_times[p], cap - level)
+        if amt > 1e-12:
+            legs.append((p, amt))
+            level += amt
+    return tuple(legs), level
+
+
+def _old_finder_charge(capacity, deltas, amount):
+    """The finder's clamp before charge_walk: apply_charging's arithmetic
+    against a ledger level of ``capacity + sum(deltas)``."""
+    level = capacity + sum(deltas)
+    applied = min(amount, max(0.0, capacity - level))
+    if applied == 0.0:
+        return 0.0
+    deltas.append(applied)
+    return applied
+
+
+def test_charge_walk_matches_the_walks_it_replaced():
+    """Random drains and carried legs: exact search's old loop is matched bit
+    for bit; the finder's old sum-of-deltas level differs from the running
+    level by rounding only, within 2 ulp of capacity, in a pinned number of
+    trials."""
+    rng = random.Random(23)
+    finder_differs = 0
+    for _trial in range(3000):
+        cap = rng.choice([rng.uniform(3000.0, 14000.0), 3000.0, 8000.0, 14000.0])
+        rate = rng.uniform(1000.0, 50000.0)
+        n = rng.randint(2, 10)
+        route = (0,) + tuple(range(1, n)) + (0,)
+        leg_times = [rng.uniform(0.0, 0.5) for _ in range(n)]
+        level = old_level = cap
+        deltas = []  # the old finder ledger's entries
+        differs = False
+        pos = 0
+        while pos < n - 1:
+            launch = rng.randint(pos, n - 1)
+            first = max(pos, 1)
+            offers = [rate * leg_times[p] for p in range(first, launch)]
+            charged, level = charge_walk(level, cap, offers)
+            expected, old_level = _old_exact_charge_between(
+                route, rate, leg_times, cap, pos, launch, old_level
+            )
+            assert tuple((first + k, amount) for k, amount in charged) == expected
+            assert level == old_level
+            amounts = dict(charged)
+            for k, offer in enumerate(offers):
+                old = _old_finder_charge(cap, deltas, offer)
+                assert abs(old - amounts.get(k, 0.0)) <= 2 * math.ulp(cap)
+                differs |= old != amounts.get(k, 0.0)
+            draw = rng.uniform(0.0, min(level, cap + sum(deltas)))
+            level -= draw
+            old_level -= draw
+            deltas.append(-draw)
+            pos = launch + rng.randint(1, 2)
+        finder_differs += differs
+    assert finder_differs == 52

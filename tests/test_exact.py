@@ -102,17 +102,19 @@ def test_exact_respects_single_trip_and_visit_options(fleet):
 
 # sha256 of plan_to_json(solve_exact(...)) under each toggle; the cases hold
 # sorties, trucks that wait at a recovery stop and en-route charging, so a
-# change to how plans are scored or timed that alters any plan shows here
+# change to how plans are scored or timed that alters any plan shows here.
+# Plans carry one ledger per fleet vehicle, an empty one for an idle drone
+# in the first four cases
 EXACT_GOLDEN_PLANS = [
-    ("full", 4, 1, 0.0, {}, "c98c358bbd5579181bbbe9071fe84b17c1b333eb4cb028311172419b3f1058c8"),
-    ("full", 5, 2, 0.0, {}, "22af622fa5cc8dcebfdd5737a9ab18a0fb6e4d26a8f4875ad9c12074251e3dbf"),
+    ("full", 4, 1, 0.0, {}, "d0b545e365065e9903441439da830ebe2cbed779e75ae0e3f1ce6eceeb398361"),
+    ("full", 5, 2, 0.0, {}, "bb085ef10e6df2f826d897523e2ab033580ad4dbf4fd7c86fdaf870a2b095ab1"),
     (
         "low_battery", 5, 4, 0.4, {},
-        "c3db6f9d124675cfab091cc68e18172ef8a2f7198b9d2f2e6d8e3a78c2b06785",
+        "d926d9f7e1de0d20d4b5fad223d5c35aa956f19cffbabe6cf558a6e61afb7f91",
     ),
     (
         "full", 5, 5, 0.0, {"charging": False},
-        "6dd93642749fdc7b8ed3c6166f2f04a3d41ae3dcd7c036dac6926501c7b3df3b",
+        "b89b1a20c6bc9dac61f06d7b1ea4c72e175e245fcc558d0e8bab9816c7bf2da3",
     ),
     (
         "full", 5, 4, 0.4, {"charging": False},

@@ -36,6 +36,25 @@ def test_route_sizing_formula(fleet):
     assert routes0 == [[0, 0], [0, 0]]
 
 
+def test_every_truck_leaves_the_depot():
+    """A truck leaves a reachable customer for each later truck, and too few
+    reachable customers for the fleet is infeasible, as in the model."""
+    for trucks, sizes in ((3, (4, 5, 6)), (2, (2, 3))):
+        fleet = FleetSpec(num_trucks=trucks)
+        for size in sizes:
+            for seed in range(20):
+                inst = bench.generate_instance(size, seed, fleet)
+                plan = finder.solve_finder(inst, fleet)
+                assert validator.validate(plan, inst, fleet).feasible, (trucks, size, seed)
+    three = FleetSpec(num_trucks=3)
+    inst = make_instance(
+        [(0, 0), (1, 0), (2, 0), (3, 0)], fleet=three, reachable=[True, False, True]
+    )
+    with pytest.raises(InfeasibleError) as err:
+        finder.solve_finder(inst, three)
+    assert err.value.offending_ids == (2,)
+
+
 def test_route_construction_nearest_neighbor():
     fleet = FleetSpec(num_trucks=1)
     inst = make_instance([(0, 0), (1, 0), (2, 0), (5, 5)], weights=[1, 1, 1], fleet=fleet)
@@ -154,11 +173,11 @@ def test_apply_enroute_charging_examples(fleet):
     # leg 1 -> 2 is 11.25 km manhattan = 0.25 h; drain the drone first
     states = finder.initial_states(fleet)
     drone = states[0]
-    drone.ledger = drone.ledger.consume(0.0, 4000.0)
+    drone.level -= 4000.0
     drone.aboard_pos = 1
     finder.apply_enroute_charging([drone], timeline, fleet)
     # 0.25 h at 5000/h = 1250 from leg 1->2 plus the return leg 2->0
-    assert drone.ledger.level > 10000.0
+    assert drone.level > 10000.0
     legs = [(e.node, round(e.duration, 4)) for e in drone.events]
     assert (1, 0.25) in legs
     assert all(e.node != 0 for e in drone.events)
@@ -166,7 +185,7 @@ def test_apply_enroute_charging_examples(fleet):
     # a vehicle that never launched stays at capacity with no events
     fresh = finder.initial_states(fleet)
     finder.apply_enroute_charging(fresh, timeline, fleet)
-    assert all(s.ledger.level == s.ledger.capacity for s in fresh)
+    assert all(s.level == fleet.battery(s.vehicle_kind) for s in fresh)
     assert all(not s.events for s in fresh)
 
 

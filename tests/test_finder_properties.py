@@ -1,0 +1,79 @@
+"""Property: every plan FINDER returns is physically possible and round-trips.
+
+Random instances with 1-3 trucks, 0-3 drones and robots, small batteries
+and up to 30 % truck-unreachable customers, under each of the 16 toggle
+combinations.  ``InfeasibleError`` is the only other outcome allowed.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vrpdr import bench, finder, validator
+from vrpdr.core import (
+    DRONE,
+    ROBOT,
+    FleetSpec,
+    InfeasibleError,
+    ModelOptions,
+    plan_from_json,
+    plan_to_json,
+)
+
+TOGGLES = list(itertools.product((False, True), repeat=4))
+
+
+@pytest.mark.parametrize(
+    "charging, flexible_docking, single_visit, single_trip",
+    TOGGLES,
+    ids=["".join("01"[flag] for flag in toggles) for toggles in TOGGLES],
+)
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    trucks=st.integers(1, 3),
+    drones=st.integers(0, 3),
+    robots=st.integers(0, 3),
+    battery_d=st.floats(3000.0, 14000.0),
+    battery_r=st.floats(3000.0, 14000.0),
+    unreachable_frac=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    size=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_finder_plan_is_valid(
+    charging,
+    flexible_docking,
+    single_visit,
+    single_trip,
+    trucks,
+    drones,
+    robots,
+    battery_d,
+    battery_r,
+    unreachable_frac,
+    size,
+    seed,
+):
+    fleet = FleetSpec(
+        num_trucks=trucks, num_drones=drones, num_robots=robots, B_d=battery_d, B_r=battery_r
+    )
+    options = ModelOptions(
+        charging=charging,
+        flexible_docking=flexible_docking,
+        single_visit=single_visit,
+        single_trip=single_trip,
+    )
+    inst = bench.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    try:
+        plan = finder.solve_finder(inst, fleet, options)
+    except InfeasibleError:
+        return
+    report = validator.validate(plan, inst, fleet, options)
+    assert report.feasible, [v.detail for v in report.violations]
+    assert math.isfinite(plan.objective_breakdown.weighted_objective)
+    text = plan_to_json(plan)
+    assert plan_to_json(plan_from_json(text)) == text
+    vehicles = [(DRONE, d) for d in range(drones)] + [(ROBOT, r) for r in range(robots)]
+    assert [(l.vehicle_kind, l.vehicle_id) for l in plan.ledgers] == vehicles

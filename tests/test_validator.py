@@ -184,6 +184,9 @@ def test_structural_errors_raise(fleet):
     dangling = Plan(plan.truck_routes, plan.sorties, ({},))
     with pytest.raises(PlanStructureError):
         validator.validate(dangling, inst, fleet)
+    boat = dataclasses.replace(plan, charging_events=(ChargingEvent("boat", 0, 0, 1, 0.1, 10.0),))
+    with pytest.raises(PlanStructureError):
+        validator.validate(boat, inst, fleet)
 
 
 def test_validate_is_pure_and_deterministic(fleet):
