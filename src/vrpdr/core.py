@@ -18,6 +18,7 @@ DRONE = "drone"
 ROBOT = "robot"
 VEHICLE_KINDS = (DRONE, ROBOT)
 TIME_TOL = 1e-6  # hours; slack allowed on every timing comparison
+FIT_TOL = 1e-9  # slack on the payload, range and battery caps a sortie must fit
 
 
 class VrpdrError(Exception):

@@ -35,6 +35,7 @@ from . import energy as energy_mod
 from . import validator as validator_mod
 from .core import (
     DRONE,
+    FIT_TOL,
     METRICS,
     ROBOT,
     VEHICLE_KINDS,
@@ -119,8 +120,8 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
     m_eff = options.effective_m(fleet)
     cap = fleet.battery(kind)
     rate = fleet.charge_rate(kind) if options.charging else 0.0
-    payload_limit = fleet.payload_cap(kind) + 1e-9
-    range_limit = fleet.range_cap(kind) + 1e-9
+    payload_limit = fleet.payload_cap(kind) + FIT_TOL
+    range_limit = fleet.range_cap(kind) + FIT_TOL
     rows, weight, energies = search.rows[kind], search.weight, search.energies
     last_pos = len(route) - 1
 
@@ -165,7 +166,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
                         e = energies[key] = energy_mod.leg_energy(
                             kind, legs + [last_leg], parcels, fleet
                         )
-                    if e > level_at_launch + 1e-9:
+                    if e > level_at_launch + FIT_TOL:
                         continue
                     search.tick()
                     entry = _ChainSortie(

@@ -29,6 +29,7 @@ from typing import List, Optional, Set
 from . import energy as energy_mod
 from .core import (
     DRONE,
+    FIT_TOL,
     METRICS,
     ROBOT,
     TIME_TOL,
@@ -399,7 +400,7 @@ def assign_sorties(
             rows = distance_rows[kind]
             range_cap, speed = fleet.range_cap(kind), fleet.speed(kind)
             unit_cost, fixed_cost = fleet.unit_cost(kind), fleet.fixed_cost(kind)
-            range_limit = range_cap + 1e-9
+            range_limit = range_cap + FIT_TOL
             here = rows[launch_node]
             nearby = sorted((here[c], c) for c in unserved if here[c] <= range_cap)
             if not nearby:
@@ -421,7 +422,7 @@ def assign_sorties(
             # battery, so price every statically feasible option once per
             # launch point and scan per vehicle below
             seq_options = []
-            payload_limit = fleet.payload_cap(kind) + 1e-9
+            payload_limit = fleet.payload_cap(kind) + FIT_TOL
             for seq, legs, fixed_dist in _pruned_sequences(
                 launch_node, pool, m_eff, rows, weight, payload_limit, range_limit
             ):
@@ -455,7 +456,7 @@ def assign_sorties(
                 cands = []
                 for seq, opts in seq_options:
                     for rec_node, e, t2, q, price in opts:
-                        if e > level + 1e-9:
+                        if e > level + FIT_TOL:
                             continue
                         score = (e / len(seq), len(seq), seq, t2, q)
                         cands.append((score, seq, rec_node, e, t2, q, price))
@@ -552,7 +553,7 @@ def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=Tr
         if ok:
             _advance_charging(state, timeline, fleet, lp, options.charging)
             e = energy_mod.sortie_energy(s, inst, fleet)
-            ok = e <= state.level + 1e-9
+            ok = e <= state.level + FIT_TOL
         if not ok:
             dropped.extend(s.sequence)
             continue

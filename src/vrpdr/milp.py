@@ -2,9 +2,12 @@
 
 The model is sortie-indexed: every candidate sortie (launch node, ordered
 customer sequence, recovery node) gets one binary per vehicle and per
-(launch truck, recovery truck) pair.  A candidate fixes its legs and its
-payload, so its distance and energy are constants per vehicle kind, and every
-battery row is linear in the selection binaries as ``energy * z``.
+(launch truck, recovery truck) pair of each kind whose payload, range and
+battery caps it meets.  No column exists only for a cap row to fix it at
+zero; the cap rows stay on the kept columns to document the caps.  A
+candidate fixes its legs and its payload, so its distance and energy are
+constants per vehicle kind, and every battery row is linear in the
+selection binaries as ``energy * z``.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
@@ -24,6 +27,7 @@ from . import energy as energy_mod
 from . import schedule as schedule_mod
 from .core import (
     DRONE,
+    FIT_TOL,
     METRICS,
     ROBOT,
     ConfigurationError,
@@ -147,46 +151,62 @@ class SortieCandidate:
     sequence: tuple
     k: int
     payload: float
-    dist: Dict[str, float]  # kind -> sortie distance
-    energy: Dict[str, float]  # kind -> sortie energy
-
-
-def _seq_tag(seq) -> str:
-    return "_".join(str(c) for c in seq)
+    dist: Dict[str, float]  # kind that fits -> sortie distance
+    energy: Dict[str, float]  # kind that fits -> sortie energy
 
 
 def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: ModelOptions) -> list:
-    """All (i, l, k) triples; launch may equal recovery only at the depot.
+    """The (i, l, k) triples that some vehicle of the fleet can fly.
 
-    A cyclic sortie at a customer node can never satisfy the precedence
-    constraints, so those triples are not generated.  Legs and distances
-    come from :meth:`vrpdr.core.DistanceRows.head`.
+    Launch equals recovery only at the depot: a cyclic sortie at a customer
+    node can never satisfy the precedence rows.  ``dist`` and ``energy`` keep
+    the kinds whose payload, range and battery caps it meets within
+    ``FIT_TOL``, tested as exact search tests them: legs from
+    :meth:`vrpdr.core.DistanceRows.head`, energy from
+    :func:`vrpdr.energy.leg_energy` once payload and range pass.
     """
     node_ids = [n.id for n in inst.nodes]
     customers = [n.id for n in inst.customers]
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
-    rows = {kind: DistanceRows(METRICS[kind], points) for kind in (DRONE, ROBOT)}
+    kinds = [kind for kind in (DRONE, ROBOT) if fleet.count(kind)]
+    rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
+    range_limit = {kind: fleet.range_cap(kind) + FIT_TOL for kind in kinds}
     out = []
     for seq in enumerate_sequences(customers, options.effective_m(fleet)):
-        inside = set(seq)
-        anchors = [v for v in node_ids if v not in inside]
         parcels = [weight[c] for c in seq]
         payload = sum(parcels)
-        inner = {kind: r.path_legs(seq) for kind, r in rows.items()}
+        fits = [kind for kind in kinds if payload <= fleet.payload_cap(kind) + FIT_TOL]
+        if not fits:
+            continue
+        inside = set(seq)
+        anchors = [v for v in node_ids if v not in inside]
+        inner = {kind: rows[kind].path_legs(seq) for kind in fits}
         for i in anchors:
-            # kind -> (legs up to the last customer, their distance)
-            heads = {kind: r.head(i, seq, inner[kind]) for kind, r in rows.items()}
+            # kind -> (legs up to the last customer, their distance, last row)
+            heads = {}
+            for kind in fits:
+                legs, head = rows[kind].head(i, seq, inner[kind])
+                if head <= range_limit[kind]:  # the last leg only adds distance
+                    heads[kind] = (legs, head, rows[kind][seq[-1]])
+            if not heads:
+                continue
             for k in anchors:
                 if i == k and i != 0:
                     continue
                 dist = {}
                 energy = {}
-                for kind, (legs, head) in heads.items():
-                    last = rows[kind][seq[-1]][k]
-                    dist[kind] = head + last
-                    energy[kind] = energy_mod.leg_energy(kind, legs + [last], parcels, fleet)
-                out.append(SortieCandidate(len(out), i, seq, k, payload, dist, energy))
+                for kind, (legs, head, last_row) in heads.items():
+                    last = last_row[k]
+                    d = head + last
+                    if d > range_limit[kind]:
+                        continue
+                    e = energy_mod.leg_energy(kind, legs + [last], parcels, fleet)
+                    if e <= fleet.battery(kind) + FIT_TOL:
+                        dist[kind] = d
+                        energy[kind] = e
+                if dist:
+                    out.append(SortieCandidate(len(out), i, seq, k, payload, dist, energy))
     return out
 
 
@@ -205,7 +225,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     M = fleet.big_M
 
     candidates = enumerate_sortie_candidates(inst, fleet, options)
-    n_sortie_vars = len(candidates) * len(T) * len(T) * len(fleet_kinds)
+    truck_pairs = len(T) ** 2 if options.flexible_docking else len(T)
+    n_sortie_vars = truck_pairs * sum(fleet.count(kind) for c in candidates for kind in c.dist)
     if n_sortie_vars > options.max_sorties:
         raise ModelSizeError(
             f"{n_sortie_vars} sortie variables exceed the budget of {options.max_sorties}; "
@@ -237,6 +258,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                 if not options.flexible_docking and ti != tk:
                     continue
                 for cand in candidates:
+                    if kind not in cand.dist:
+                        continue
                     key = (kind, veh, ti, tk, cand.sid)
                     tag = f"{letter}_{kind[0]}{veh}_t{ti}_t{tk}_s{cand.sid}"
                     sel[key] = model.add_var(tag, BINARY)
@@ -336,7 +359,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         (1.0, sel[kind, veh, ti, tk, c.sid])
                         for veh in vehs
                         for c in candidates
-                        if c.i == i
+                        if c.i == i and kind in c.dist
                     ]
                     if terms:
                         terms += [(-1.0, x[ti, j, i]) for j in V if j != i]
@@ -352,7 +375,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         (1.0, sel[kind, veh, ti, tk, c.sid])
                         for veh in vehs
                         for c in candidates
-                        if c.k == k
+                        if c.k == k and kind in c.dist
                     ]
                     if terms:
                         terms += [(-1.0, x[tk, k, j]) for j in V if j != k]

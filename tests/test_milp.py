@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import hashlib
 import math
 import os
@@ -6,8 +8,10 @@ import re
 
 import pytest
 
-from vrpdr import bench, exact, lp_io, milp, schedule
+from vrpdr import bench, energy, exact, lp_io, milp, schedule
 from vrpdr.core import (
+    DRONE,
+    FIT_TOL,
     ROBOT,
     FleetSpec,
     Instance,
@@ -15,7 +19,10 @@ from vrpdr.core import (
     ModelSizeError,
     Node,
     Plan,
+    Sortie,
     VrpdrError,
+    enumerate_sequences,
+    sortie_distance,
 )
 from conftest import make_instance
 
@@ -111,44 +118,64 @@ def _perm(n, k):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_constraint_counts_match_closed_forms(n, fleet):
+    """Per-family counts follow from the kept (kind, candidate) pairs.
+
+    With every cap lifted no candidate is dropped, and the pair counts meet
+    the closed forms over ordered sequences and anchor pairs.
+    """
     inst = bench.generate_instance(n, seed=n, fleet=fleet)
-    model = milp.build_model(inst, fleet)
+    uncapped = dataclasses.replace(
+        fleet, rho_d=1e6, rho_r=1e6, D_max_d=1e6, D_max_r=1e6, B_d=1e12, B_r=1e12
+    )
     V = n + 1
     m = fleet.m
+    kinds = 2  # one drone and one robot
     # candidate sorties: ordered sequences times anchor pairs
     S = sum(_perm(n, L) * ((V - L) ** 2 - (V - L) + 1) for L in range(1, min(m, n) + 1))
     S0 = sum(_perm(n, L) * (V - L) for L in range(1, min(m, n) + 1))
     Scc = sum(_perm(n, L) * (V - 1 - L) * max(0, V - 2 - L) for L in range(1, min(m, n) + 1))
-    kinds = 2  # one drone and one robot
-    counts = {c.family: 0 for c in model.constraints}
-    for c in model.constraints:
-        counts[c.family] += 1
-    assert counts[milp.MAKESPAN] == 1 + kinds
-    assert counts[milp.VISIT_ONCE] == n
-    assert counts[milp.DEPOT] == 2
-    assert counts[milp.FLOW] == V
-    assert counts.get(milp.MTZ, 0) == n * (n - 1)
-    assert counts[milp.PAYLOAD] == S * kinds
-    assert counts[milp.RANGE] == S * kinds
-    assert counts.get(milp.PRECEDENCE, 0) == Scc * kinds
-    assert counts[milp.SORTIE_BATTERY] == S * kinds
-    assert counts[milp.DEPOT_BATTERY] == kinds
-    assert counts[milp.NO_DEPOT_CHARGE] == kinds
-    assert counts[milp.CHARGE_PRESENCE] == kinds * n
-    assert counts[milp.BATTERY_BALANCE] == kinds
-    assert counts[milp.OVERCHARGE] == kinds
-    assert counts[milp.CHARGE_TIME] == V
-    assert counts[milp.CHARGE_RATE] == kinds * V
-    assert counts[milp.ARRIVAL_SEQ] == V * (V - 1)
-    assert counts.get(milp.LAUNCH_SYNC, 0) == (S - S0) * kinds
-    assert counts[milp.RETURN_SYNC] == S * kinds
-    # docking: one launch and one recovery row per kind per anchor node
-    anchor_launch = len({c.i for c in model.info["candidates"]})
-    anchor_recover = len({c.k for c in model.info["candidates"]})
-    assert counts[milp.DOCKING] == kinds * (anchor_launch + anchor_recover)
-    # columns: arcs, u, Gamma, A, a selection and a launch time per sortie
-    # variable, and the charge (per kind) and charge-time columns per node
-    assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * S * kinds + (kinds + 1) * V
+    for caps in (fleet, uncapped):
+        model = milp.build_model(inst, caps)
+        pairs = [(kind, c) for c in model.info["candidates"] for kind in c.dist]
+        P = len(pairs)
+        P0 = sum(1 for _, c in pairs if c.i == 0)
+        Pcc = sum(1 for _, c in pairs if c.i != 0 and c.k != 0)
+        flying = {kind for kind, _ in pairs}
+        from_depot = {kind for kind, c in pairs if c.i == 0}
+        if caps is uncapped:
+            assert (P, P0, Pcc) == (S * kinds, S0 * kinds, Scc * kinds)
+        else:
+            assert P < S * kinds
+        counts = collections.Counter(c.family for c in model.constraints)
+        assert counts[milp.MAKESPAN] == 1 + len(flying)
+        assert counts[milp.VISIT_ONCE] == n
+        assert counts[milp.DEPOT] == 2
+        assert counts[milp.FLOW] == V
+        assert counts[milp.MTZ] == n * (n - 1)
+        assert counts[milp.PAYLOAD] == P
+        assert counts[milp.RANGE] == P
+        assert counts[milp.PRECEDENCE] == Pcc
+        assert counts[milp.SORTIE_BATTERY] == P
+        assert counts[milp.DEPOT_BATTERY] == len(from_depot)
+        assert counts[milp.NO_DEPOT_CHARGE] == kinds
+        assert counts[milp.CHARGE_PRESENCE] == kinds * n
+        assert counts[milp.BATTERY_BALANCE] == len(flying)
+        assert counts[milp.OVERCHARGE] == len(flying)
+        assert counts[milp.CHARGE_TIME] == V
+        assert counts[milp.CHARGE_RATE] == kinds * V
+        assert counts[milp.ARRIVAL_SEQ] == V * (V - 1)
+        assert counts[milp.LAUNCH_SYNC] == P - P0
+        assert counts[milp.RETURN_SYNC] == P
+        # docking: one launch and one recovery row per kind per anchor node
+        # of a candidate that kind can fly
+        anchors = sum(
+            len({c.i for k, c in pairs if k == kind}) + len({c.k for k, c in pairs if k == kind})
+            for kind in flying
+        )
+        assert counts[milp.DOCKING] == anchors
+        # columns: arcs, u, Gamma, A, a selection and a launch time per kept
+        # pair, and the charge (per kind) and charge-time columns per node
+        assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * P + (kinds + 1) * V
 
 
 def test_feasible_plans_substitute_into_the_model(fleet):
@@ -206,6 +233,78 @@ def test_model_size_budget(fleet):
         milp.build_model(inst, fleet, ModelOptions(max_sorties=10))
 
 
+@pytest.mark.parametrize(
+    "fleet, options",
+    [
+        (FleetSpec(), ModelOptions()),
+        (FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False)),
+    ],
+    ids=["one_truck", "two_trucks_fixed_docking"],
+)
+def test_model_size_budget_counts_created_selections(fleet, options):
+    inst = bench.generate_instance(4, seed=24, fleet=fleet)
+    sel = milp.build_model(inst, fleet, options).info["sel"]
+    assert sel
+    budget = dataclasses.replace(options, max_sorties=len(sel))
+    assert milp.build_model(inst, fleet, budget).info["sel"] == sel
+    with pytest.raises(ModelSizeError):
+        milp.build_model(inst, fleet, dataclasses.replace(budget, max_sorties=len(sel) - 1))
+
+
+def test_candidates_keep_exactly_the_sorties_that_fit():
+    """A (kind, launch, sequence, recovery) is kept iff it meets all three caps.
+
+    Recomputed from plan sorties with ``sortie_distance`` and
+    ``sortie_energy``, not with the kernels the enumeration uses.
+    """
+    kept_total = collections.Counter()
+    dropped_total = collections.Counter()
+    lone_breaks = set()  # caps that were the only one a dropped sortie broke
+    for n, seed, fleet in (
+        (4, 0, FleetSpec()),
+        (4, 24, FleetSpec()),
+        (5, 4, FleetSpec(B_d=1e6, B_r=1e6)),
+        (5, 4, FleetSpec()),
+        (5, 14, FleetSpec(B_d=30000.0, rho_r=3.0)),
+    ):
+        inst = bench.generate_instance(n, seed=seed, fleet=fleet)
+        kept = {
+            (kind, c.i, c.sequence, c.k)
+            for c in milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
+            for kind in c.dist
+        }
+        node_ids = [nd.id for nd in inst.nodes]
+        for seq in enumerate_sequences([c.id for c in inst.customers], fleet.m):
+            anchors = [v for v in node_ids if v not in seq]
+            payload = sum(inst.node(c).weight for c in seq)
+            for kind in (DRONE, ROBOT):
+                for i in anchors:
+                    for k in anchors:
+                        if i == k and i != 0:
+                            continue
+                        sortie = Sortie(kind, 0, i, k, seq, 0, 0)
+                        broken = [
+                            cap
+                            for cap, used, limit in (
+                                ("payload", payload, fleet.payload_cap(kind)),
+                                ("range", sortie_distance(sortie, inst), fleet.range_cap(kind)),
+                                ("battery", energy.sortie_energy(sortie, inst, fleet),
+                                 fleet.battery(kind)),
+                            )
+                            if used > limit + FIT_TOL
+                        ]
+                        fits = not broken
+                        assert fits == ((kind, i, seq, k) in kept), (n, seed, kind, i, seq, k)
+                        (kept_total if fits else dropped_total)[kind] += 1
+                        if len(broken) == 1:
+                            lone_breaks.add(broken[0])
+    # both kinds have sorties on each side of the filter, and each cap alone
+    # drops some
+    assert min(kept_total[DRONE], kept_total[ROBOT]) > 0
+    assert min(dropped_total[DRONE], dropped_total[ROBOT]) > 0
+    assert lone_breaks == {"payload", "range", "battery"}
+
+
 def test_exported_lp_optimum_matches_exact(fleet):
     from vrpdr import lp_io
 
@@ -255,26 +354,32 @@ def test_two_truck_finder_plan_substitutes():
 
 
 # sha256 of export_lp text for realistic models; any change to a name, number
-# or line order shows here
+# or line order shows here.  Each case also carries its HiGHS optimum,
+# recorded on the model that still held a column for every candidate of
+# every kind, so dropping the columns no vehicle can fly must not move it.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "b8cfbebcdc5f36b01976de9ac6e70200968a3972643db9ad13f2e3b56c87c913",
+        "e2e5bf276baf70ea912411d15547e699c597c090e136339b801255fe40101b27",
+        82.3988645761878,
         id="n5_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(), ModelOptions(charging=False),
-        "be864df3aa7aae676f1bef4cfe2a3ad1f40b1f24909ff6a0dd75ceafce8968de",
+        "1ae3facb7f95ccbc65e77a3c280506b5960a14175a620d6cf8493665bc645f48",
+        71.41450072571689,
         id="n5_no_charging",
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "c9c4f4c45365a8c583f18385e5c58561a0b0718c5d83232b8d59189f397de4f5",
+        "c62d5af65f5e20209d635cc3dface332a7948b6a6c4f5df5a5e9257503280250",
+        66.90372127268479,
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "f5d97fcc357c8f8766a465a2b80f88c0c3bee3d56904c1411abde5e4a33b3f94",
+        "a498eeaca401bcd5323db17b8ed14a5cdd4f14e3e9d7a9fdf1363105c0a4ad04",
+        75.13698996712651,
         id="n3_two_trucks_flexible",
     ),
 ]
@@ -285,10 +390,16 @@ def _golden_text(n, seed, fleet, options):
     return milp.export_lp(milp.build_model(inst, fleet, options))
 
 
-@pytest.mark.parametrize("n, seed, fleet, options, digest", GOLDEN_LP_CASES)
-def test_golden_lp_export_hashes(n, seed, fleet, options, digest):
+@pytest.mark.parametrize("n, seed, fleet, options, digest, optimum", GOLDEN_LP_CASES)
+def test_golden_lp_export_hashes(n, seed, fleet, options, digest, optimum):
     text = _golden_text(n, seed, fleet, options)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n, seed, fleet, options, digest, optimum", GOLDEN_LP_CASES)
+def test_golden_lp_optimum_pinned(n, seed, fleet, options, digest, optimum):
+    obj, _ = lp_io.solve_lp_text(_golden_text(n, seed, fleet, options), time_limit=120)
+    assert abs(obj - optimum) <= 1e-9
 
 
 # --- reference LP reader ------------------------------------------------------
@@ -371,8 +482,8 @@ def _ref_parse_lp(text: str) -> lp_io.ParsedLp:
     return parsed
 
 
-@pytest.mark.parametrize("n, seed, fleet, options, digest", GOLDEN_LP_CASES)
-def test_parse_lp_matches_reference_on_golden_models(n, seed, fleet, options, digest):
+@pytest.mark.parametrize("n, seed, fleet, options, digest, optimum", GOLDEN_LP_CASES)
+def test_parse_lp_matches_reference_on_golden_models(n, seed, fleet, options, digest, optimum):
     text = _golden_text(n, seed, fleet, options)
     assert lp_io.parse_lp(text) == _ref_parse_lp(text)
 

@@ -153,8 +153,14 @@ def test_charging_event_families(fleet):
 
 
 def test_all_violation_families_exist_in_the_model(fleet):
-    """Cross-module naming contract: families reported must be model groups."""
-    inst = bench.generate_instance(3, seed=2, fleet=fleet, unreachable_frac=0.4)
+    """Cross-module naming contract: families reported must be model groups.
+
+    Three customers on a unit square, one of them off the truck network, so
+    that every sortie shape fits both vehicle kinds and every family has rows.
+    """
+    inst = make_instance(
+        [(0, 0), (1, 0), (1, 1), (0, 1)], fleet=fleet, reachable=[True, True, False]
+    )
     model_families = milp.build_model(inst, fleet).families()
     checkable = {
         milp.VISIT_ONCE,
