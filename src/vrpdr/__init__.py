@@ -1,7 +1,7 @@
 """Truck, drone and robot last-mile routing toolkit.
 
 Submodules:
-  core       data model, metrics, sortie sequence enumeration, JSON I/O
+  core       data model, metrics, the cap-pruned sortie walk, JSON I/O
   energy     drone/robot energy formulas, battery ledgers, charging
   milp       mixed-integer model builder, LP export
   schedule   plan objective and truck timeline with waiting for sorties

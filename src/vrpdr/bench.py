@@ -14,7 +14,7 @@ import csv
 import math
 import os
 import time as time_mod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -85,24 +85,15 @@ def mode_fleet(fleet: FleetSpec, mode: str) -> FleetSpec:
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def default_toggles() -> dict:
-    return {
-        "multi_visit": True,
-        "multi_trip": True,
-        "enroute_charging": True,
-        "flexible_docking": True,
-    }
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One experiment family: a mode/toggle selection over sizes and seeds."""
+    """One experiment family: a mode and model options over sizes and seeds."""
 
     name: str
     sizes: tuple
     repetitions: int = 25
     mode: str = "ef"
-    toggles: dict = field(default_factory=default_toggles)
+    options: ModelOptions = ModelOptions()
     sweeps: Optional[dict] = None
     seed_base: int = 42
 
@@ -114,15 +105,6 @@ class ScenarioSpec:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         object.__setattr__(self, "sizes", tuple(self.sizes))
-
-    def options(self) -> ModelOptions:
-        t = {**default_toggles(), **self.toggles}
-        return ModelOptions(
-            charging=t["enroute_charging"],
-            flexible_docking=t["flexible_docking"],
-            single_visit=not t["multi_visit"],
-            single_trip=not t["multi_trip"],
-        )
 
 
 def _sweep_points(spec: ScenarioSpec) -> list:
@@ -148,7 +130,7 @@ def run_scenario(spec: ScenarioSpec, fleet: FleetSpec = FleetSpec(), plan_sink=N
     separately.  ``plan_sink(spec, variant, size, rep, plan)`` receives
     every solved plan.
     """
-    options = spec.options()
+    options = spec.options
     rows = []
     timings = []
     row_index = 0
@@ -360,23 +342,25 @@ def scenario_suite(
         return [ScenarioSpec(name=f"modes_{m}", mode=m, **base) for m in MODES]
     if name == "visits":
         return [
-            ScenarioSpec(name="visits_multi", toggles={"multi_visit": True}, **base),
-            ScenarioSpec(name="visits_single", toggles={"multi_visit": False}, **base),
+            ScenarioSpec(name="visits_multi", **base),
+            ScenarioSpec(name="visits_single", options=ModelOptions(single_visit=True), **base),
         ]
     if name == "trips":
         return [
-            ScenarioSpec(name="trips_multi", toggles={"multi_trip": True}, **base),
-            ScenarioSpec(name="trips_single", toggles={"multi_trip": False}, **base),
+            ScenarioSpec(name="trips_multi", **base),
+            ScenarioSpec(name="trips_single", options=ModelOptions(single_trip=True), **base),
         ]
     if name == "charging":
         return [
-            ScenarioSpec(name="charging_enroute", toggles={"enroute_charging": True}, **base),
-            ScenarioSpec(name="charging_none", toggles={"enroute_charging": False}, **base),
+            ScenarioSpec(name="charging_enroute", **base),
+            ScenarioSpec(name="charging_none", options=ModelOptions(charging=False), **base),
         ]
     if name == "docking":
         return [
-            ScenarioSpec(name="docking_flexible", toggles={"flexible_docking": True}, **base),
-            ScenarioSpec(name="docking_fixed", toggles={"flexible_docking": False}, **base),
+            ScenarioSpec(name="docking_flexible", **base),
+            ScenarioSpec(
+                name="docking_fixed", options=ModelOptions(flexible_docking=False), **base
+            ),
         ]
     if name == "sweep":
         return [

@@ -6,6 +6,7 @@ search budget exhausted, 4 a malformed instance, fleet or plan.
 
 from __future__ import annotations
 
+import functools
 import sys
 
 import click
@@ -43,13 +44,24 @@ def _load_instance(path: str):
             _bad_input(exc)
 
 
-def _options(no_charging, single_visit, single_trip, fixed_docking) -> ModelOptions:
-    return ModelOptions(
-        charging=not no_charging,
-        flexible_docking=not fixed_docking,
-        single_visit=single_visit,
-        single_trip=single_trip,
-    )
+def _model_options(command):
+    """Declare the four model toggle flags on ``command`` and hand it ``options``."""
+
+    @click.option("--no-charging", is_flag=True)
+    @click.option("--single-visit", is_flag=True)
+    @click.option("--single-trip", is_flag=True)
+    @click.option("--fixed-docking", is_flag=True)
+    @functools.wraps(command)
+    def with_options(no_charging, single_visit, single_trip, fixed_docking, **kwargs):
+        options = ModelOptions(
+            charging=not no_charging,
+            flexible_docking=not fixed_docking,
+            single_visit=single_visit,
+            single_trip=single_trip,
+        )
+        return command(options=options, **kwargs)
+
+    return with_options
 
 
 @click.group()
@@ -79,14 +91,10 @@ def generate(size, seed, out, unreachable_frac, trucks, drones, robots):
 @main.command("export-lp")
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
-@click.option("--no-charging", is_flag=True)
-@click.option("--single-visit", is_flag=True)
-@click.option("--single-trip", is_flag=True)
-@click.option("--fixed-docking", is_flag=True)
-def export_lp(instance_path, out, no_charging, single_visit, single_trip, fixed_docking):
+@_model_options
+def export_lp(instance_path, out, options):
     """Build the full model and write LP text for an external solver."""
     inst = _load_instance(instance_path)
-    options = _options(no_charging, single_visit, single_trip, fixed_docking)
     model = milp_mod.build_model(inst, inst.fleet, options)
     with open(out, "w") as fh:
         fh.write(milp_mod.export_lp(model))
@@ -101,15 +109,10 @@ def export_lp(instance_path, out, no_charging, single_visit, single_trip, fixed_
 @click.option("--budget-customers", type=int, default=8, show_default=True)
 @click.option("--max-candidates", type=int, default=5_000_000, show_default=True)
 @click.option("--time-limit", type=float, default=600.0, show_default=True)
-@click.option("--no-charging", is_flag=True)
-@click.option("--single-visit", is_flag=True)
-@click.option("--single-trip", is_flag=True)
-@click.option("--fixed-docking", is_flag=True)
-def exact(instance_path, out, budget_customers, max_candidates, time_limit, no_charging,
-          single_visit, single_trip, fixed_docking):
+@_model_options
+def exact(instance_path, out, budget_customers, max_candidates, time_limit, options):
     """Exhaustive optimum for a tiny instance."""
     inst = _load_instance(instance_path)
-    options = _options(no_charging, single_visit, single_trip, fixed_docking)
     budget = exact_mod.SearchBudget(
         max_customers=budget_customers,
         max_candidates=max_candidates,
@@ -136,16 +139,12 @@ def exact(instance_path, out, budget_customers, max_candidates, time_limit, no_c
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--plan", "plan_path", type=click.Path(exists=True), required=True)
-@click.option("--no-charging", is_flag=True)
-@click.option("--single-visit", is_flag=True)
-@click.option("--single-trip", is_flag=True)
-@click.option("--fixed-docking", is_flag=True)
-def validate(instance_path, plan_path, no_charging, single_visit, single_trip, fixed_docking):
+@_model_options
+def validate(instance_path, plan_path, options):
     """Check a plan against every constraint family; exit 0 iff feasible."""
     inst = _load_instance(instance_path)
     with open(plan_path) as fh:
         text = fh.read()
-    options = _options(no_charging, single_visit, single_trip, fixed_docking)
     try:
         report = validator_mod.validate(plan_from_json(text), inst, inst.fleet, options)
     except PlanStructureError as exc:
@@ -158,15 +157,11 @@ def validate(instance_path, plan_path, no_charging, single_visit, single_trip, f
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--mode", type=click.Choice(bench_mod.MODES), default="ef", show_default=True)
-@click.option("--no-charging", is_flag=True)
-@click.option("--single-visit", is_flag=True)
-@click.option("--single-trip", is_flag=True)
-@click.option("--fixed-docking", is_flag=True)
-def solve(instance_path, out, mode, no_charging, single_visit, single_trip, fixed_docking):
+@_model_options
+def solve(instance_path, out, mode, options):
     """Solve with the construction heuristic and write the plan JSON."""
     inst = _load_instance(instance_path)
     fleet = bench_mod.mode_fleet(inst.fleet, mode)
-    options = _options(no_charging, single_visit, single_trip, fixed_docking)
     try:
         plan = finder_mod.solve_finder(inst, fleet, options)
     except InfeasibleError as exc:

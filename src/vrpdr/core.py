@@ -1,6 +1,8 @@
 """Data model and geometry for collaborative truck / drone / robot routing.
 
-Canonical units throughout the package: kilometres, hours, kilograms,
+:meth:`DistanceRows.sortie_heads` is the one sortie walk: the model, exact
+search and the heuristic all enumerate their drone and robot sorties with
+it.  Canonical units throughout the package: kilometres, hours, kilograms,
 dollars.  Battery energy is measured in abstract energy units (one unit is
 one mAh-equivalent; see :mod:`vrpdr.energy` for the watt-hour bridge used
 by the walking robot).
@@ -331,8 +333,9 @@ class Instance:
             return self.fleet.big_M
         return manhattan_distance(a.point, b.point)
 
-    def matrix(self, which: str):
-        """Dense float distance matrix: 'truck' (masked), 'drone', 'robot'.
+    def truck_matrix(self):
+        """Dense float truck distance matrix, Manhattan and masked like
+        :meth:`truck_distance`.
 
         Built on every call and not kept on the instance; a caller that
         reads it repeatedly holds its own copy.
@@ -341,20 +344,12 @@ class Instance:
 
         xs = np.array([nd.x for nd in self.nodes], dtype=float)
         ys = np.array([nd.y for nd in self.nodes], dtype=float)
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        manh = np.abs(dx) + np.abs(dy)
-        if which == DRONE:
-            return np.sqrt(dx * dx + dy * dy)
-        if which == ROBOT:
-            return manh
-        if which == "truck":
-            reach = np.array([nd.truck_reachable for nd in self.nodes])
-            bad = ~(reach[:, None] & reach[None, :])
-            np.fill_diagonal(bad, False)
-            manh[bad] = self.fleet.big_M
-            return manh
-        raise ValueError(f"unknown matrix {which!r}")
+        manh = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
+        reach = np.array([nd.truck_reachable for nd in self.nodes])
+        bad = ~(reach[:, None] & reach[None, :])
+        np.fill_diagonal(bad, False)
+        manh[bad] = self.fleet.big_M
+        return manh
 
 
 class DistanceRows(dict):
@@ -375,23 +370,37 @@ class DistanceRows(dict):
         row = self[a] = [metric(here, p) for p in self.points]
         return row
 
-    def path_legs(self, path) -> list:
-        """Leg distances along ``path``, in order."""
-        return [self[a][b] for a, b in zip(path, path[1:])]
+    def sortie_heads(self, start, pool, m, weight, payload_limit, range_limit):
+        """Every ordered tuple of 1..m distinct ``pool`` customers within both caps.
 
-    def head(self, launch, sequence, inner) -> tuple:
-        """(legs, distance) of a sortie from ``launch`` up to its last customer.
-
-        ``inner`` is ``path_legs(sequence)``, hoisted by callers that try many
-        launches.  The distance is summed ``0.0 + d1 + d2 ...`` in path order,
-        so adding the last leg to it gives the float :func:`sortie_distance`
-        returns for the whole sortie.
+        The one sortie walk: depth first from the ``start`` node, a prefix
+        carries its running payload, its distance ``0 + d1 + d2 ...`` summed
+        in path order and its leg distances.  One over ``payload_limit`` or
+        ``range_limit`` is not extended, which loses nothing because weights
+        and distances are non-negative.  ``weight[c]`` is the parcel mass of
+        c.  Yields (sequence, leg distances, distance) for each of the
+        sequences :func:`enumerate_sequences` returns that pass both caps;
+        adding the last leg to the distance gives the float
+        :func:`sortie_distance` returns for the whole sortie.
         """
-        legs = [self[launch][sequence[0]]] + inner
-        dist = 0.0
-        for d in legs:
-            dist += d
-        return legs, dist
+        stack = [((), start, 0, 0, ())]  # (prefix, its last node, payload, distance, legs)
+        while stack:
+            seq, last, payload, dist, legs = stack.pop()
+            row = self[last]
+            for c in pool:
+                if c in seq:
+                    continue
+                load = payload + weight[c]
+                if load > payload_limit:
+                    continue
+                leg = row[c]
+                total = dist + leg
+                if total > range_limit:
+                    continue
+                grown, grown_legs = seq + (c,), legs + (leg,)
+                yield grown, grown_legs, total
+                if len(grown) < m:
+                    stack.append((grown, c, load, total, grown_legs))
 
 
 def sortie_distance(sortie: Sortie, inst: Instance) -> float:

@@ -12,11 +12,12 @@ incumbent's truck arrivals, waits included, come from
 validator reads.  Every improving candidate is confirmed by the validator
 before it becomes the incumbent.
 
-Sortie legs are read from :class:`vrpdr.core.DistanceRows` built once per
-search (and truck legs from a table built once per search), never from
-checked lookups; each (sequence, launch, recovery) energy is priced by
-:func:`vrpdr.energy.leg_energy` once per search and no probe ``Sortie`` is
-built, so only plan assembly and validation call
+Sorties come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
+cap-pruned walk the heuristic and the model share, over rows built once
+per search; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
+the table the heuristic reads.  Each (sequence, launch, recovery) energy
+is priced by :func:`vrpdr.energy.leg_energy` once per search and no probe
+``Sortie`` is built, so only plan assembly and validation call
 :func:`vrpdr.energy.sortie_energy`.  A plan carries one ledger per fleet
 vehicle (:func:`vrpdr.energy.build_ledgers`), empty for an idle one.
 
@@ -48,7 +49,6 @@ from .core import (
     ModelOptions,
     Plan,
     Sortie,
-    enumerate_sequences,
 )
 from .schedule import arrival_times, objective_value, score
 
@@ -112,9 +112,9 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
     Yields (chain, served) pairs; a chain is a tuple of _ChainSortie.  The
     battery starts full, drains by sortie energy at each launch, and
     recharges (clamped) on carried legs between recovery and next launch.
-    Charging on the leg out of the depot is not allowed.  A launch whose
-    legs up to the last customer (:meth:`DistanceRows.head`) are already
-    over the range cap is skipped.
+    Charging on the leg out of the depot is not allowed.  From each launch
+    position, :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the
+    sequences of remaining customers that meet the payload and range caps.
     """
     fleet, options = search.fleet, search.options
     m_eff = options.effective_m(fleet)
@@ -137,23 +137,15 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
         yield tuple(acc), frozenset(set(remaining_all) - set(remaining))
         if not remaining or start_pos > last_pos:
             return
-        # (charge legs, level at launch) per launch position, for every sequence
-        walks = [charge_between(start_pos, p, level) for p in range(start_pos, last_pos)]
-        for seq in enumerate_sequences(remaining, m_eff):
-            parcels = [weight[c] for c in seq]
-            if sum(parcels) > payload_limit:
-                continue
-            inner = rows.path_legs(seq)
-            last_row = rows[seq[-1]]
-            rest = tuple(c for c in remaining if c not in seq)
-            for launch_pos in range(start_pos, last_pos):
-                launch_node = route[launch_pos]
-                if launch_pos != 0 and launch_node == 0:
-                    continue
-                legs, head = rows.head(launch_node, seq, inner)
-                if head > range_limit:
-                    continue  # the last leg only adds distance
-                charge_legs, level_at_launch = walks[launch_pos - start_pos]
+        for launch_pos in range(start_pos, last_pos):
+            launch_node = route[launch_pos]
+            charge_legs, level_at_launch = charge_between(start_pos, launch_pos, level)
+            for seq, legs, head in rows.sortie_heads(
+                launch_node, remaining, m_eff, weight, payload_limit, range_limit
+            ):
+                parcels = [weight[c] for c in seq]
+                last_row = rows[seq[-1]]
+                rest = tuple(c for c in remaining if c not in seq)
                 for recovery_pos in range(launch_pos + 1, last_pos + 1):
                     recovery_node = route[recovery_pos]
                     last_leg = last_row[recovery_node]
@@ -164,7 +156,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
                     e = energies.get(key)
                     if e is None:
                         e = energies[key] = energy_mod.leg_energy(
-                            kind, legs + [last_leg], parcels, fleet
+                            kind, legs + (last_leg,), parcels, fleet
                         )
                     if e > level_at_launch + FIT_TOL:
                         continue
@@ -278,8 +270,7 @@ def solve_exact(
         )
 
     search = _Search(inst, fleet, options, budget)
-    node_ids = range(len(inst.nodes))
-    truck_km = [[inst.truck_distance(a, b) for b in node_ids] for a in node_ids]
+    truck_km = inst.truck_matrix().tolist()
 
     max_trips = 1 if options.single_trip else None
 

@@ -7,15 +7,15 @@ the truck timeline chronologically and greedily assigns drone/robot
 sorties that satisfy payload, range, energy and synchronization checks,
 recharging carried vehicles (a float level, walked by
 :func:`vrpdr.energy.charge_walk`) from the truck as it drives.  Its
-candidates come from a depth-first walk over the nearby pool that stops
-extending a customer sequence once it is over the payload or range cap;
-distances come from rows cached per call, and energy from the leg
-distances the walk already holds.  Phase 3 inserts whatever remains into
-the truck routes at the cheapest Manhattan detour, then re-times the
-accepted sorties against the rebuilt timeline.  One incremental
-cheapest-insertion kernel over the truck distance table serves phase 3 and
-the truck-detour prices of phase 2.  The truck timeline is the sortie-free
-case of :func:`vrpdr.schedule.arrival_times` and the plan is scored by
+candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
+cap-pruned sortie walk the model and exact search share, over the nearby
+pool; energy comes from the leg distances the walk already holds.  Phase
+3 inserts whatever remains into the truck routes at the cheapest
+Manhattan detour, then re-times the accepted sorties against the rebuilt
+timeline.  One incremental cheapest-insertion kernel over the truck
+distance table serves phase 3 and the truck-detour prices of phase 2.
+The truck timeline is the sortie-free case of
+:func:`vrpdr.schedule.arrival_times` and the plan is scored by
 :func:`vrpdr.schedule.objective_value`; sorties that no longer fit are
 dropped rather than waited for.
 """
@@ -290,38 +290,6 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_
     return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
 
 
-def _pruned_sequences(start, pool, m, rows, weight, payload_limit, range_limit):
-    """Every ordered tuple of 1..m distinct pool customers within both caps.
-
-    Walks depth first from the ``start`` node.  A prefix carries its running
-    payload, its distance ``0 + d1 + d2 ...`` summed in path order and its
-    leg distances; one over ``payload_limit`` or ``range_limit`` is not
-    extended, which loses nothing because weights and distances are
-    non-negative, so every extension is over the cap too.  ``rows[a][b]`` is
-    the distance a -> b and ``weight[c]`` the parcel mass of c.  Yields
-    (sequence, leg distances, distance) for each of the sequences
-    :func:`vrpdr.core.enumerate_sequences` returns that pass both caps.
-    """
-    stack = [((), start, 0, 0, ())]  # (prefix, its last node, payload, distance, legs)
-    while stack:
-        seq, last, payload, dist, legs = stack.pop()
-        row = rows[last]
-        for c in pool:
-            if c in seq:
-                continue
-            load = payload + weight[c]
-            if load > payload_limit:
-                continue
-            leg = row[c]
-            total = dist + leg
-            if total > range_limit:
-                continue
-            grown, grown_legs = seq + (c,), legs + (leg,)
-            yield grown, grown_legs, total
-            if len(grown) < m:
-                stack.append((grown, c, load, total, grown_legs))
-
-
 def assign_sorties(
     routes,
     timeline: Timeline,
@@ -340,11 +308,11 @@ def assign_sorties(
     passes payload, range, battery and timing checks and beats the cost of
     leaving its customers to the truck insertion phase.
 
-    Candidates come from :func:`_pruned_sequences`, a depth-first walk that
-    drops a prefix once it is over the payload or range cap, over distance
-    rows built once per call (:class:`vrpdr.core.DistanceRows`).  Recovery points are
-    listed once per launch point, and the energy of each candidate is priced
-    by :func:`vrpdr.energy.leg_energy` from the legs the walk already holds.
+    Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
+    cap-pruned depth-first walk, over distance rows built once per call.
+    Recovery points are listed once per launch point, and the energy of each
+    candidate is priced by :func:`vrpdr.energy.leg_energy` from the legs the
+    walk already holds.
     Without drones and robots, or without open customers, nothing is priced.
 
     ``existing_sorties`` reserve their launch/recovery slots so a second
@@ -362,7 +330,7 @@ def assign_sorties(
         used_recovery.add((s.vehicle_kind, s.recovery_node))
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
-    truck_km = inst.matrix("truck").tolist()
+    truck_km = inst.truck_matrix().tolist()
     alternative = _insertion_alternative(routes, unserved, inst, fleet, truck_km)
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
@@ -423,8 +391,8 @@ def assign_sorties(
             # launch point and scan per vehicle below
             seq_options = []
             payload_limit = fleet.payload_cap(kind) + FIT_TOL
-            for seq, legs, fixed_dist in _pruned_sequences(
-                launch_node, pool, m_eff, rows, weight, payload_limit, range_limit
+            for seq, legs, fixed_dist in rows.sortie_heads(
+                launch_node, pool, m_eff, weight, payload_limit, range_limit
             ):
                 last_row = rows[seq[-1]]
                 alt_price = None  # summed once a recovery passes range and timing
@@ -501,7 +469,7 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     creates and picks exactly what a full rescan would.  Callers keep
     truck-unreachable customers out.
     """
-    return _cheapest_insertion(routes, unserved, inst.matrix("truck").tolist())[0]
+    return _cheapest_insertion(routes, unserved, inst.truck_matrix().tolist())[0]
 
 
 def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=True):

@@ -12,9 +12,10 @@ selection binaries as ``energy * z``.
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
 
-Candidate constants come from :class:`vrpdr.core.DistanceRows` and
-:func:`vrpdr.energy.leg_energy`, the kernels the heuristic and exact search
-use, and :func:`export_lp` formats each distinct number once per call.
+Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
+cap-pruned sortie walk the heuristic and exact search share, and their
+energy from :func:`vrpdr.energy.leg_energy`; :func:`export_lp` formats
+each distinct number once per call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .core import (
     ModelSizeError,
     Plan,
     VrpdrError,
-    enumerate_sequences,
 )
 
 BINARY = "binary"
@@ -159,54 +159,50 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
     """The (i, l, k) triples that some vehicle of the fleet can fly.
 
     Launch equals recovery only at the depot: a cyclic sortie at a customer
-    node can never satisfy the precedence rows.  ``dist`` and ``energy`` keep
-    the kinds whose payload, range and battery caps it meets within
-    ``FIT_TOL``, tested as exact search tests them: legs from
-    :meth:`vrpdr.core.DistanceRows.head`, energy from
-    :func:`vrpdr.energy.leg_energy` once payload and range pass.
+    node can never satisfy the precedence rows.  Per kind and launch node
+    ``i``, :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the sequences
+    over the other customers that meet the payload and range caps; each
+    recovery ``k`` adds the last leg, the range check and
+    :func:`vrpdr.energy.leg_energy` against the battery, all within
+    ``FIT_TOL``.  ``dist`` and ``energy`` keep the kinds that fit, and
+    candidates are numbered in (length, sequence, i, k) order.
     """
     node_ids = [n.id for n in inst.nodes]
     customers = [n.id for n in inst.customers]
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
-    kinds = [kind for kind in (DRONE, ROBOT) if fleet.count(kind)]
-    rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
-    range_limit = {kind: fleet.range_cap(kind) + FIT_TOL for kind in kinds}
-    out = []
-    for seq in enumerate_sequences(customers, options.effective_m(fleet)):
-        parcels = [weight[c] for c in seq]
-        payload = sum(parcels)
-        fits = [kind for kind in kinds if payload <= fleet.payload_cap(kind) + FIT_TOL]
-        if not fits:
+    m = options.effective_m(fleet)
+    fits = {}  # (sequence, i, k) -> ({kind: distance}, {kind: energy})
+    for kind in (DRONE, ROBOT):
+        if not fleet.count(kind):
             continue
-        inside = set(seq)
-        anchors = [v for v in node_ids if v not in inside]
-        inner = {kind: rows[kind].path_legs(seq) for kind in fits}
-        for i in anchors:
-            # kind -> (legs up to the last customer, their distance, last row)
-            heads = {}
-            for kind in fits:
-                legs, head = rows[kind].head(i, seq, inner[kind])
-                if head <= range_limit[kind]:  # the last leg only adds distance
-                    heads[kind] = (legs, head, rows[kind][seq[-1]])
-            if not heads:
-                continue
-            for k in anchors:
-                if i == k and i != 0:
-                    continue
-                dist = {}
-                energy = {}
-                for kind, (legs, head, last_row) in heads.items():
+        rows = DistanceRows(METRICS[kind], points)
+        payload_limit = fleet.payload_cap(kind) + FIT_TOL
+        range_limit = fleet.range_cap(kind) + FIT_TOL
+        battery_limit = fleet.battery(kind) + FIT_TOL
+        for i in node_ids:
+            pool = [c for c in customers if c != i]
+            for seq, legs, head in rows.sortie_heads(
+                i, pool, m, weight, payload_limit, range_limit
+            ):
+                parcels = [weight[c] for c in seq]
+                last_row = rows[seq[-1]]
+                for k in node_ids:
+                    if k in seq or (k == i and i != 0):
+                        continue
                     last = last_row[k]
                     d = head + last
-                    if d > range_limit[kind]:
+                    if d > range_limit:
                         continue
-                    e = energy_mod.leg_energy(kind, legs + [last], parcels, fleet)
-                    if e <= fleet.battery(kind) + FIT_TOL:
+                    e = energy_mod.leg_energy(kind, legs + (last,), parcels, fleet)
+                    if e <= battery_limit:
+                        dist, energy = fits.setdefault((seq, i, k), ({}, {}))
                         dist[kind] = d
                         energy[kind] = e
-                if dist:
-                    out.append(SortieCandidate(len(out), i, seq, k, payload, dist, energy))
+    out = []
+    for seq, i, k in sorted(fits, key=lambda key: (len(key[0]), key)):
+        payload = sum(weight[c] for c in seq)
+        out.append(SortieCandidate(len(out), i, seq, k, payload, *fits[seq, i, k]))
     return out
 
 

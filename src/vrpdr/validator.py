@@ -14,6 +14,7 @@ for their sorties.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List
 
@@ -61,6 +62,12 @@ class ValidationReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _quantity(value: float, what: str) -> None:
+    """A time or charge must be a finite number >= 0; NaN fails every comparison."""
+    if not (math.isfinite(value) and value >= 0):
+        raise PlanStructureError(f"{what} is {value}; need a finite number >= 0")
+
+
 def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
     if len(plan.truck_routes) != fleet.num_trucks:
         raise PlanStructureError(
@@ -76,9 +83,10 @@ def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
             if not 0 <= v < n:
                 raise PlanStructureError(f"route references unknown node {v}")
     for t, arrivals in enumerate(plan.truck_arrivals):
-        for v in arrivals:
+        for v, at in arrivals.items():
             if not 0 <= v < n:
                 raise PlanStructureError(f"arrival map references unknown node {v}")
+            _quantity(at, f"truck {t} arrival time at node {v}")
         for v in plan.truck_routes[t]:
             if v not in arrivals:
                 raise PlanStructureError(f"truck {t} has no arrival time for node {v}")
@@ -93,6 +101,7 @@ def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
                 f"sortie uses {s.vehicle_kind} {s.vehicle_id} but the fleet has "
                 f"{fleet.count(s.vehicle_kind)}"
             )
+        _quantity(s.launch_time, f"launch time of sortie {s.sequence}")
     for e in plan.charging_events:
         if e.vehicle_kind not in VEHICLE_KINDS:
             raise PlanStructureError(f"charging event has unknown vehicle kind {e.vehicle_kind!r}")
@@ -102,6 +111,8 @@ def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
             raise PlanStructureError(f"charging event references unknown truck {e.truck_id}")
         if not 0 <= e.vehicle_id < fleet.count(e.vehicle_kind):
             raise PlanStructureError(f"charging event references unknown {e.vehicle_kind}")
+        _quantity(e.duration, f"charging duration at node {e.node}")
+        _quantity(e.amount, f"charging amount at node {e.node}")
 
 
 def validate(
@@ -110,7 +121,11 @@ def validate(
     fleet: FleetSpec,
     options: ModelOptions = ModelOptions(),
 ) -> ValidationReport:
-    """Check a plan against every family; returns one record per violation."""
+    """Check a plan against every family; returns one record per violation.
+
+    A malformed plan (an unknown id, or a time or charge that is NaN,
+    infinite or negative) raises :class:`PlanStructureError` instead.
+    """
     _structural_check(plan, inst, fleet)
     violations: List[Violation] = []
     add = violations.append

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vrpdr import bench
-from vrpdr.core import instance_to_json
+from vrpdr.core import ModelOptions, instance_to_json
 
 
 def test_generate_instance_bounds_and_size(fleet):
@@ -70,9 +72,18 @@ def test_scenario_spec_validation():
         bench.ScenarioSpec(name="x", sizes=())
     with pytest.raises(ValueError):
         bench.ScenarioSpec(name="x", sizes=(5,), repetitions=0)
-    spec = bench.ScenarioSpec(name="x", sizes=(5,), toggles={"multi_visit": False})
-    options = spec.options()
-    assert options.single_visit and options.charging and options.flexible_docking
+    assert bench.ScenarioSpec(name="x", sizes=(5,)).options == ModelOptions()
+    # each toggle family runs every feature on, then turns exactly its own one off
+    turned_off = {
+        "visits": {"single_visit": True},
+        "trips": {"single_trip": True},
+        "charging": {"charging": False},
+        "docking": {"flexible_docking": False},
+    }
+    for name, change in turned_off.items():
+        on, off = bench.scenario_suite(name, (5,))
+        assert on.options == ModelOptions()
+        assert off.options == dataclasses.replace(ModelOptions(), **change)
 
 
 def test_run_scenario_rows_and_summary(fleet):

@@ -124,3 +124,50 @@ def test_cli_missing_field_exit_code(tmp_path):
     r = runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
     assert r.exit_code == 4
     assert r.output.strip().splitlines() == ["bad input: missing field customers[0].weight"]
+
+
+def test_cli_validate_impossible_number_exit_code(tmp_path):
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    plan = tmp_path / "plan.json"
+    runner.invoke(main, ["generate", "--size", "8", "--seed", "33", "--out", str(inst)])
+    runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(plan)])
+    text = plan.read_text()
+    assert json.loads(text)["sorties"] and json.loads(text)["charging_events"]
+    edits = (
+        ("sorties", "launch_time", float("nan")),
+        ("truck_arrivals", "0", float("nan")),
+        ("charging_events", "amount", float("nan")),
+        ("charging_events", "amount", -50.0),
+    )
+    for field, key, value in edits:
+        doc = json.loads(text)
+        doc[field][0][key] = value
+        plan.write_text(json.dumps(doc))
+        r = runner.invoke(main, ["validate", "--instance", str(inst), "--plan", str(plan)])
+        assert r.exit_code == 4, (field, key, value, r.output)
+        assert r.output.startswith("bad input:")
+
+
+def test_cli_toggle_flags_reach_the_model(tmp_path):
+    from vrpdr import milp
+    from vrpdr.core import ModelOptions, instance_from_json
+
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "3", "--out", str(inst),
+                         "--trucks", "2"])
+    instance = instance_from_json(inst.read_text())
+    cases = {
+        (): ModelOptions(),
+        ("--no-charging", "--single-trip"): ModelOptions(charging=False, single_trip=True),
+        ("--single-visit", "--fixed-docking"): ModelOptions(
+            single_visit=True, flexible_docking=False
+        ),
+    }
+    for flags, options in cases.items():
+        lp = tmp_path / "model.lp"
+        r = runner.invoke(main, ["export-lp", "--instance", str(inst), "--out", str(lp), *flags])
+        assert r.exit_code == 0, r.output
+        expected = milp.export_lp(milp.build_model(instance, instance.fleet, options))
+        assert lp.read_text() == expected, flags

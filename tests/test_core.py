@@ -77,24 +77,26 @@ def test_sortie_distance_examples():
 
 
 def test_distance_rows_head_matches_sortie_distance():
+    """Uncapped, the sortie walk yields every sequence; its legs are the metric
+    legs and its distance plus the last leg is the float sortie_distance returns."""
     # irregular coordinates, so a different summation order would show in the last bits
     rng = random.Random(3)
     pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(7)]
     inst = make_instance(pts)
+    weight = [nd.weight for nd in inst.nodes]
     for kind in ("drone", "robot"):
         rows = DistanceRows(METRICS[kind], [nd.point for nd in inst.nodes])
-        for seq in enumerate_sequences(range(1, 7), 3):
-            inner = rows.path_legs(seq)
-            for launch in (0, 1, 6):
-                if launch in seq:
-                    continue
-                legs, head = rows.head(launch, seq, inner)
+        for launch in (0, 1, 6):
+            pool = [c for c in range(1, 7) if c != launch]
+            walked = list(rows.sortie_heads(launch, pool, 3, weight, math.inf, math.inf))
+            assert sorted(seq for seq, _, _ in walked) == sorted(enumerate_sequences(pool, 3))
+            for seq, legs, head in walked:
                 for recovery in (0, 2, 5):
                     if recovery in seq:
                         continue
                     s = Sortie(kind, 0, launch, recovery, seq, 0, 0)
                     last = rows[seq[-1]][recovery]
-                    assert legs + [last] == [
+                    assert list(legs) + [last] == [
                         METRICS[kind](inst.node(i).point, inst.node(j).point) for i, j in s.legs()
                     ]
                     assert head + last == sortie_distance(s, inst)
@@ -176,7 +178,7 @@ def test_truck_distance_masking():
     assert inst.truck_distance(0, 2) == inst.fleet.big_M
     assert inst.truck_distance(2, 2) == 0
     # matrix agrees with the scalar function
-    mat = inst.matrix("truck")
+    mat = inst.truck_matrix()
     for i in range(3):
         for j in range(3):
             assert mat[i, j] == pytest.approx(inst.truck_distance(i, j))
@@ -184,7 +186,17 @@ def test_truck_distance_masking():
     fractional = make_instance(
         [(0, 0), (1, 0), (2, 0)], reachable=[True, False], fleet=FleetSpec(big_M=1e5 + 0.5)
     )
-    assert fractional.matrix("truck")[0, 2] == fractional.truck_distance(0, 2) == 1e5 + 0.5
+    assert fractional.truck_matrix()[0, 2] == fractional.truck_distance(0, 2) == 1e5 + 0.5
+
+
+def test_truck_matrix_is_the_scalar_truck_distance():
+    """Exact search and the finder read this table; each entry is the float
+    truck_distance returns, masks included."""
+    rng = random.Random(5)
+    pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(8)]
+    inst = make_instance(pts, reachable=[rng.random() < 0.7 for _ in range(7)])
+    table = inst.truck_matrix().tolist()
+    assert table == [[inst.truck_distance(a, b) for b in range(8)] for a in range(8)]
 
 
 def test_instance_json_roundtrip():

@@ -5,7 +5,6 @@ import pytest
 from vrpdr import bench, finder, validator
 from vrpdr.core import (
     ConfigurationError,
-    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -208,7 +207,7 @@ def test_insert_unserved_examples(fleet):
 
 def test_insertion_delta_value(fleet):
     inst = make_instance([(0, 0), (4, 0), (2, 2)], weights=[1, 1], fleet=fleet)
-    table = inst.matrix("truck").tolist()
+    table = inst.truck_matrix().tolist()
     deltas = finder._insertion_alternative([[0, 1, 0]], {2}, inst, fleet, table)
     # cheapest manhattan detour for (2,2) onto 0->1 or 1->0 is 4 km
     expected = fleet.alpha * fleet.C_t * 4 + (1 - fleet.alpha) * 4 / fleet.s_t
@@ -291,7 +290,7 @@ def test_single_insertion_matches_brute_force(fleet):
             routes[rng.randrange(trucks)].append(c)
         routes = [r + [0] for r in routes]
         open_ids = ids[:leftovers]
-        table = inst.matrix("truck").tolist()
+        table = inst.truck_matrix().tolist()
         ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
 
         assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
@@ -395,11 +394,10 @@ def test_determinism_byte_identical(fleet):
 
 
 def test_pruned_sequences_match_filtered_enumeration():
-    """The depth-first walk keeps exactly the sequences, and the distances,
-    that full enumeration followed by the payload and range filters keeps."""
-    import random
-
-    from vrpdr.core import DRONE, METRICS, ROBOT, enumerate_sequences
+    """The depth-first walk the finder prices its candidates from keeps exactly
+    the sequences, and the distances, that full enumeration followed by the
+    payload and range filters keeps."""
+    from vrpdr.core import DRONE, METRICS, ROBOT, DistanceRows, enumerate_sequences
 
     rng = random.Random(23)
     for trial in range(200):
@@ -429,8 +427,8 @@ def test_pruned_sequences_match_filtered_enumeration():
 
         rows = DistanceRows(metric, [nd.point for nd in inst.nodes])
         walked = list(
-            finder._pruned_sequences(
-                start, sorted(pool), m, rows, [nd.weight for nd in inst.nodes],
+            rows.sortie_heads(
+                start, sorted(pool), m, [nd.weight for nd in inst.nodes],
                 payload_cap + 1e-9, range_cap + 1e-9,
             )
         )

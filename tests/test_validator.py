@@ -193,6 +193,24 @@ def test_structural_errors_raise(fleet):
     boat = dataclasses.replace(plan, charging_events=(ChargingEvent("boat", 0, 0, 1, 0.1, 10.0),))
     with pytest.raises(PlanStructureError):
         validator.validate(boat, inst, fleet)
+    # impossible numbers: every comparison with NaN is false, so only the
+    # structural check can catch them
+    nan, inf = float("nan"), float("inf")
+    (sortie,) = plan.sorties
+    bad_numbers = [
+        dataclasses.replace(plan, sorties=(dataclasses.replace(sortie, launch_time=t),))
+        for t in (nan, -0.5, inf)
+    ]
+    for node in (1, 0):
+        for t in (nan, -1.0):
+            arrivals = {**plan.truck_arrivals[0], node: t}
+            bad_numbers.append(dataclasses.replace(plan, truck_arrivals=(arrivals,)))
+    for duration, amount in ((nan, 10.0), (-0.1, 10.0), (0.1, nan), (0.1, -50.0), (0.1, inf)):
+        event = ChargingEvent("drone", 0, 0, 1, duration, amount)
+        bad_numbers.append(dataclasses.replace(plan, charging_events=(event,)))
+    for bad in bad_numbers:
+        with pytest.raises(PlanStructureError):
+            validator.validate(bad, inst, fleet)
 
 
 def test_validate_is_pure_and_deterministic(fleet):
