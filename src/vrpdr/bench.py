@@ -329,48 +329,41 @@ def emit_plot_data(rows: Sequence[dict], out_dir: str, timings: Sequence[dict] =
     return written
 
 
+# scenario family -> the fields of each of its ScenarioSpec entries; the
+# entries of a family share sizes, repetitions and seeds
+SUITES = {
+    "modes": tuple({"name": f"modes_{m}", "mode": m} for m in MODES),
+    "visits": (
+        {"name": "visits_multi"},
+        {"name": "visits_single", "options": ModelOptions(single_visit=True)},
+    ),
+    "trips": (
+        {"name": "trips_multi"},
+        {"name": "trips_single", "options": ModelOptions(single_trip=True)},
+    ),
+    "charging": (
+        {"name": "charging_enroute"},
+        {"name": "charging_none", "options": ModelOptions(charging=False)},
+    ),
+    "docking": (
+        {"name": "docking_flexible"},
+        {"name": "docking_fixed", "options": ModelOptions(flexible_docking=False)},
+    ),
+    "sweep": ({"name": "sweep_drones", "sweeps": {"num_drones": list(range(9))}},),
+}
+
+
 def scenario_suite(
     name: str,
     sizes: Sequence[int],
     repetitions: int = 25,
     seed_base: int = 42,
 ) -> list:
-    """Predefined comparison families, all sharing seeds across variants."""
-    sizes = tuple(sizes)
-    base = dict(sizes=sizes, repetitions=repetitions, seed_base=seed_base)
-    if name == "modes":
-        return [ScenarioSpec(name=f"modes_{m}", mode=m, **base) for m in MODES]
-    if name == "visits":
-        return [
-            ScenarioSpec(name="visits_multi", **base),
-            ScenarioSpec(name="visits_single", options=ModelOptions(single_visit=True), **base),
-        ]
-    if name == "trips":
-        return [
-            ScenarioSpec(name="trips_multi", **base),
-            ScenarioSpec(name="trips_single", options=ModelOptions(single_trip=True), **base),
-        ]
-    if name == "charging":
-        return [
-            ScenarioSpec(name="charging_enroute", **base),
-            ScenarioSpec(name="charging_none", options=ModelOptions(charging=False), **base),
-        ]
-    if name == "docking":
-        return [
-            ScenarioSpec(name="docking_flexible", **base),
-            ScenarioSpec(
-                name="docking_fixed", options=ModelOptions(flexible_docking=False), **base
-            ),
-        ]
-    if name == "sweep":
-        return [
-            ScenarioSpec(
-                name="sweep_drones",
-                sweeps={"num_drones": list(range(0, 9))},
-                **base,
-            )
-        ]
-    raise ValueError(f"unknown scenario {name!r}")
+    """The :data:`SUITES` family ``name`` over shared sizes and seeds."""
+    if name not in SUITES:
+        raise ValueError(f"unknown scenario {name!r}")
+    shared = dict(sizes=tuple(sizes), repetitions=repetitions, seed_base=seed_base)
+    return [ScenarioSpec(**shared, **entry) for entry in SUITES[name]]
 
 
 def run_suite(

@@ -188,8 +188,7 @@ def _parse_sizes(spec: str) -> list:
 
 
 @main.command("bench")
-@click.option("--scenario", type=click.Choice(
-    ["modes", "visits", "trips", "charging", "docking", "sweep"]), required=True)
+@click.option("--scenario", type=click.Choice(list(bench_mod.SUITES)), required=True)
 @click.option("--sizes", default="20:100:20", show_default=True,
               help="start:stop:step or comma-separated")
 @click.option("--reps", type=int, default=25, show_default=True)

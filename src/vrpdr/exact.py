@@ -9,8 +9,9 @@ rules do, the battery walked by :func:`vrpdr.energy.charge_walk` as in the
 finder.  Candidates are scored by :func:`vrpdr.schedule.score`, and an
 incumbent's truck arrivals, waits included, come from
 :func:`vrpdr.schedule.arrival_times`: the objective and timeline the
-validator reads.  Every improving candidate is confirmed by the validator
-before it becomes the incumbent.
+validator reads.  :func:`vrpdr.schedule.timed_plan` assembles it, as it
+does the heuristic's plan, and the validator confirms every improving
+candidate before it becomes the incumbent.
 
 Sorties come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
 cap-pruned walk the heuristic and the model share, over rows built once
@@ -18,8 +19,7 @@ per search; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
 the table the heuristic reads.  Each (sequence, launch, recovery) energy
 is priced by :func:`vrpdr.energy.leg_energy` once per search and no probe
 ``Sortie`` is built, so only plan assembly and validation call
-:func:`vrpdr.energy.sortie_energy`.  A plan carries one ledger per fleet
-vehicle (:func:`vrpdr.energy.build_ledgers`), empty for an idle one.
+:func:`vrpdr.energy.sortie_energy`.
 
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
@@ -50,7 +50,7 @@ from .core import (
     Plan,
     Sortie,
 )
-from .schedule import arrival_times, objective_value, score
+from .schedule import arrival_times, score, timed_plan
 
 _EPS = 1e-12
 
@@ -212,20 +212,9 @@ def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
                         amount=amount,
                     )
                 )
-    arrivals = arrival_times([route], inst, fleet, sorties)[0]
-    plan = Plan(
-        truck_routes=(route,),
-        sorties=tuple(
-            replace(s, launch_time=arrivals[pos]) for s, pos in zip(sorties, launch_positions)
-        ),
-        truck_arrivals=({route[pos]: arrivals[pos] for pos in range(1, len(route))},),
-        charging_events=tuple(events),
-    )
-    return replace(
-        plan,
-        ledgers=energy_mod.build_ledgers(plan, inst, fleet),
-        objective_breakdown=objective_value(plan, inst, fleet),
-    )
+    arrivals = arrival_times([route], inst, fleet, sorties)
+    sorties = [replace(s, launch_time=arrivals[0][p]) for s, p in zip(sorties, launch_positions)]
+    return timed_plan([route], arrivals, sorties, events, inst, fleet)
 
 
 def _plan_key(route, assignment) -> tuple:

@@ -14,10 +14,10 @@ pool; energy comes from the leg distances the walk already holds.  Phase
 Manhattan detour, then re-times the accepted sorties against the rebuilt
 timeline.  One incremental cheapest-insertion kernel over the truck
 distance table serves phase 3 and the truck-detour prices of phase 2.
-The truck timeline is the sortie-free case of
-:func:`vrpdr.schedule.arrival_times` and the plan is scored by
-:func:`vrpdr.schedule.objective_value`; sorties that no longer fit are
-dropped rather than waited for.
+Every phase reads the truck timeline as the per-position rows of the
+sortie-free :func:`vrpdr.schedule.arrival_times`, next to the routes;
+sorties that no longer fit are dropped rather than waited for.  The plan
+is assembled and scored by :func:`vrpdr.schedule.timed_plan`.
 """
 
 from __future__ import annotations
@@ -44,23 +44,10 @@ from .core import (
     euclidean_distance,
     sortie_travel_time,
 )
-from .schedule import arrival_times, objective_value
+from .schedule import arrival_times, timed_plan
 
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """Per-truck (node, arrival hour) stops; the first entry is the depot at 0."""
-
-    stops: tuple
-
-    def arrival(self, truck: int, pos: int) -> float:
-        return self.stops[truck][pos][1]
-
-    def node(self, truck: int, pos: int) -> int:
-        return self.stops[truck][pos][0]
 
 
 @dataclass
@@ -108,20 +95,6 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
     return routes
 
 
-def build_timeline(routes, inst: Instance, fleet: FleetSpec) -> Timeline:
-    """Sortie-free arrivals: next = current + manhattan / truck speed.
-
-    A truck that never leaves the depot (route ``[0, 0]``) has one stop.
-    """
-    stops = []
-    for route, arrivals in zip(routes, arrival_times(routes, inst, fleet)):
-        if len(route) == 2 and route[0] == route[1] == 0:
-            stops.append(((0, 0.0),))
-        else:
-            stops.append(tuple(zip(route, arrivals)))
-    return Timeline(stops=tuple(stops))
-
-
 def initial_states(fleet: FleetSpec) -> list:
     """All vehicles fully charged, riding the truck they are numbered onto."""
     states = []
@@ -135,20 +108,19 @@ def initial_states(fleet: FleetSpec) -> list:
 
 
 def _advance_charging(
-    state: VehicleState, timeline: Timeline, fleet: FleetSpec, upto_pos: int, charging: bool
+    state: VehicleState, routes, arrivals, fleet: FleetSpec, upto_pos: int, charging: bool
 ) -> None:
     """Accrue clamped charge for carried legs between the watermark and upto_pos."""
     t = state.aboard_truck
     if t is None:
         return
-    kind, stops = state.vehicle_kind, timeline.stops[t]
-    end = min(upto_pos, len(stops) - 1)
+    kind, route, times = state.vehicle_kind, routes[t], arrivals[t]
+    end = min(upto_pos, len(route) - 1)
     legs = []  # (start node, duration) of each leg that can charge
     for pos in range(max(state.charged_upto, state.aboard_pos), end if charging else 0):
-        node, depart = stops[pos]
-        duration = stops[pos + 1][1] - depart
-        if node != 0 and duration > 0:
-            legs.append((node, duration))
+        duration = times[pos + 1] - times[pos]
+        if route[pos] != 0 and duration > 0:
+            legs.append((route[pos], duration))
     offers = [energy_mod.charge_amount(duration, kind, fleet) for _, duration in legs]
     charged, state.level = energy_mod.charge_walk(state.level, fleet.battery(kind), offers)
     for k, amount in charged:
@@ -156,48 +128,45 @@ def _advance_charging(
     state.charged_upto = max(state.charged_upto, end)
 
 
-def apply_enroute_charging(states, timeline: Timeline, fleet: FleetSpec) -> list:
+def apply_enroute_charging(states, routes, arrivals, fleet: FleetSpec) -> list:
     """Charge every carried vehicle across its remaining truck legs."""
     for state in states:
         if state.aboard_truck is not None:
-            _advance_charging(
-                state, timeline, fleet, len(timeline.stops[state.aboard_truck]) - 1, True
-            )
+            last = len(routes[state.aboard_truck]) - 1
+            _advance_charging(state, routes, arrivals, fleet, last, True)
     return states
 
 
-def _dock(state: VehicleState, timeline: Timeline, energy: float, truck: int, pos: int) -> None:
+def _dock(state: VehicleState, arrivals, energy: float, truck: int, pos: int) -> None:
     """Accept a sortie: draw its energy and count the trip, then retire the
-    vehicle at ``truck``'s final depot stop or re-board it at stop ``pos``."""
+    vehicle at ``truck``'s last stop, the depot return, or re-board it at
+    stop ``pos``."""
     state.level -= energy
     state.sortie_count += 1
-    if timeline.node(truck, pos) == 0 and pos == len(timeline.stops[truck]) - 1:
+    if pos == len(arrivals[truck]) - 1:
         state.retired = True
         state.aboard_truck = None
     else:
         state.aboard_truck = truck
         state.aboard_pos = pos
         state.charged_upto = pos
-    state.available_from = timeline.arrival(truck, pos)
+    state.available_from = arrivals[truck][pos]
 
 
-def _recovery_options(timeline: Timeline, truck: int, pos: int, launch_time: float, flexible: bool):
+def _recovery_options(arrivals, truck: int, pos: int, launch_time: float, flexible: bool):
     """Candidate (truck, position) recovery points after a launch point."""
-    stops = timeline.stops[truck]
-    options = []
-    for q in range(pos + 1, min(pos + 1 + RECOVERY_SCAN, len(stops))):
-        options.append((truck, q))
-    last = len(stops) - 1
+    last = len(arrivals[truck]) - 1
+    options = [(truck, q) for q in range(pos + 1, min(pos + 1 + RECOVERY_SCAN, last + 1))]
     if last > pos and (truck, last) not in options:
         options.append((truck, last))  # depot return is always in reach
     if flexible:
         others = []
-        for t2, stops2 in enumerate(timeline.stops):
+        for t2, times in enumerate(arrivals):
             if t2 == truck:
                 continue
-            for q in range(1, len(stops2)):
-                if stops2[q][1] > launch_time + TIME_TOL:
-                    others.append((stops2[q][1], t2, q))
+            for q in range(1, len(times)):
+                if times[q] > launch_time + TIME_TOL:
+                    others.append((times[q], t2, q))
         for _, t2, q in sorted(others)[:RECOVERY_SCAN]:
             options.append((t2, q))
     return options
@@ -259,31 +228,13 @@ def _cheapest_insertion(routes, customers, dist):
     return routes, total
 
 
-def _insertion_alternative(routes, unserved, inst: Instance, fleet: FleetSpec, truck_km) -> dict:
-    """Weighted cost of serving each open customer by truck detour instead.
-
-    Cheapest insertion delta against the phase-1 routes in ``truck_km``
-    (the truck distance table), priced at truck unit cost plus the
-    travel-time share of the objective.  Customers the truck cannot reach
-    price at the distance mask, so a sortie always wins for them.
-    """
-    out = {}
-    for c in unserved:
-        best = math.inf
-        if inst.node(c).truck_reachable:
-            for t, route in enumerate(routes):
-                best = min(best, _best_insertion(route, t, c, truck_km)[0])
-        else:
-            best = fleet.big_M
-        out[c] = _detour_price(best, fleet)
-    return out
-
-
 def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_km) -> float:
     """Detour cost of inserting a whole sequence into copies of the routes.
 
-    Clustered customers share one detour, so summing solo deltas overstates
-    the truck alternative; this replays cheapest insertion jointly.
+    ``truck_km`` is the truck distance table.  Clustered customers share one
+    detour, so summing solo deltas overstates the truck alternative; this
+    replays cheapest insertion jointly.  A sequence with a customer the
+    truck cannot reach prices at the distance mask, so a sortie always wins.
     """
     if any(not inst.node(c).truck_reachable for c in seq):
         return _detour_price(fleet.big_M, fleet)
@@ -292,7 +243,7 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_
 
 def assign_sorties(
     routes,
-    timeline: Timeline,
+    arrivals,
     unserved: Set[int],
     states,
     inst: Instance,
@@ -302,11 +253,14 @@ def assign_sorties(
 ):
     """Greedy synchronized sortie assignment along the truck timeline.
 
-    Launch points are visited in chronological order; at each one every
-    vehicle kind gets at most one sortie, chosen as the lowest
-    energy-per-customer candidate among the nearby unserved pool that
-    passes payload, range, battery and timing checks and beats the cost of
-    leaving its customers to the truck insertion phase.
+    ``arrivals`` holds the hour of each position of ``routes``, as
+    :func:`vrpdr.schedule.arrival_times` returns it.  Launch points are
+    visited in chronological order; at each one every vehicle kind gets at
+    most one sortie, chosen as the lowest energy-per-customer candidate
+    among the nearby unserved pool that passes payload, range, battery and
+    timing checks and beats the cost of leaving its customers to the truck
+    insertion phase, each customer priced by :func:`_joint_insertion_price`
+    alone.
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
@@ -331,21 +285,21 @@ def assign_sorties(
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
     truck_km = inst.truck_matrix().tolist()
-    alternative = _insertion_alternative(routes, unserved, inst, fleet, truck_km)
+    alternative = {
+        c: _joint_insertion_price((c,), routes, inst, fleet, truck_km) for c in unserved
+    }
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
     distance_rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
 
-    events = []
-    for t, stops in enumerate(timeline.stops):
-        for pos in range(0, len(stops) - 1):
-            events.append((stops[pos][1], t, pos))
-    events.sort()
+    events = sorted(
+        (times[pos], t, pos) for t, times in enumerate(arrivals) for pos in range(len(times) - 1)
+    )
 
     joint_cache = {}
 
     for launch_time, t, pos in events:
-        launch_node = timeline.node(t, pos)
+        launch_node = routes[t][pos]
         recovery = None  # (t2, q, node, deadline) per recovery point, built on demand
         for kind in kinds:
             if not unserved or (kind, launch_node) in used_launch:
@@ -376,9 +330,9 @@ def assign_sorties(
             pool = sorted(c for _, c in nearby[:NEARBY_POOL])
             if recovery is None:
                 recovery = [
-                    (t2, q, timeline.node(t2, q), timeline.arrival(t2, q) + TIME_TOL)
+                    (t2, q, routes[t2][q], arrivals[t2][q] + TIME_TOL)
                     for t2, q in _recovery_options(
-                        timeline, t, pos, launch_time, options.flexible_docking
+                        arrivals, t, pos, launch_time, options.flexible_docking
                     )
                 ]
             open_recovery = [
@@ -419,7 +373,7 @@ def assign_sorties(
             if not seq_options:
                 continue
             for vehicle in crew:
-                _advance_charging(vehicle, timeline, fleet, pos, options.charging)
+                _advance_charging(vehicle, routes, arrivals, fleet, pos, options.charging)
                 level = vehicle.level
                 cands = []
                 for seq, opts in seq_options:
@@ -455,7 +409,7 @@ def assign_sorties(
                 unserved -= set(seq)
                 used_launch.add((kind, launch_node))
                 used_recovery.add((kind, rec_node))
-                _dock(vehicle, timeline, e, t2, q)
+                _dock(vehicle, arrivals, e, t2, q)
                 break  # one sortie per launch point and kind
     return sorties, states, unserved
 
@@ -472,31 +426,25 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     return _cheapest_insertion(routes, unserved, inst.truck_matrix().tolist())[0]
 
 
-def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=True):
-    """Re-time accepted sorties on a rebuilt timeline; drop what no longer fits.
+def _replay_sorties(routes, arrivals, sorties, inst, fleet, options, finalize=True):
+    """Re-time accepted sorties on rebuilt routes; drop what no longer fits.
 
     Returns (kept sorties with fresh launch times, charging events, dropped
     customer ids, vehicle states).  With ``finalize`` the vehicles
     also charge across their remaining carried legs; a rescue assignment
     pass passes ``finalize=False`` so it can keep extending the schedule.
     """
-    pos_index = []
-    for stops in timeline.stops:
-        pos_index.append({node: p for p, (node, _) in enumerate(stops)})
+    pos_index = [{node: p for p, node in enumerate(route)} for route in routes]
     states = {
         (s.vehicle_kind, s.vehicle_id): s for s in initial_states(fleet)
     }
-    order = sorted(
-        range(len(sorties)),
-        key=lambda i: (
-            timeline.stops[sorties[i].launch_truck][
-                pos_index[sorties[i].launch_truck].get(sorties[i].launch_node, 0)
-            ][1]
-            if sorties[i].launch_node != 0
-            else 0.0,
-            i,
-        ),
-    )
+
+    def launch_hour(s):
+        if s.launch_node == 0:
+            return 0.0
+        return arrivals[s.launch_truck][pos_index[s.launch_truck].get(s.launch_node, 0)]
+
+    order = sorted(range(len(sorties)), key=lambda i: (launch_hour(sorties[i]), i))
     kept: List[Sortie] = []
     dropped: List[int] = []
     for i in order:
@@ -506,8 +454,8 @@ def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=Tr
         rp = pos_index[s.recovery_truck].get(s.recovery_node)
         ok = lp is not None and rp is not None and not state.retired
         if ok:
-            launch_time = 0.0 if s.launch_node == 0 else timeline.arrival(s.launch_truck, lp)
-            deadline = timeline.arrival(s.recovery_truck, rp)
+            launch_time = 0.0 if s.launch_node == 0 else arrivals[s.launch_truck][lp]
+            deadline = arrivals[s.recovery_truck][rp]
             ok = (
                 state.aboard_truck == s.launch_truck
                 and state.aboard_pos <= lp
@@ -519,17 +467,17 @@ def _replay_sorties(routes, timeline, sorties, inst, fleet, options, finalize=Tr
                 s.launch_node != s.recovery_node or s.launch_node == 0
             )
         if ok:
-            _advance_charging(state, timeline, fleet, lp, options.charging)
+            _advance_charging(state, routes, arrivals, fleet, lp, options.charging)
             e = energy_mod.sortie_energy(s, inst, fleet)
             ok = e <= state.level + FIT_TOL
         if not ok:
             dropped.extend(s.sequence)
             continue
-        _dock(state, timeline, e, s.recovery_truck, rp)
+        _dock(state, arrivals, e, s.recovery_truck, rp)
         kept.append(replace(s, launch_time=launch_time))
     state_list = sorted(states.values(), key=lambda s: (s.vehicle_kind, s.vehicle_id))
     if finalize and options.charging:
-        apply_enroute_charging(state_list, timeline, fleet)
+        apply_enroute_charging(state_list, routes, arrivals, fleet)
     events = tuple(e for state in state_list for e in state.events)
     return kept, events, dropped, state_list
 
@@ -555,21 +503,21 @@ def solve_finder(
             offending_ids=[c.id for c in inst.customers if not c.truck_reachable],
         )
     routes = construct_truck_routes(inst, fleet)
-    timeline = build_timeline(routes, inst, fleet)
+    arrivals = arrival_times(routes, inst, fleet)
     states = initial_states(fleet)
     routed = {n for r in routes for n in r if n != 0}
     unserved = {c.id for c in inst.customers} - routed
 
     sorties, states, unserved = assign_sorties(
-        routes, timeline, unserved, states, inst, fleet, options
+        routes, arrivals, unserved, states, inst, fleet, options
     )
 
     blocked = {c for c in unserved if not inst.node(c).truck_reachable}
     routes = insert_unserved(routes, unserved - blocked, inst)
     for _round in range(2 * inst.num_customers + 2):
-        timeline = build_timeline(routes, inst, fleet)
+        arrivals = arrival_times(routes, inst, fleet)
         kept, events, dropped, replay_states = _replay_sorties(
-            routes, timeline, sorties, inst, fleet, options, finalize=not blocked
+            routes, arrivals, sorties, inst, fleet, options, finalize=not blocked
         )
         blocked |= {c for c in dropped if not inst.node(c).truck_reachable}
         droppable = [c for c in dropped if inst.node(c).truck_reachable]
@@ -581,10 +529,10 @@ def solve_finder(
             sorties = kept
             break
         # rescue pass: the fully built routes expose launch and recovery
-        # anchors the half-built phase-1 timeline did not have
+        # anchors the half-built phase-1 routes did not have
         rescued, _, still = assign_sorties(
             routes,
-            timeline,
+            arrivals,
             blocked,
             replay_states,
             inst,
@@ -602,17 +550,4 @@ def solve_finder(
     else:  # pragma: no cover - every round shrinks the open work
         raise ConfigurationError("sortie re-timing did not stabilize")
 
-    arrivals = []
-    for stops in timeline.stops:
-        arrivals.append({node: at for node, at in stops[1:]} if len(stops) > 1 else {0: 0.0})
-    plan = Plan(
-        truck_routes=tuple(tuple(r) for r in routes),
-        sorties=tuple(sorties),
-        truck_arrivals=tuple(arrivals),
-        charging_events=events,
-    )
-    return replace(
-        plan,
-        ledgers=energy_mod.build_ledgers(plan, inst, fleet),
-        objective_breakdown=objective_value(plan, inst, fleet),
-    )
+    return timed_plan(routes, arrivals, sorties, events, inst, fleet)

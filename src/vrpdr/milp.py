@@ -7,7 +7,10 @@ battery caps it meets.  No column exists only for a cap row to fix it at
 zero; the cap rows stay on the kept columns to document the caps.  A
 candidate fixes its legs and its payload, so its distance and energy are
 constants per vehicle kind, and every battery row is linear in the
-selection binaries as ``energy * z``.
+selection binaries as ``energy * z``.  The loop that makes the selection
+columns also groups them by vehicle, by vehicle and truck pair, by launch
+and recovery node and by customer; every row reads its columns from those
+groups, in column order, instead of scanning the candidates.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
@@ -221,8 +224,9 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     M = fleet.big_M
 
     candidates = enumerate_sortie_candidates(inst, fleet, options)
-    truck_pairs = len(T) ** 2 if options.flexible_docking else len(T)
-    n_sortie_vars = truck_pairs * sum(fleet.count(kind) for c in candidates for kind in c.dist)
+    # (launch truck, recovery truck) pairs a sortie may dock between
+    pairs = [(ti, tk) for ti in T for tk in T if options.flexible_docking or ti == tk]
+    n_sortie_vars = len(pairs) * sum(fleet.count(kind) for c in candidates for kind in c.dist)
     if n_sortie_vars > options.max_sorties:
         raise ModelSizeError(
             f"{n_sortie_vars} sortie variables exceed the budget of {options.max_sorties}; "
@@ -244,22 +248,30 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     gamma = model.add_var("Gamma", CONTINUOUS)
     A = {(t, i): model.add_var(f"A_t{t}_{i}", CONTINUOUS) for t in T for i in V}
 
-    # selection and launch-time variables
+    # selection and launch-time variables; the rows below read their columns
+    # from the groups filled here, each in column order
     sel = {}     # (kind, veh, ti, tk, sid) -> var
     launch = {}  # same key -> launch-time var
+    by_vehicle = {}   # (kind, veh) -> [(candidate, var)]
+    by_pair = {}      # (kind, veh, ti, tk) -> [(candidate, var)]
+    by_launch = {}    # (kind, ti, tk, launch node) -> [var]
+    by_recovery = {}  # (kind, ti, tk, recovery node) -> [var]
+    covering = {j: [] for j in C}  # customer -> [var]
     for kind, veh in fleet_kinds:
         letter = "y" if kind == DRONE else "z"
-        for ti in T:
-            for tk in T:
-                if not options.flexible_docking and ti != tk:
-                    continue
-                for cand in candidates:
-                    if kind not in cand.dist:
-                        continue
-                    key = (kind, veh, ti, tk, cand.sid)
-                    tag = f"{letter}_{kind[0]}{veh}_t{ti}_t{tk}_s{cand.sid}"
-                    sel[key] = model.add_var(tag, BINARY)
-                    launch[key] = model.add_var(f"G_{tag}", CONTINUOUS)
+        fitting = [c for c in candidates if kind in c.dist]
+        for ti, tk in pairs:
+            for cand in fitting:
+                key = (kind, veh, ti, tk, cand.sid)
+                tag = f"{letter}_{kind[0]}{veh}_t{ti}_t{tk}_s{cand.sid}"
+                var = sel[key] = model.add_var(tag, BINARY)
+                launch[key] = model.add_var(f"G_{tag}", CONTINUOUS)
+                by_vehicle.setdefault((kind, veh), []).append((cand, var))
+                by_pair.setdefault((kind, veh, ti, tk), []).append((cand, var))
+                by_launch.setdefault((kind, ti, tk, cand.i), []).append(var)
+                by_recovery.setdefault((kind, ti, tk, cand.k), []).append(var)
+                for j in cand.sequence:
+                    covering[j].append(var)
     model.info["sel"] = sel
     model.info["x"] = x
     model.info["u"] = u
@@ -288,28 +300,14 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             (-inst.truck_distance(i, j) / fleet.s_t, x[t, i, j]) for i in V for j in V if i != j
         ]
         model.add_constraint(f"{MAKESPAN}_truck{t}", MAKESPAN, terms, ">=", 0.0)
-    for kind, veh in fleet_kinds:
-        for ti in T:
-            for tk in T:
-                keyset = [
-                    (kind, veh, ti, tk, c.sid) for c in candidates if (kind, veh, ti, tk, c.sid) in sel
-                ]
-                if not keyset:
-                    continue
-                terms = [(1.0, gamma)] + [
-                    (-candidates[key[4]].dist[kind] / fleet.speed(kind), sel[key])
-                    for key in keyset
-                ]
-                model.add_constraint(
-                    f"{MAKESPAN}_{kind[0]}{veh}_t{ti}_t{tk}", MAKESPAN, terms, ">=", 0.0
-                )
+    for (kind, veh, ti, tk), group in by_pair.items():
+        terms = [(1.0, gamma)] + [(-c.dist[kind] / fleet.speed(kind), var) for c, var in group]
+        model.add_constraint(f"{MAKESPAN}_{kind[0]}{veh}_t{ti}_t{tk}", MAKESPAN, terms, ">=", 0.0)
 
     # --- visit exactly once -------------------------------------------------
     for j in C:
         terms = [(1.0, x[t, i, j]) for t in T for i in V if i != j]
-        for key, var in sel.items():
-            if j in candidates[key[4]].sequence:
-                terms.append((1.0, var))
+        terms += [(1.0, var) for var in covering[j]]
         model.add_constraint(f"{VISIT_ONCE}_{j}", VISIT_ONCE, terms, "=", 1.0)
 
     # --- depot start / end --------------------------------------------------
@@ -343,45 +341,21 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
 
     # --- launch / recovery truck presence (and per-node sortie cardinality) ---
     for kind in (DRONE, ROBOT):
-        vehs = range(fleet.count(kind))
-        if not vehs:
-            continue
-        for ti in T:
-            for tk in T:
-                if not options.flexible_docking and ti != tk:
-                    continue
-                for i in V:
-                    terms = [
-                        (1.0, sel[kind, veh, ti, tk, c.sid])
-                        for veh in vehs
-                        for c in candidates
-                        if c.i == i and kind in c.dist
-                    ]
-                    if terms:
-                        terms += [(-1.0, x[ti, j, i]) for j in V if j != i]
-                        model.add_constraint(
-                            f"{DOCKING}_launch_{kind[0]}_t{ti}_t{tk}_{i}",
-                            DOCKING,
-                            terms,
-                            "<=",
-                            0.0,
-                        )
-                for k in V:
-                    terms = [
-                        (1.0, sel[kind, veh, ti, tk, c.sid])
-                        for veh in vehs
-                        for c in candidates
-                        if c.k == k and kind in c.dist
-                    ]
-                    if terms:
-                        terms += [(-1.0, x[tk, k, j]) for j in V if j != k]
-                        model.add_constraint(
-                            f"{DOCKING}_recover_{kind[0]}_t{ti}_t{tk}_{k}",
-                            DOCKING,
-                            terms,
-                            "<=",
-                            0.0,
-                        )
+        for ti, tk in pairs:
+            for i in V:
+                terms = [(1.0, var) for var in by_launch.get((kind, ti, tk, i), ())]
+                if terms:
+                    terms += [(-1.0, x[ti, j, i]) for j in V if j != i]
+                    model.add_constraint(
+                        f"{DOCKING}_launch_{kind[0]}_t{ti}_t{tk}_{i}", DOCKING, terms, "<=", 0.0
+                    )
+            for k in V:
+                terms = [(1.0, var) for var in by_recovery.get((kind, ti, tk, k), ())]
+                if terms:
+                    terms += [(-1.0, x[tk, k, j]) for j in V if j != k]
+                    model.add_constraint(
+                        f"{DOCKING}_recover_{kind[0]}_t{ti}_t{tk}_{k}", DOCKING, terms, "<=", 0.0
+                    )
 
     # --- acyclic precedence (customer-to-customer sorties only) --------------
     for key, var in sel.items():
@@ -433,13 +407,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     if options.charging and fleet_kinds:
         for kind, veh in fleet_kinds:
             # depot-launched sorties must fit in the initial full battery
-            terms = []
-            for ti in T:
-                for tk in T:
-                    for cand in candidates:
-                        key = (kind, veh, ti, tk, cand.sid)
-                        if key in sel and cand.i == 0:
-                            terms.append((cand.energy[kind], sel[key]))
+            columns = by_vehicle.get((kind, veh), ())
+            terms = [(c.energy[kind], var) for c, var in columns if c.i == 0]
             if terms:
                 model.add_constraint(
                     f"{DEPOT_BATTERY}_{kind[0]}{veh}",
@@ -471,11 +440,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         0.0,
                     )
             # total consumption within battery plus charged energy
-            terms = [
-                (candidates[key[4]].energy[kind], var)
-                for key, var in sel.items()
-                if key[0] == kind and key[1] == veh
-            ]
+            terms = [(c.energy[kind], var) for c, var in columns]
             charge_terms = [
                 (-1.0, charge[kind, veh, v, t]) for t in T for v in V if v != 0
             ]
@@ -558,14 +523,9 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
 
     # --- optional single-trip cap ----------------------------------------------------
     if options.single_trip:
-        for kind, veh in fleet_kinds:
-            terms = [
-                (1.0, var) for key, var in sel.items() if key[0] == kind and key[1] == veh
-            ]
-            if terms:
-                model.add_constraint(
-                    f"{SINGLE_TRIP}_{kind[0]}{veh}", SINGLE_TRIP, terms, "<=", 1.0
-                )
+        for (kind, veh), columns in by_vehicle.items():
+            terms = [(1.0, var) for _, var in columns]
+            model.add_constraint(f"{SINGLE_TRIP}_{kind[0]}{veh}", SINGLE_TRIP, terms, "<=", 1.0)
 
     # --- objective --------------------------------------------------------------------
     alpha = fleet.alpha

@@ -1,17 +1,21 @@
-"""The plan objective and the truck timeline that every solver shares.
+"""The plan objective, the truck timeline and the plan assembler that every
+solver shares.
 
 :func:`score` is the one objective: weighted operating cost plus makespan,
 the maximum summed travel time over trucks, drones and robots.
 :func:`arrival_times` is the one truck timeline, in which trucks wait for
 the sorties they recover.  The finder, exact search, model substitution
-and validator all read these two.
+and validator all read these two.  :func:`timed_plan` is the one plan
+assembler: the finder and exact search both end with it.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Tuple
 
 from .core import FleetSpec, Instance, ObjectiveBreakdown, Plan, sortie_distance, sortie_travel_time
+from .energy import build_ledgers
 
 
 def score(route_rows, sortie_rows, fleet: FleetSpec) -> ObjectiveBreakdown:
@@ -95,3 +99,21 @@ def arrival_times(routes, inst: Instance, fleet: FleetSpec, sorties=()) -> list:
         if not (changed and sorties):
             break
     return arrivals
+
+
+def timed_plan(routes, arrivals, sorties, events, inst: Instance, fleet: FleetSpec) -> Plan:
+    """The finished plan: ``routes`` with their ``arrivals`` rows as one
+    ``{node: hour}`` map per truck (the depot departure left out, so the
+    depot maps to the return), the timed ``sorties`` and charging
+    ``events``, one battery ledger per fleet vehicle and the objective."""
+    plan = Plan(
+        truck_routes=routes,
+        sorties=sorties,
+        truck_arrivals=[dict(zip(route[1:], times[1:])) for route, times in zip(routes, arrivals)],
+        charging_events=events,
+    )
+    return replace(
+        plan,
+        ledgers=build_ledgers(plan, inst, fleet),
+        objective_breakdown=objective_value(plan, inst, fleet),
+    )

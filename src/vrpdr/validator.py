@@ -113,6 +113,20 @@ def _structural_check(plan: Plan, inst: Instance, fleet: FleetSpec) -> None:
             raise PlanStructureError(f"charging event references unknown {e.vehicle_kind}")
         _quantity(e.duration, f"charging duration at node {e.node}")
         _quantity(e.amount, f"charging amount at node {e.node}")
+    # stored values are recomputed below, so a reader of the file would see
+    # them unchecked; a sortie draw is negative, so a delta need only be finite
+    if plan.objective_breakdown is not None:
+        for name, value in asdict(plan.objective_breakdown).items():
+            _quantity(value, f"objective {name}")
+    for ledger in plan.ledgers:
+        who = f"{ledger.vehicle_kind} {ledger.vehicle_id}"
+        _quantity(ledger.capacity, f"ledger capacity of {who}")
+        for entry in ledger.entries:
+            _quantity(entry.time, f"ledger entry time of {who}")
+            if not math.isfinite(entry.delta):
+                raise PlanStructureError(
+                    f"ledger entry delta of {who} is {entry.delta}; need a finite number"
+                )
 
 
 def validate(

@@ -134,18 +134,31 @@ def test_cli_validate_impossible_number_exit_code(tmp_path):
     runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(plan)])
     text = plan.read_text()
     assert json.loads(text)["sorties"] and json.loads(text)["charging_events"]
+    r = runner.invoke(main, ["validate", "--instance", str(inst), "--plan", str(plan)])
+    assert r.exit_code == 0, r.output
+    # the stored objective and ledgers are checked too; a draw is negative
+    drawn = next(k for k, l in enumerate(json.loads(text)["ledgers"]) if l["entries"])
+    nan = float("nan")
     edits = (
-        ("sorties", "launch_time", float("nan")),
-        ("truck_arrivals", "0", float("nan")),
-        ("charging_events", "amount", float("nan")),
-        ("charging_events", "amount", -50.0),
+        (("sorties", 0, "launch_time"), nan),
+        (("truck_arrivals", 0, "0"), nan),
+        (("charging_events", 0, "amount"), nan),
+        (("charging_events", 0, "amount"), -50.0),
+        (("objective_breakdown", "weighted_objective"), nan),
+        (("objective_breakdown", "makespan"), -3.0),
+        (("ledgers", 0, "capacity"), float("inf")),
+        (("ledgers", drawn, "entries", 0, "time"), -1.0),
+        (("ledgers", drawn, "entries", 0, "delta"), nan),
     )
-    for field, key, value in edits:
+    for path, value in edits:
         doc = json.loads(text)
-        doc[field][0][key] = value
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
         plan.write_text(json.dumps(doc))
         r = runner.invoke(main, ["validate", "--instance", str(inst), "--plan", str(plan)])
-        assert r.exit_code == 4, (field, key, value, r.output)
+        assert r.exit_code == 4, (path, value, r.output)
         assert r.output.startswith("bad input:")
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vrpdr import bench, finder, validator
+from vrpdr import bench, finder, schedule, validator
 from vrpdr.core import (
     ConfigurationError,
     FleetSpec,
@@ -71,18 +71,16 @@ def test_zero_trucks_with_customers():
 def test_build_timeline_example(fleet):
     # route [0, a, 0] with 9 km Manhattan legs at 45 km/h
     inst = make_instance([(0, 0), (4, 5)], weights=[1.0], fleet=fleet)
-    timeline = finder.build_timeline([[0, 1, 0]], inst, fleet)
-    assert timeline.stops[0] == ((0, 0.0), (1, pytest.approx(0.2)), (0, pytest.approx(0.4)))
-    degenerate = finder.build_timeline([[0, 0]], inst, fleet)
-    assert degenerate.stops[0] == ((0, 0.0),)
+    arrivals = schedule.arrival_times([[0, 1, 0]], inst, fleet)
+    assert arrivals == [[0.0, pytest.approx(0.2), pytest.approx(0.4)]]
 
 
 def test_timeline_satisfies_arrival_recurrence(fleet):
     inst = bench.generate_instance(8, seed=5, fleet=fleet)
     routes = finder.construct_truck_routes(inst, fleet)
-    timeline = finder.build_timeline(routes, inst, fleet)
-    for t, stops in enumerate(timeline.stops):
-        for (a, ta), (b, tb) in zip(stops[:-1], stops[1:]):
+    arrivals = schedule.arrival_times(routes, inst, fleet)
+    for route, times in zip(routes, arrivals):
+        for a, b, ta, tb in zip(route[:-1], route[1:], times[:-1], times[1:]):
             assert tb == pytest.approx(ta + inst.truck_distance(a, b) / fleet.s_t)
 
 
@@ -94,9 +92,9 @@ def test_assign_sorties_range_infeasible(fleet):
         fleet=fleet,
     )
     routes = [[0, 1, 2, 3, 0]]
-    timeline = finder.build_timeline(routes, inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
     sorties, _, unserved = finder.assign_sorties(
-        routes, timeline, {4}, finder.initial_states(fleet), inst, fleet
+        routes, arrivals, {4}, finder.initial_states(fleet), inst, fleet
     )
     assert sorties == []
     assert unserved == {4}
@@ -112,10 +110,10 @@ def test_assign_sorties_rejects_timing_misfit(fleet):
         fleet=slow,
     )
     routes = [[0, 1, 2, 0]]
-    timeline = finder.build_timeline(routes, inst, slow)
+    arrivals = schedule.arrival_times(routes, inst, slow)
     no_flex = ModelOptions(flexible_docking=False)
     sorties, _, unserved = finder.assign_sorties(
-        routes, timeline, {3}, finder.initial_states(slow), inst, slow, no_flex
+        routes, arrivals, {3}, finder.initial_states(slow), inst, slow, no_flex
     )
     assert 3 in unserved
     assert all(3 not in s.sequence for s in sorties)
@@ -132,10 +130,10 @@ def test_flexible_docking_cross_truck_recovery():
     reachable = [True] * 7 + [False]
     inst = make_instance(pts, weights=weights, reachable=reachable, fleet=fleet)
     routes = [[0, 1, 2, 3, 4, 0], [0, 5, 6, 7, 0]]
-    timeline = finder.build_timeline(routes, inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
     states = finder.initial_states(fleet)
     sorties, _, unserved = finder.assign_sorties(
-        routes, timeline, {8}, states, inst, fleet, ModelOptions()
+        routes, arrivals, {8}, states, inst, fleet, ModelOptions()
     )
     assert not unserved
     assert len(sorties) == 1
@@ -146,7 +144,7 @@ def test_flexible_docking_cross_truck_recovery():
     # with docking fixed to the launch truck the customer stays unserved
     sorties_fixed, _, unserved_fixed = finder.assign_sorties(
         routes,
-        timeline,
+        arrivals,
         {8},
         finder.initial_states(fleet),
         inst,
@@ -168,13 +166,13 @@ def test_flexible_docking_on_seeded_two_truck_instance():
 def test_apply_enroute_charging_examples(fleet):
     inst = make_instance([(0, 0), (11.25, 11.25), (22.5, 11.25)], weights=[1, 1], fleet=fleet)
     routes = [[0, 1, 2, 0]]
-    timeline = finder.build_timeline(routes, inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
     # leg 1 -> 2 is 11.25 km manhattan = 0.25 h; drain the drone first
     states = finder.initial_states(fleet)
     drone = states[0]
     drone.level -= 4000.0
     drone.aboard_pos = 1
-    finder.apply_enroute_charging([drone], timeline, fleet)
+    finder.apply_enroute_charging([drone], routes, arrivals, fleet)
     # 0.25 h at 5000/h = 1250 from leg 1->2 plus the return leg 2->0
     assert drone.level > 10000.0
     legs = [(e.node, round(e.duration, 4)) for e in drone.events]
@@ -183,7 +181,7 @@ def test_apply_enroute_charging_examples(fleet):
 
     # a vehicle that never launched stays at capacity with no events
     fresh = finder.initial_states(fleet)
-    finder.apply_enroute_charging(fresh, timeline, fleet)
+    finder.apply_enroute_charging(fresh, routes, arrivals, fleet)
     assert all(s.level == fleet.battery(s.vehicle_kind) for s in fresh)
     assert all(not s.events for s in fresh)
 
@@ -208,10 +206,10 @@ def test_insert_unserved_examples(fleet):
 def test_insertion_delta_value(fleet):
     inst = make_instance([(0, 0), (4, 0), (2, 2)], weights=[1, 1], fleet=fleet)
     table = inst.truck_matrix().tolist()
-    deltas = finder._insertion_alternative([[0, 1, 0]], {2}, inst, fleet, table)
+    price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, fleet, table)
     # cheapest manhattan detour for (2,2) onto 0->1 or 1->0 is 4 km
     expected = fleet.alpha * fleet.C_t * 4 + (1 - fleet.alpha) * 4 / fleet.s_t
-    assert deltas[2] == pytest.approx(expected)
+    assert price == pytest.approx(expected)
 
 
 def _full_rescan_insertion(routes, customers, inst):
@@ -298,10 +296,11 @@ def test_single_insertion_matches_brute_force(fleet):
         assert finder._joint_insertion_price(seq, routes, inst, fleet, table) == (
             finder._detour_price(ref_total, fleet)
         )
-        alternative = finder._insertion_alternative(routes, open_ids, inst, fleet, table)
         for c in open_ids:
             solo = _full_rescan_insertion(routes, [c], inst)[1]
-            assert alternative[c] == finder._detour_price(solo, fleet)
+            assert finder._joint_insertion_price((c,), routes, inst, fleet, table) == (
+                finder._detour_price(solo, fleet)
+            )
 
 
 def test_truck_only_equals_construct_plus_insert(fleet):
@@ -444,7 +443,7 @@ def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
     truck_only = FleetSpec(num_drones=0, num_robots=0)
     inst = make_instance([(0, 0), (1, 0), (2, 1)], fleet=truck_only)
     states = finder.initial_states(truck_only)
-    # None stands in for the routes and the timeline: neither may be read
+    # None stands in for the routes and their arrivals: neither may be read
     assert finder.assign_sorties(None, None, {2}, states, inst, truck_only) == ([], states, {2})
     full = FleetSpec()
     full_states = finder.initial_states(full)

@@ -354,9 +354,12 @@ def test_two_truck_finder_plan_substitutes():
 
 
 # sha256 of export_lp text for realistic models; any change to a name, number
-# or line order shows here.  Each case also carries its HiGHS optimum,
-# recorded on the model that still held a column for every candidate of
-# every kind, so dropping the columns no vehicle can fly must not move it.
+# or line order shows here.  Each case also carries its HiGHS optimum.  The
+# first four were recorded on the model that still held a column for every
+# candidate of every kind, so dropping the columns no vehicle can fly must
+# not move them.  The last three cover the single-trip row, fixed docking
+# and two vehicles of a kind, recorded before the rows read their columns
+# from per-vehicle, per-pair and per-node groups.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
@@ -381,6 +384,25 @@ GOLDEN_LP_CASES = [
         "a498eeaca401bcd5323db17b8ed14a5cdd4f14e3e9d7a9fdf1363105c0a4ad04",
         75.13698996712651,
         id="n3_two_trucks_flexible",
+    ),
+    pytest.param(
+        5, 5, FleetSpec(), ModelOptions(single_trip=True),
+        "b0c40a48a351d8428bf617fe924471b54d76d648c827870c0019642077a21fb3",
+        86.01783362954109,
+        id="n5_single_trip",
+    ),
+    pytest.param(
+        4, 6, FleetSpec(num_trucks=2, num_drones=2, num_robots=2),
+        ModelOptions(flexible_docking=False),
+        "9bc23a9b9d4261bf76d596a38b7a83ab3f1fe66b7c4abe17265156e25c5043e5",
+        75.42247560106148,
+        id="n4_two_of_each_fixed_docking",
+    ),
+    pytest.param(
+        3, 7, FleetSpec(num_trucks=2, num_drones=2, num_robots=2), ModelOptions(),
+        "5f05143b3d4e7003a6750dc72dcc00e0325ba74277d9ee1d145427a5bdc33905",
+        96.32513744204857,
+        id="n3_two_of_each_all_on",
     ),
 ]
 

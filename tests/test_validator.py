@@ -4,7 +4,8 @@ import pytest
 
 from vrpdr import bench, exact, finder, milp, validator
 from vrpdr.core import FleetSpec, Plan, PlanStructureError, Sortie
-from vrpdr.energy import ChargingEvent
+from vrpdr.energy import ChargingEvent, build_ledgers
+from vrpdr.schedule import objective_value
 from conftest import make_instance
 
 
@@ -208,6 +209,28 @@ def test_structural_errors_raise(fleet):
     for duration, amount in ((nan, 10.0), (-0.1, 10.0), (0.1, nan), (0.1, -50.0), (0.1, inf)):
         event = ChargingEvent("drone", 0, 0, 1, duration, amount)
         bad_numbers.append(dataclasses.replace(plan, charging_events=(event,)))
+    # stored objective and ledgers: a sortie draw is negative, so a delta
+    # is only checked for finiteness
+    scored = dataclasses.replace(
+        plan,
+        ledgers=build_ledgers(plan, inst, fleet),
+        objective_breakdown=objective_value(plan, inst, fleet),
+    )
+    assert validator.validate(scored, inst, fleet).feasible
+    breakdown = scored.objective_breakdown
+    for name in ("variable_cost", "fixed_cost", "makespan", "weighted_objective"):
+        for value in (nan, inf, -3.0):
+            bad = dataclasses.replace(breakdown, **{name: value})
+            bad_numbers.append(dataclasses.replace(scored, objective_breakdown=bad))
+    ledger = next(l for l in scored.ledgers if l.entries)
+    others = tuple(l for l in scored.ledgers if l is not ledger)
+    entry = ledger.entries[0]
+    bad_ledgers = [dataclasses.replace(ledger, capacity=c) for c in (nan, inf, -1.0)]
+    bad_entries = [dataclasses.replace(entry, time=t) for t in (nan, inf, -0.5)]
+    bad_entries += [dataclasses.replace(entry, delta=d) for d in (nan, inf, -inf)]
+    bad_ledgers += [dataclasses.replace(ledger, entries=(e,)) for e in bad_entries]
+    for bad in bad_ledgers:
+        bad_numbers.append(dataclasses.replace(scored, ledgers=(bad,) + others))
     for bad in bad_numbers:
         with pytest.raises(PlanStructureError):
             validator.validate(bad, inst, fleet)
