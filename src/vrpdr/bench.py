@@ -25,6 +25,7 @@ from .core import (
     FleetSpec,
     InfeasibleError,
     Instance,
+    InstanceError,
     ModelOptions,
     Node,
     Plan,
@@ -40,9 +41,15 @@ WEIGHT_RANGE = (0.5, 10.0)
 def generate_instance(
     size: int, seed: int, fleet: FleetSpec, unreachable_frac: float = 0.0
 ) -> Instance:
-    """Depot plus ``size`` customers uniform over the 15x15 km square."""
+    """Depot plus ``size`` customers uniform over the 15x15 km square.
+
+    A negative ``size`` or an ``unreachable_frac`` outside [0, 1] raises
+    :class:`InstanceError`.
+    """
     if size < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
+        raise InstanceError(f"size must be nonnegative, got {size}")
+    if not 0.0 <= unreachable_frac <= 1.0:
+        raise InstanceError(f"unreachable fraction must lie in [0, 1], got {unreachable_frac}")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(0.0, AREA, size=(size + 1, 2))
     weights = rng.uniform(*WEIGHT_RANGE, size=size)

@@ -1,7 +1,8 @@
 """Command line interface: generate, export-lp, exact, validate, solve, bench.
 
 Exit codes: 1 an infeasible plan (validate), 2 no feasible plan found, 3
-search budget exhausted, 4 a malformed instance, fleet or plan.
+search budget exhausted, 4 a malformed instance, fleet, plan or option
+value, reported in one ``bad input:`` line.
 """
 
 from __future__ import annotations
@@ -79,8 +80,11 @@ def main():
 @click.option("--robots", type=int, default=1, show_default=True)
 def generate(size, seed, out, unreachable_frac, trucks, drones, robots):
     """Write a random benchmark instance as JSON."""
-    fleet = FleetSpec(num_trucks=trucks, num_drones=drones, num_robots=robots)
-    inst = bench_mod.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    try:
+        fleet = FleetSpec(num_trucks=trucks, num_drones=drones, num_robots=robots)
+        inst = bench_mod.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    except (InstanceError, ConfigurationError) as exc:
+        _bad_input(exc)
     from .core import instance_to_json
 
     with open(out, "w") as fh:
@@ -95,7 +99,10 @@ def generate(size, seed, out, unreachable_frac, trucks, drones, robots):
 def export_lp(instance_path, out, options):
     """Build the full model and write LP text for an external solver."""
     inst = _load_instance(instance_path)
-    model = milp_mod.build_model(inst, inst.fleet, options)
+    try:
+        model = milp_mod.build_model(inst, inst.fleet, options)
+    except ConfigurationError as exc:
+        _bad_input(exc)
     with open(out, "w") as fh:
         fh.write(milp_mod.export_lp(model))
     click.echo(
@@ -113,12 +120,12 @@ def export_lp(instance_path, out, options):
 def exact(instance_path, out, budget_customers, max_candidates, time_limit, options):
     """Exhaustive optimum for a tiny instance."""
     inst = _load_instance(instance_path)
-    budget = exact_mod.SearchBudget(
-        max_customers=budget_customers,
-        max_candidates=max_candidates,
-        time_limit=time_limit,
-    )
     try:
+        budget = exact_mod.SearchBudget(
+            max_customers=budget_customers,
+            max_candidates=max_candidates,
+            time_limit=time_limit,
+        )
         plan = exact_mod.solve_exact(inst, inst.fleet, options, budget)
     except InfeasibleError as exc:
         click.echo(f"infeasible: {exc} (ids {list(exc.offending_ids)})", err=True)
@@ -126,6 +133,8 @@ def exact(instance_path, out, budget_customers, max_candidates, time_limit, opti
     except BudgetExceededError as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(3)
+    except ConfigurationError as exc:
+        _bad_input(exc)
     if out:
         with open(out, "w") as fh:
             fh.write(plan_to_json(plan))
@@ -167,6 +176,8 @@ def solve(instance_path, out, mode, options):
     except InfeasibleError as exc:
         click.echo(f"infeasible: {exc} (ids {list(exc.offending_ids)})", err=True)
         sys.exit(2)
+    except ConfigurationError as exc:
+        _bad_input(exc)
     with open(out, "w") as fh:
         fh.write(plan_to_json(plan))
     b = plan.objective_breakdown
@@ -178,13 +189,25 @@ def solve(instance_path, out, mode, options):
 
 
 def _parse_sizes(spec: str) -> list:
+    """Sizes from ``start:stop:step`` (stop included) or a comma list;
+    :class:`ConfigurationError` unless they are nonnegative integers, at
+    least one, with a positive step."""
+    bad = ConfigurationError(
+        f"--sizes {spec!r}: use start:stop:step with a positive step, or a comma "
+        "list, of nonnegative integers"
+    )
+    try:
+        parts = [int(p) for p in spec.split(":" if ":" in spec else ",")]
+    except ValueError:
+        raise bad from None
     if ":" in spec:
-        parts = [int(p) for p in spec.split(":")]
-        if len(parts) != 3:
-            raise click.BadParameter("use start:stop:step or a comma list")
+        if len(parts) != 3 or parts[2] < 1:
+            raise bad
         start, stop, step = parts
-        return list(range(start, stop + 1, step))
-    return [int(p) for p in spec.split(",")]
+        parts = list(range(start, stop + 1, step))
+    if not parts or min(parts) < 0:
+        raise bad
+    return parts
 
 
 @main.command("bench")
@@ -197,7 +220,12 @@ def _parse_sizes(spec: str) -> list:
 @click.option("--no-plans", is_flag=True, help="skip per-run plan.json artifacts")
 def bench_cmd(scenario, sizes, reps, seed, out_dir, no_plans):
     """Run an experiment family and write results/summary/plot CSVs."""
-    size_list = _parse_sizes(sizes)
+    try:
+        size_list = _parse_sizes(sizes)
+        if reps < 1:
+            raise ConfigurationError(f"--reps must be at least 1, got {reps}")
+    except ConfigurationError as exc:
+        _bad_input(exc)
     result = bench_mod.run_suite(
         scenario, size_list, reps, seed, out_dir, save_plans=not no_plans
     )

@@ -14,7 +14,10 @@ import itertools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 DRONE = "drone"
 ROBOT = "robot"
@@ -333,23 +336,46 @@ class Instance:
             return self.fleet.big_M
         return manhattan_distance(a.point, b.point)
 
+    @cached_property
+    def node_arrays(self) -> tuple:
+        """``(x, y, truck_reachable)`` arrays indexed by node id: O(n), kept."""
+        xs = np.array([nd.x for nd in self.nodes], dtype=float)
+        ys = np.array([nd.y for nd in self.nodes], dtype=float)
+        reach = np.array([nd.truck_reachable for nd in self.nodes])
+        return xs, ys, reach
+
     def truck_matrix(self):
         """Dense float truck distance matrix, Manhattan and masked like
         :meth:`truck_distance`.
 
-        Built on every call and not kept on the instance; a caller that
-        reads it repeatedly holds its own copy.
+        The table the finder's cheapest-insertion kernel and exact search
+        index.  Built on every call from :attr:`node_arrays` and not kept
+        on the instance: an n² table per instance would dominate the
+        memory of a pool of instances.  A caller that reads it repeatedly
+        holds its own copy.
         """
-        import numpy as np
-
-        xs = np.array([nd.x for nd in self.nodes], dtype=float)
-        ys = np.array([nd.y for nd in self.nodes], dtype=float)
+        xs, ys, reach = self.node_arrays
         manh = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
-        reach = np.array([nd.truck_reachable for nd in self.nodes])
         bad = ~(reach[:, None] & reach[None, :])
         np.fill_diagonal(bad, False)
         manh[bad] = self.fleet.big_M
         return manh
+
+    def truck_legs(self, route) -> list:
+        """Truck km of each leg of ``route`` as Python floats, each equal to
+        :meth:`truck_distance` of the leg's ends, masks included.
+
+        Computed from :attr:`node_arrays` in O(len(route)), not from the
+        n² table.
+        """
+        xs, ys, reach = self.node_arrays
+        ids = np.asarray(route, dtype=np.intp)
+        if ids.size and not (ids.min() >= 0 and ids.max() < len(self.nodes)):
+            raise InstanceError(f"route {list(route)} references an unknown node id")
+        a, b = ids[:-1], ids[1:]
+        km = np.abs(xs[a] - xs[b]) + np.abs(ys[a] - ys[b])
+        km[(a != b) & ~(reach[a] & reach[b])] = self.fleet.big_M
+        return km.tolist()
 
 
 class DistanceRows(dict):

@@ -2,7 +2,8 @@
 
 Phase 1 builds truck routes by nearest-neighbor growth, sized so each truck
 takes at most max(3, |C| // (2T)) customers and the rest stay open for the
-auxiliary fleet, and each leaves one for every later truck.  Phase 2 walks
+auxiliary fleet, and each leaves one for every later truck; each step takes
+one ``np.hypot`` row over the free customers.  Phase 2 walks
 the truck timeline chronologically and greedily assigns drone/robot
 sorties that satisfy payload, range, energy and synchronization checks,
 recharging carried vehicles (a float level, walked by
@@ -12,8 +13,12 @@ cap-pruned sortie walk the model and exact search share, over the nearby
 pool; energy comes from the leg distances the walk already holds.  Phase
 3 inserts whatever remains into the truck routes at the cheapest
 Manhattan detour, then re-times the accepted sorties against the rebuilt
-timeline.  One incremental cheapest-insertion kernel over the truck
-distance table serves phase 3 and the truck-detour prices of phase 2.
+timeline.  One incremental cheapest-insertion kernel serves phase 3 and
+the truck-detour prices of phase 2: it holds each customer's best (delta,
+position) per truck in NumPy arrays over the truck distance table
+(:meth:`vrpdr.core.Instance.truck_matrix`) and updates them in bulk after
+each insert.  Both array kernels choose by exact scalar keys, ties
+included, so a plan does not depend on how NumPy rounds.
 Every phase reads the truck timeline as the per-position rows of the
 sortie-free :func:`vrpdr.schedule.arrival_times`, next to the routes;
 sorties that no longer fit are dropped rather than waited for.  The plan
@@ -25,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Set
+
+import numpy as np
 
 from . import energy as energy_mod
 from .core import (
@@ -48,6 +55,7 @@ from .schedule import arrival_times, timed_plan
 
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
+NEAR_TIE = 1e-12          # relative window over np.hypot's row minimum
 
 
 @dataclass
@@ -69,7 +77,9 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
 
     Only truck-reachable customers are eligible; the rest wait for the
     sortie and insertion phases.  Each truck leaves one for every later
-    truck, so with at least T of them no truck stays at the depot.
+    truck, so with at least T of them no truck stays at the depot.  The
+    nearest is the lowest (straight-line distance, id) key, the distance
+    from :func:`vrpdr.core.euclidean_distance`.
     """
     customers = [c.id for c in inst.customers if inst.node(c.id).truck_reachable]
     if fleet.num_trucks < 1:
@@ -77,19 +87,27 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
             raise ConfigurationError("cannot route customers with zero trucks")
         return []
     per_truck = max(3, inst.num_customers // (2 * fleet.num_trucks))
-    available = set(customers)
+    xs, ys, _ = inst.node_arrays
     points = [nd.point for nd in inst.nodes]
+    free = list(customers)
+    free_x, free_y = xs[free], ys[free]
     routes = []
     for t in range(fleet.num_trucks):
-        quota = min(per_truck, len(available) - (fleet.num_trucks - 1 - t))
+        quota = min(per_truck, len(free) - (fleet.num_trucks - 1 - t))
         route = [0]
-        while len(route) - 1 < quota:
+        for _ in range(quota):
             here = points[route[-1]]
-            nearest = min(
-                available, key=lambda c: (euclidean_distance(here, points[c]), c)
-            )
-            route.append(nearest)
-            available.remove(nearest)
+            # np.hypot may differ from math.hypot by an ulp, so keep every
+            # candidate near the row minimum and pick with the exact key
+            row = np.hypot(free_x - here[0], free_y - here[1])
+            near = (row <= row.min() * (1.0 + NEAR_TIE)).nonzero()[0].tolist()
+            i = min(near, key=lambda i: (euclidean_distance(here, points[free[i]]), free[i]))
+            route.append(free[i])
+            # the key names the customer, so order is free: swap-remove i
+            last = len(free) - 1
+            free[i], free_x[i], free_y[i] = free[last], free_x[last], free_y[last]
+            free.pop()
+            free_x, free_y = free_x[:last], free_y[:last]
         route.append(0)
         routes.append(route)
     return routes
@@ -177,61 +195,76 @@ def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
     return fleet.alpha * fleet.C_t * delta_km + (1.0 - fleet.alpha) * delta_km / fleet.s_t
 
 
-def _best_insertion(route, t, c, dist) -> tuple:
-    """Lowest (delta, truck, pos, customer) key for customer c on route t.
+def _scan_route(route, us, dist) -> tuple:
+    """Best ``(deltas, positions)`` of the customers ``us`` over the edges of ``route``.
 
-    delta = d(a,c) + d(c,b) - d(a,b) for the edge (a, b) at ``pos``; the
-    first of equal deltas wins, which is the lowest position.
+    delta = (d(c,a) + d(c,b)) - d(a,b) for the edge (a, b) at a position;
+    argmin keeps the first of equal deltas, which is the lowest position.
     """
-    row = dist[c]
-    best_delta, best_pos = math.inf, -1
-    for pos in range(len(route) - 1):
-        a, b = route[pos], route[pos + 1]
-        delta = row[a] + row[b] - dist[a][b]
-        if delta < best_delta:
-            best_delta, best_pos = delta, pos
-    return (best_delta, t, best_pos, c)
+    nodes = np.array(route, dtype=np.intp)
+    to = dist[us][:, nodes]
+    deltas = (to[:, :-1] + to[:, 1:]) - dist[nodes[:-1], nodes[1:]]
+    pos = deltas.argmin(axis=1)
+    return deltas[np.arange(len(pos)), pos], pos
+
+
+def _insertion_scan(routes, us, dist) -> tuple:
+    """``(best, at)``: each customer's lowest delta and its position, trucks × customers."""
+    best = np.empty((len(routes), len(us)))
+    at = np.empty((len(routes), len(us)), dtype=np.intp)
+    for t, route in enumerate(routes):
+        best[t], at[t] = _scan_route(route, us, dist)
+    return best, at
 
 
 def _cheapest_insertion(routes, customers, dist):
     """Insert every customer at its cheapest edge, cheapest first.
 
-    ``dist`` is the truck distance table (lists of lists).  Each step takes
-    the lowest (delta, truck, pos, customer) key over all customers and
-    edges.  Every customer keeps its best key per route; after an insert at
-    (t, p) only the two new edges are scored, keys on t past p shift by
-    one, and a customer whose best edge was the one split rescans route t.
+    ``dist`` is the truck distance table, an array.  Each step takes the
+    lowest (delta, truck, pos, customer) key over all customers and edges.
+    The best (delta, pos) of every open customer on every truck is held in
+    trucks × customers arrays; after an insert at (t, p) only the two new
+    edges are scored, positions on t past p shift by one, and the customers
+    whose best edge was the one split rescan route t.
     Returns (new routes, summed delta).
     """
     routes = [list(r) for r in routes]
-    cache = {c: [_best_insertion(r, t, c, dist) for t, r in enumerate(routes)] for c in customers}
+    us = np.array(sorted(customers), dtype=np.intp)
+    best, at = _insertion_scan(routes, us, dist)
     total = 0.0
-    while cache:
-        delta, t, p, c = min(min(keys) for keys in cache.values())
-        del cache[c]
+    for last in range(len(us) - 1, -1, -1):
+        delta = best.min()
+        ts, js = np.nonzero(best == delta)
+        t, p, c, j = min(zip(ts.tolist(), at[ts, js].tolist(), us[js].tolist(), js.tolist()))
+        # the key names the customer, so column order is free: swap-remove j
+        us[j], best[:, j], at[:, j] = us[last], best[:, last], at[:, last]
+        us, best, at = us[:last], best[:, :last], at[:, :last]
         route = routes[t]
         route.insert(p + 1, c)
-        total += delta
+        total += float(delta)
         a, b = route[p], route[p + 2]
-        split_ac, split_cb = dist[a][c], dist[c][b]
-        for u, keys in cache.items():
-            d_u, _, p_u, _ = keys[t]
-            if p_u == p:
-                keys[t] = _best_insertion(route, t, u, dist)
-                continue
-            row = dist[u]
-            keys[t] = min(
-                (d_u, t, p_u + 1 if p_u > p else p_u, u),
-                (row[a] + row[c] - split_ac, t, p, u),
-                (row[c] + row[b] - split_cb, t, p + 1, u),
-            )
+        row_best, row_at = best[t], at[t]
+        split = (row_at == p).nonzero()[0]
+        later = row_at > p
+        row_at += later
+        # the table is symmetric, so row a read at us is d(u,a)
+        to_c = dist[c][us]
+        via_ac = (dist[a][us] + to_c) - dist[a, c]
+        via_cb = (to_c + dist[b][us]) - dist[c, b]
+        # the edge at p wins a tie with p + 1, and both win one with a later edge
+        new_best = np.minimum(via_ac, via_cb)
+        take = (new_best < row_best) | ((new_best == row_best) & later)
+        np.copyto(row_best, new_best, where=take)
+        np.copyto(row_at, p + (via_cb < via_ac), where=take)
+        if split.size:
+            row_best[split], row_at[split] = _scan_route(route, us[split], dist)
     return routes, total
 
 
 def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_km) -> float:
     """Detour cost of inserting a whole sequence into copies of the routes.
 
-    ``truck_km`` is the truck distance table.  Clustered customers share one
+    ``truck_km`` is :meth:`Instance.truck_matrix`.  Clustered customers share one
     detour, so summing solo deltas overstates the truck alternative; this
     replays cheapest insertion jointly.  A sequence with a customer the
     truck cannot reach prices at the distance mask, so a sortie always wins.
@@ -259,8 +292,8 @@ def assign_sorties(
     most one sortie, chosen as the lowest energy-per-customer candidate
     among the nearby unserved pool that passes payload, range, battery and
     timing checks and beats the cost of leaving its customers to the truck
-    insertion phase, each customer priced by :func:`_joint_insertion_price`
-    alone.
+    insertion phase, each customer priced by its cheapest solo detour, read
+    for all open customers from one scan of the insertion kernel.
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
@@ -284,9 +317,14 @@ def assign_sorties(
         used_recovery.add((s.vehicle_kind, s.recovery_node))
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
-    truck_km = inst.truck_matrix().tolist()
+    truck_km = inst.truck_matrix()
+    # each open customer's solo detour price: the kernel's first scan, one pass
+    open_ids = sorted(unserved)
+    solo = _detour_price(_insertion_scan(routes, open_ids, truck_km)[0].min(axis=0), fleet)
+    masked = _detour_price(fleet.big_M, fleet)
     alternative = {
-        c: _joint_insertion_price((c,), routes, inst, fleet, truck_km) for c in unserved
+        c: price if inst.node(c).truck_reachable else masked
+        for c, price in zip(open_ids, solo.tolist())
     }
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
@@ -423,7 +461,7 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     creates and picks exactly what a full rescan would.  Callers keep
     truck-unreachable customers out.
     """
-    return _cheapest_insertion(routes, unserved, inst.truck_matrix().tolist())[0]
+    return _cheapest_insertion(routes, unserved, inst.truck_matrix())[0]
 
 
 def _replay_sorties(routes, arrivals, sorties, inst, fleet, options, finalize=True):

@@ -51,10 +51,7 @@ def score(route_rows, sortie_rows, fleet: FleetSpec) -> ObjectiveBreakdown:
 
 def objective_value(plan: Plan, inst: Instance, fleet: FleetSpec) -> ObjectiveBreakdown:
     """Score a plan: weighted cost plus makespan, mirroring the model objective."""
-    route_rows = [
-        (sum(inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])), len(route) > 2)
-        for route in plan.truck_routes
-    ]
+    route_rows = [(sum(inst.truck_legs(route)), len(route) > 2) for route in plan.truck_routes]
     sortie_rows = [(s.vehicle_kind, s.vehicle_id, sortie_distance(s, inst)) for s in plan.sorties]
     return score(route_rows, sortie_rows, fleet)
 
@@ -69,10 +66,7 @@ def arrival_times(routes, inst: Instance, fleet: FleetSpec, sorties=()) -> list:
     most ``max(2, len(sorties) + 2)`` rounds; a launch not yet replayed, or
     off its truck's route, starts at the sortie's declared ``launch_time``.
     """
-    legs = [
-        [inst.truck_distance(a, b) / fleet.s_t for a, b in zip(route[:-1], route[1:])]
-        for route in routes
-    ]
+    legs = [[km / fleet.s_t for km in inst.truck_legs(route)] for route in routes]
     arrivals = [[0.0] + [None] * (len(route) - 1) for route in routes]
     # (recovery truck, position) -> (launch truck, position, flight hours, declared launch)
     recovered: Dict[tuple, list] = {}

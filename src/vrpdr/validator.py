@@ -170,10 +170,13 @@ def validate(
         if len(route) == 2:
             add(Violation(milp_mod.DEPOT, f"truck {t} never leaves the depot", (t,)))
 
+    # (a, b, km) per truck leg: the arc, sequencing and charging checks read it
+    legs = [list(zip(route[:-1], route[1:], inst.truck_legs(route))) for route in routes]
+
     # truck-unreachable arcs
-    for t, route in enumerate(routes):
-        for a, b in zip(route[:-1], route[1:]):
-            if inst.truck_distance(a, b) >= big_m:
+    for t, route_legs in enumerate(legs):
+        for a, b, km in route_legs:
+            if km >= big_m:
                 add(
                     Violation(
                         milp_mod.UNREACHABLE,
@@ -183,10 +186,10 @@ def validate(
                 )
 
     # arrival sequencing along each route
-    for t, route in enumerate(routes):
+    for t, route_legs in enumerate(legs):
         prev_time = 0.0
-        for a, b in zip(route[:-1], route[1:]):
-            travel = inst.truck_distance(a, b) / fleet.s_t
+        for a, b, km in route_legs:
+            travel = km / fleet.s_t
             arr_b = arrivals[t][b]
             if arr_b + TIME_TOL < prev_time + travel:
                 add(
@@ -343,9 +346,9 @@ def validate(
 
     # charging events: placement, duration, rate
     out_leg_time: Dict[tuple, float] = {}
-    for t, route in enumerate(routes):
-        for a, b in zip(route[:-1], route[1:]):
-            out_leg_time[t, a] = inst.truck_distance(a, b) / fleet.s_t
+    for t, route_legs in enumerate(legs):
+        for a, _, km in route_legs:
+            out_leg_time[t, a] = km / fleet.s_t
     for idx, e in enumerate(plan.charging_events):
         if not options.charging:
             add(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vrpdr import bench
-from vrpdr.core import ModelOptions, instance_to_json
+from vrpdr.core import InstanceError, ModelOptions, instance_to_json
 
 
 def test_generate_instance_bounds_and_size(fleet):
@@ -18,6 +18,14 @@ def test_generate_instance_bounds_and_size(fleet):
         assert c.truck_reachable
     empty = bench.generate_instance(0, seed=1, fleet=fleet)
     assert empty.num_customers == 0
+
+
+def test_generate_instance_rejects_bad_arguments(fleet):
+    for size, frac in ((-1, 0.0), (5, 1.5), (5, -0.5), (5, float("nan"))):
+        with pytest.raises(InstanceError):
+            bench.generate_instance(size, seed=0, fleet=fleet, unreachable_frac=frac)
+    every = bench.generate_instance(5, seed=0, fleet=fleet, unreachable_frac=1.0)
+    assert not any(c.truck_reachable for c in every.customers)
 
 
 def test_generate_instance_deterministic(fleet):

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from vrpdr.cli import main
@@ -184,3 +185,53 @@ def test_cli_toggle_flags_reach_the_model(tmp_path):
         assert r.exit_code == 0, r.output
         expected = milp.export_lp(milp.build_model(instance, instance.fleet, options))
         assert lp.read_text() == expected, flags
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["generate", "--size", "-1"],
+        ["generate", "--size", "5", "--unreachable-frac", "1.5"],
+        ["generate", "--size", "5", "--unreachable-frac", "-0.5"],
+        ["generate", "--size", "5", "--trucks", "-1"],
+        ["bench", "--scenario", "modes", "--sizes", "abc"],
+        ["bench", "--scenario", "modes", "--sizes", "10:5:0"],
+        ["bench", "--scenario", "modes", "--sizes", "10:5:1"],
+        ["bench", "--scenario", "modes", "--sizes", "1:2"],
+        ["bench", "--scenario", "modes", "--sizes", "-3"],
+        ["bench", "--scenario", "modes", "--sizes", "5", "--reps", "0"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_cli_bad_arguments_exit_code(tmp_path, args):
+    """Malformed command-line values end in one ``bad input:`` line, exit 4."""
+    out = tmp_path / "out"
+    r = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert r.exit_code == 4, r.output
+    assert len(r.output.strip().splitlines()) == 1
+    assert r.output.startswith("bad input:")
+    assert not out.exists()
+
+
+def test_cli_unusable_fleet_exit_code(tmp_path):
+    """A zero-truck or two-truck fleet the command cannot serve is bad input."""
+    runner = CliRunner()
+    paths = {}
+    for trucks in (0, 2):
+        paths[trucks] = tmp_path / f"inst{trucks}.json"
+        r = runner.invoke(
+            main, ["generate", "--size", "4", "--trucks", str(trucks), "--out", str(paths[trucks])]
+        )
+        assert r.exit_code == 0, r.output
+    cases = [
+        ["solve", "--instance", str(paths[0]), "--out", str(tmp_path / "plan.json")],
+        ["export-lp", "--instance", str(paths[0]), "--out", str(tmp_path / "model.lp")],
+        ["exact", "--instance", str(paths[0])],
+        ["exact", "--instance", str(paths[2])],
+        ["exact", "--instance", str(paths[2]), "--budget-customers", "0"],
+    ]
+    for args in cases:
+        r = runner.invoke(main, args)
+        assert r.exit_code == 4, (args, r.output)
+        assert r.output.strip().splitlines() == [r.output.strip()], args
+        assert r.output.startswith("bad input:"), args

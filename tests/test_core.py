@@ -189,6 +189,32 @@ def test_truck_distance_masking():
     assert fractional.truck_matrix()[0, 2] == fractional.truck_distance(0, 2) == 1e5 + 0.5
 
 
+def test_truck_legs_are_the_scalar_truck_distance():
+    """Schedules, scores and the validator read these leg vectors; each leg
+    is the float truck_distance returns, bit for bit, masks included."""
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(1, 9)
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n + 1)]
+        fleet = FleetSpec(big_M=rng.choice([1e5, 1e5 + 0.5, 37.25]))
+        inst = make_instance(pts, reachable=[rng.random() < 0.6 for _ in range(n)], fleet=fleet)
+        inner = [rng.randrange(n + 1) for _ in range(rng.randint(0, 8))]
+        if inner:
+            inner.insert(rng.randrange(len(inner)), inner[0])  # a same-node leg
+        for route in ([0, 0], [0, *inner, 0]):
+            legs = inst.truck_legs(route)
+            expected = [inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])]
+            assert all(type(km) is float for km in legs)
+            assert [km.hex() for km in legs] == [float(km).hex() for km in expected]
+    masked = make_instance([(0, 0), (1, 0), (2.5, 0)], reachable=[True, False])
+    assert masked.truck_legs([0, 2, 2, 1, 0]) == [masked.fleet.big_M, 0.0, masked.fleet.big_M, 1.0]
+    assert masked.truck_legs([0, 0]) == [0.0]
+    assert masked.truck_legs([]) == []
+    for bad in ([0, 3, 0], [0, -1, 0]):
+        with pytest.raises(InstanceError):
+            masked.truck_legs(bad)
+
+
 def test_truck_matrix_is_the_scalar_truck_distance():
     """Exact search and the finder read this table; each entry is the float
     truck_distance returns, masks included."""

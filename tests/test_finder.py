@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 
 from vrpdr import bench, finder, schedule, validator
@@ -33,6 +35,81 @@ def test_route_sizing_formula(fleet):
     inst0 = bench.generate_instance(0, seed=3, fleet=two)
     routes0 = finder.construct_truck_routes(inst0, two)
     assert routes0 == [[0, 0], [0, 0]]
+
+
+def _reference_nearest_neighbour(inst, fleet):
+    """Scalar nearest-neighbour routes: the lowest (math.hypot distance, id)
+    key over the free truck-reachable customers, sized as the finder sizes
+    them."""
+    free = {c.id for c in inst.customers if c.truck_reachable}
+    per_truck = max(3, inst.num_customers // (2 * fleet.num_trucks))
+    routes = []
+    for t in range(fleet.num_trucks):
+        quota = min(per_truck, len(free) - (fleet.num_trucks - 1 - t))
+        route = [0]
+        while len(route) - 1 < quota:
+            hx, hy = inst.node(route[-1]).point
+            nearest = min(
+                free, key=lambda c: (math.hypot(hx - inst.node(c).x, hy - inst.node(c).y), c)
+            )
+            route.append(nearest)
+            free.remove(nearest)
+        routes.append(route + [0])
+    return routes
+
+
+def _hypot_disagreement(seed):
+    """A point whose np.hypot from the origin is not its math.hypot, by search."""
+    rng = random.Random(seed)
+    while True:
+        x, y = rng.uniform(0, 15), rng.uniform(0, 15)
+        if float(np.hypot(x, y)) != math.hypot(x, y):
+            return x, y
+
+
+def test_construction_matches_scalar_nearest_neighbour():
+    """The array construction picks exactly what the scalar key picks."""
+    rng = random.Random(17)
+    for seed in range(60):
+        fleet = FleetSpec(num_trucks=1 + seed % 3)
+        n = rng.randint(fleet.num_trucks + 3, 40)
+        inst = bench.generate_instance(n, seed=seed, fleet=fleet, unreachable_frac=0.2)
+        assert finder.construct_truck_routes(inst, fleet) == _reference_nearest_neighbour(
+            inst, fleet
+        )
+
+    # mirror images across the y axis: every step from an on-axis stop is an
+    # exact tie that the lower id must win
+    for seed in range(20):
+        half = [(rng.uniform(0.5, 7), rng.uniform(-7, 7)) for _ in range(6)]
+        axis = [(0.0, rng.uniform(-7, 7)) for _ in range(4)]
+        pts = [(0.0, 0.0)]
+        for x, y in half:
+            pts += [(x, y), (-x, y)] if rng.random() < 0.5 else [(-x, y), (x, y)]
+        pts += axis
+        for trucks in (1, 2, 3):
+            fleet = FleetSpec(num_trucks=trucks)
+            inst = make_instance(pts, fleet=fleet)
+            assert finder.construct_truck_routes(inst, fleet) == _reference_nearest_neighbour(
+                inst, fleet
+            )
+
+    # np.hypot and math.hypot order these two candidates differently: the
+    # scalar key ties them (lower id wins) where np.hypot does not, or the
+    # other way round
+    for seed in range(5):
+        x, y = _hypot_disagreement(seed)
+        exact = math.hypot(x, y)
+        on_axis = (exact, 0.0)  # math.hypot and np.hypot both give exact here
+        for pts in ([(0, 0), (x, y), on_axis], [(0, 0), on_axis, (x, y)]):
+            inst = make_instance(pts, fleet=FleetSpec(num_drones=0, num_robots=0))
+            row = np.hypot([p[0] for p in pts[1:]], [p[1] for p in pts[1:]])
+            scalar_first = _reference_nearest_neighbour(inst, inst.fleet)[0][1]
+            if 1 + int(np.argmin(row)) != scalar_first:
+                break
+        else:
+            pytest.fail("no layout where np.hypot and math.hypot pick differently")
+        assert finder.construct_truck_routes(inst, inst.fleet)[0][1] == scalar_first
 
 
 def test_every_truck_leaves_the_depot():
@@ -205,7 +282,7 @@ def test_insert_unserved_examples(fleet):
 
 def test_insertion_delta_value(fleet):
     inst = make_instance([(0, 0), (4, 0), (2, 2)], weights=[1, 1], fleet=fleet)
-    table = inst.truck_matrix().tolist()
+    table = inst.truck_matrix()
     price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, fleet, table)
     # cheapest manhattan detour for (2,2) onto 0->1 or 1->0 is 4 km
     expected = fleet.alpha * fleet.C_t * 4 + (1 - fleet.alpha) * 4 / fleet.s_t
@@ -288,7 +365,7 @@ def test_single_insertion_matches_brute_force(fleet):
             routes[rng.randrange(trucks)].append(c)
         routes = [r + [0] for r in routes]
         open_ids = ids[:leftovers]
-        table = inst.truck_matrix().tolist()
+        table = inst.truck_matrix()
         ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
 
         assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
@@ -458,6 +535,8 @@ def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
 GOLDEN_PLANS = [
     ("to", 150, 1, {}, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
     ("to", 150, 2, {}, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
+    ("to", 300, 1, {}, "746f77d02e0c931550083a48a0542cc736426fc77ed1e5f9ae7ecb94bbd2c026"),
+    ("to3", 150, 1, {}, "d9aef61b3a8137626e0b780bf70b78b611d80ee5f98b1ccc519a244ebfb1335a"),
     ("ef", 20, 1, {}, "74016c3ddf5fee6e65bdcbd2bab135ff4cd2541aa257f4f4eb74eb63ceadf8dc"),
     ("ef", 20, 2, {}, "8d2cbe94c3ff8d32f4b37c1d94201d3c3d2974145d189da19dd6b7bd9fd91497"),
     ("ef", 20, 3, {}, "3bce3aa1c32e54a7222753cdb6ce7eb04cb5c6b0f7f6708b81921e29c1eed0af"),
@@ -495,6 +574,7 @@ def test_golden_plan_hashes(fleet_name, size, seed, options, digest):
 
     fleet = {
         "to": FleetSpec(num_drones=0, num_robots=0),
+        "to3": FleetSpec(num_trucks=3, num_drones=0, num_robots=0),
         "ef": FleetSpec(),
         "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
     }[fleet_name]
