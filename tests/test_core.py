@@ -200,7 +200,8 @@ def test_truck_legs_are_the_scalar_truck_distance():
         inst = make_instance(pts, reachable=[rng.random() < 0.6 for _ in range(n)], fleet=fleet)
         inner = [rng.randrange(n + 1) for _ in range(rng.randint(0, 8))]
         if inner:
-            inner.insert(rng.randrange(len(inner)), inner[0])  # a same-node leg
+            k = rng.randrange(len(inner))
+            inner.insert(k, inner[k])  # a same-node leg
         for route in ([0, 0], [0, *inner, 0]):
             legs = inst.truck_legs(route)
             expected = [inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])]
