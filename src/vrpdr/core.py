@@ -2,10 +2,11 @@
 
 :meth:`DistanceRows.sortie_heads` is the one sortie walk: the model, exact
 search and the heuristic all enumerate their drone and robot sorties with
-it.  Canonical units throughout the package: kilometres, hours, kilograms,
-dollars.  Battery energy is measured in abstract energy units (one unit is
-one mAh-equivalent; see :mod:`vrpdr.energy` for the watt-hour bridge used
-by the walking robot).
+it, and the heuristic also prunes it by the way home (its optional
+``reach``).  Canonical units throughout the package: kilometres, hours,
+kilograms, dollars.  Battery energy is measured in abstract energy units
+(one unit is one mAh-equivalent; see :mod:`vrpdr.energy` for the watt-hour
+bridge used by the walking robot).
 """
 
 from __future__ import annotations
@@ -396,7 +397,7 @@ class DistanceRows(dict):
         row = self[a] = [metric(here, p) for p in self.points]
         return row
 
-    def sortie_heads(self, start, pool, m, weight, payload_limit, range_limit):
+    def sortie_heads(self, start, pool, m, weight, payload_limit, range_limit, reach=None):
         """Every ordered tuple of 1..m distinct ``pool`` customers within both caps.
 
         The one sortie walk: depth first from the ``start`` node, a prefix
@@ -408,20 +409,36 @@ class DistanceRows(dict):
         sequences :func:`enumerate_sequences` returns that pass both caps;
         adding the last leg to the distance gives the float
         :func:`sortie_distance` returns for the whole sortie.
+
+        ``reach[c]``, when given for every pool customer c, is the largest
+        distance at which a prefix ending at c can still get home: a prefix
+        ending at c farther than that is neither yielded nor extended.  The
+        heuristic sets it to ``max_r(budget_r - d(c, r)) + FIT_TOL`` over its
+        open recovery points r, where ``budget_r`` is the distance the
+        vehicle may cover before r's deadline and range cap.  By the triangle
+        inequality every sequence through c adds at least ``d(c, r)`` between
+        c and r, so no sequence dropped this way could reach any r within
+        its budget; ``FIT_TOL`` covers the rounding of the float sums.
+        Without ``reach`` the walk is the cap-pruned walk alone.
         """
+        # (customer, its parcel mass, the largest distance a prefix may end at it)
+        steps = [
+            (c, weight[c], range_limit if reach is None else min(range_limit, reach[c]))
+            for c in pool
+        ]
         stack = [((), start, 0, 0, ())]  # (prefix, its last node, payload, distance, legs)
         while stack:
             seq, last, payload, dist, legs = stack.pop()
             row = self[last]
-            for c in pool:
+            for c, mass, limit in steps:
                 if c in seq:
                     continue
-                load = payload + weight[c]
+                load = payload + mass
                 if load > payload_limit:
                     continue
                 leg = row[c]
                 total = dist + leg
-                if total > range_limit:
+                if total > limit:
                     continue
                 grown, grown_legs = seq + (c,), legs + (leg,)
                 yield grown, grown_legs, total

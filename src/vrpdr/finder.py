@@ -10,9 +10,15 @@ recharging carried vehicles (a float level, walked by
 :func:`vrpdr.energy.charge_walk`) from the truck as it drives.  Its
 candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
 cap-pruned sortie walk the model and exact search share, over the nearby
-pool; energy comes from the leg distances the walk already holds.  Phase
-3 inserts whatever remains into the truck routes at the cheapest
-Manhattan detour, then re-times the accepted sorties against the rebuilt
+pool; energy comes from the leg distances the walk already holds.  Unlike
+the model and exact search, FINDER also hands the walk a per-customer
+``reach`` built from the open recovery points, so a prefix that can no
+longer get back to any of them within range and deadline is dropped.  By
+the triangle inequality every sequence that could is still walked, and
+the exact range, timing, price and battery checks after the walk are
+unchanged, so the prune changes no plan.  Phase 3 inserts whatever
+remains into the truck routes at the cheapest Manhattan detour, then
+re-times the accepted sorties against the rebuilt
 timeline.  One incremental cheapest-insertion kernel serves phase 3 and
 the truck-detour prices of phase 2: it holds each customer's best (delta,
 position) per truck in NumPy arrays over the truck distance table
@@ -190,6 +196,25 @@ def _recovery_options(arrivals, truck: int, pos: int, launch_time: float, flexib
     return options
 
 
+def _recovery_reach(rows, pool, open_recovery, launch_time, speed, range_limit) -> dict:
+    """The ``reach`` of :meth:`vrpdr.core.DistanceRows.sortie_heads` per pool customer.
+
+    A recovery ``(t2, q, node, deadline)`` leaves a sortie the distance
+    ``budget = min(range_limit, (deadline - launch_time) * speed)``, so c can
+    still get home while its walk distance is at most ``budget - d(c, node)``
+    for some open recovery, plus ``FIT_TOL`` for rounding.
+    """
+    budgets = [
+        (min(range_limit, (deadline - launch_time) * speed), node)
+        for _, _, node, deadline in open_recovery
+    ]
+    reach = {}
+    for c in pool:
+        row = rows[c]
+        reach[c] = max(budget - row[node] for budget, node in budgets) + FIT_TOL
+    return reach
+
+
 def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
     """Objective value of one extra truck detour kilometre."""
     return fleet.alpha * fleet.C_t * delta_km + (1.0 - fleet.alpha) * delta_km / fleet.s_t
@@ -297,9 +322,13 @@ def assign_sorties(
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
-    Recovery points are listed once per launch point, and the energy of each
-    candidate is priced by :func:`vrpdr.energy.leg_energy` from the legs the
-    walk already holds.
+    Recovery points are listed once per launch point; with none open there
+    is no walk, and otherwise :func:`_recovery_reach` bounds it, so a prefix
+    that can reach no open recovery within range and before its deadline is
+    dropped.  Every later leg adds at least the direct distance home, so the
+    prune loses no sequence the checks below would accept and changes no
+    plan.  The energy of each candidate is priced by
+    :func:`vrpdr.energy.leg_energy` from the legs the walk already holds.
     Without drones and robots, or without open customers, nothing is priced.
 
     ``existing_sorties`` reserve their launch/recovery slots so a second
@@ -378,13 +407,16 @@ def assign_sorties(
                 for r in recovery
                 if (kind, r[2]) not in used_recovery and (r[2] != launch_node or r[2] == 0)
             ]
+            if not open_recovery:
+                continue
+            reach = _recovery_reach(rows, pool, open_recovery, launch_time, speed, range_limit)
             # recovery geometry depends on the vehicle only through its
             # battery, so price every statically feasible option once per
             # launch point and scan per vehicle below
             seq_options = []
             payload_limit = fleet.payload_cap(kind) + FIT_TOL
             for seq, legs, fixed_dist in rows.sortie_heads(
-                launch_node, pool, m_eff, weight, payload_limit, range_limit
+                launch_node, pool, m_eff, weight, payload_limit, range_limit, reach
             ):
                 last_row = rows[seq[-1]]
                 alt_price = None  # summed once a recovery passes range and timing

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from vrpdr import finder
 from vrpdr.core import (
     METRICS,
     ConfigurationError,
@@ -100,6 +101,50 @@ def test_distance_rows_head_matches_sortie_distance():
                         METRICS[kind](inst.node(i).point, inst.node(j).point) for i, j in s.legs()
                     ]
                     assert head + last == sortie_distance(s, inst)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_reach_prune_keeps_every_sequence_that_gets_home(data):
+    """The walk pruned by FINDER's ``reach`` is the unpruned walk minus only
+    sequences with no recovery passing FINDER's range and timing checks."""
+    near = st.floats(-10, 10)
+    pts = data.draw(st.lists(st.tuples(near, near), min_size=3, max_size=9))
+    kind = data.draw(st.sampled_from(("drone", "robot")))
+    nodes = range(len(pts))
+    launch = data.draw(st.sampled_from(nodes))
+    others = [i for i in nodes if i != launch]
+    pool = data.draw(st.lists(st.sampled_from(others), min_size=2, unique=True))
+    weight = data.draw(st.lists(st.floats(0, 5), min_size=len(pts), max_size=len(pts)))
+    m = data.draw(st.integers(1, 3))
+    payload_limit = data.draw(st.floats(5, 30))
+    range_limit = data.draw(st.floats(2, 60))
+    speed = data.draw(st.floats(5, 80))
+    launch_time = data.draw(st.floats(0, 10))
+    recovery = [
+        (0, q, node, launch_time + data.draw(st.floats(-0.2, 1.5)))
+        for q, node in enumerate(data.draw(st.lists(st.sampled_from(nodes), min_size=1)))
+    ]
+    rows = DistanceRows(METRICS[kind], pts)
+
+    def gets_home(seq, head):
+        for _, _, node, deadline in recovery:
+            if node in seq:
+                continue
+            dist = head + rows[seq[-1]][node]
+            if dist <= range_limit and launch_time + dist / speed <= deadline:
+                return True
+        return False
+
+    full = list(rows.sortie_heads(launch, pool, m, weight, payload_limit, range_limit))
+    reach = finder._recovery_reach(rows, pool, recovery, launch_time, speed, range_limit)
+    pruned = list(
+        rows.sortie_heads(launch, pool, m, weight, payload_limit, range_limit, reach)
+    )
+    kept = {seq for seq, _, _ in pruned}
+    # only sequences of the unpruned walk, with its legs and head floats, in its order
+    assert pruned == [head for head in full if head[0] in kept]
+    assert all(seq in kept for seq, _, head in full if gets_home(seq, head))
 
 
 def test_sortie_distance_unknown_node():

@@ -515,6 +515,47 @@ def test_pruned_sequences_match_filtered_enumeration():
             assert legs == tuple(inst.distance(kind, a, b) for a, b in zip(path[:-1], path[1:]))
 
 
+def test_assign_sorties_without_open_recovery_walks_nothing(monkeypatch):
+    """With every recovery node booked, no launch point starts the sortie walk."""
+    from vrpdr.core import DistanceRows, Sortie
+
+    fleet = FleetSpec(num_trucks=2)  # flexible docking lists both trucks' stops
+    inst = bench.generate_instance(20, seed=1, fleet=fleet)
+    routes = finder.construct_truck_routes(inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
+    unserved = {c.id for c in inst.customers} - {n for r in routes for n in r}
+    walk = DistanceRows.sortie_heads
+    walks = []
+
+    def counted(rows, start, *args):
+        walks.append(start)
+        return walk(rows, start, *args)
+
+    # premise: unbooked, the same call walks from some launch point
+    monkeypatch.setattr(DistanceRows, "sortie_heads", counted)
+    finder.assign_sorties(routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet)
+    assert walks
+
+    # launched off the routes, so they book recovery nodes and no launch point
+    off_route, parcel = min(unserved), max(unserved)
+    booked = [
+        Sortie(kind, 0, off_route, node, (parcel,), 0, 0)
+        for kind in ("drone", "robot")
+        for node in {n for r in routes for n in r}
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sortie walk started with no open recovery")
+
+    monkeypatch.setattr(DistanceRows, "sortie_heads", refuse)
+    sorties, _, left = finder.assign_sorties(
+        routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet,
+        existing_sorties=booked,
+    )
+    assert sorties == []
+    assert left == unserved
+
+
 def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
     """No drone or robot, or no open customer: return before any table is built."""
     truck_only = FleetSpec(num_drones=0, num_robots=0)
@@ -542,6 +583,8 @@ GOLDEN_PLANS = [
     ("ef", 20, 3, {}, "3bce3aa1c32e54a7222753cdb6ce7eb04cb5c6b0f7f6708b81921e29c1eed0af"),
     ("docking", 30, 0, {}, "73186953b31bea7019274c699476eddea218ac84d8b23cab5db0a3a0e5083d66"),
     ("ef", 60, 4242, {}, "97389971257576487f5f942321d3ea7481211198365b481b8e20bc24395f2d2e"),
+    ("ef", 150, 1, {}, "f255fc335a08d11e2e9c8cca4fa5872a683c446c655caa7857b4af0c77f11395"),
+    ("ef3", 100, 1, {}, "d186dbdf5d3d143585595cdf91a4b2b517971cae3b45277a0c552c34ada21837"),
     ("docking", 60, 1, {}, "fdc11093385abef733a5ffe7b79a44ffb7fb3ca531e360f6f2c8dd70401a16f4"),
     (
         "ef", 40, 5, {"single_visit": True},
@@ -576,6 +619,7 @@ def test_golden_plan_hashes(fleet_name, size, seed, options, digest):
         "to": FleetSpec(num_drones=0, num_robots=0),
         "to3": FleetSpec(num_trucks=3, num_drones=0, num_robots=0),
         "ef": FleetSpec(),
+        "ef3": FleetSpec(num_trucks=3, num_drones=2, num_robots=2),  # crews, docking on 3 trucks
         "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
     }[fleet_name]
     inst = bench.generate_instance(size, seed=seed, fleet=fleet)
