@@ -9,11 +9,17 @@ time (hours) and converts watt-hours into the same battery units through
 ``FleetSpec.robot_energy_scale``.  The default scale of 1000/11.1 units per
 Wh treats one unit as one mAh of a 11.1 V pack; with the default parameters
 an unloaded robot walking its full ``D_max_r`` range drains almost exactly
-one battery, which keeps the range and energy constraints on the same axis.
+one battery (15.04 km against 15 km), so for robots the range and energy
+constraints sit on the same axis.  Drones do not: an empty default drone
+covers B_d / (alpha_d * W_d) = 6.1 km on a full battery against a 20 km
+``D_max_d``, so its battery, not its range cap, decides which sorties fly.
 
 Both formulas live in one kernel, :func:`leg_energy`, which reads only leg
 distances and parcel weights; the finder and exact search call it with the
 leg distances they hold, :func:`sortie_energy` with a plan sortie's.
+Every leg of either formula costs at least the unloaded energy of its
+length, so :func:`battery_range` turns a battery level into the farthest
+distance any sortie of a kind can cover on it.
 
 A battery starts full, drains at each launch and refills on the truck legs
 it rides, clamped at capacity by :func:`charge_walk`, the one battery walk.
@@ -22,12 +28,14 @@ it rides, clamped at capacity by :func:`charge_walk`, the one battery walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Tuple
 
 from .core import (
     DRONE,
+    FIT_TOL,
     ROBOT,
     FleetSpec,
     Instance,
@@ -201,6 +209,22 @@ def leg_energy(kind: str, leg_dists, weights, fleet: FleetSpec) -> float:
             wh += robot_power(mass, fleet) * hours
         return wh * fleet.robot_energy_scale
     raise KindMismatchError(f"unknown vehicle kind {kind!r}")
+
+
+def battery_range(kind: str, level: float, fleet: FleetSpec) -> float:
+    """The farthest distance any sortie of ``kind`` can cover on ``level`` units.
+
+    Energy is ``a * sum((W + carried_i) * d_i)`` with every term >= 0, so a
+    sortie costs at least ``per_km * distance``, where ``per_km`` is the
+    :func:`leg_energy` of one unloaded km.  A sortie longer than the result
+    draws more than ``level + FIT_TOL``; the relative ``FIT_TOL`` covers the
+    rounding of the float sums.  ``inf`` when ``per_km`` is 0 (``W_d = 0``
+    or ``k1 = 0``).
+    """
+    per_km = leg_energy(kind, (1.0,), (), fleet)
+    if per_km == 0.0:
+        return math.inf
+    return (level + FIT_TOL) * (1.0 + FIT_TOL) / per_km
 
 
 def sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:

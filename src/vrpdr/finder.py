@@ -14,9 +14,14 @@ pool; energy comes from the leg distances the walk already holds.  Unlike
 the model and exact search, FINDER also hands the walk a per-customer
 ``reach`` built from the open recovery points, so a prefix that can no
 longer get back to any of them within range and deadline is dropped.  By
-the triangle inequality every sequence that could is still walked, and
-the exact range, timing, price and battery checks after the walk are
-unchanged, so the prune changes no plan.  Phase 3 inserts whatever
+the triangle inequality every sequence that could is still walked.  The
+walk's range is also cut to :func:`vrpdr.energy.battery_range` of the
+fullest crew battery, the farthest any sortie can fly on it empty (6.1 km
+for a full default drone against its 20 km cap), so the crew charges up
+to the launch point before the walk.  A sortie beyond that bound draws
+more than every crew battery holds, and the exact range, timing, price
+and battery checks after the walk are unchanged, so neither prune
+changes a plan.  Phase 3 inserts whatever
 remains into the truck routes at the cheapest Manhattan detour, then
 re-times the accepted sorties against the rebuilt
 timeline.  One incremental cheapest-insertion kernel serves phase 3 and
@@ -322,12 +327,19 @@ def assign_sorties(
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
+    The crew first charges up to the launch point (charging in two chunks
+    gives the same floats and events as in one), and the walk's range is
+    the lower of the range cap and :func:`vrpdr.energy.battery_range` of
+    the fullest crew battery: every sortie costs at least its unloaded
+    energy per km times its length, so one beyond that bound fails the
+    battery check for every vehicle.  The same bound trims the nearby pool
+    (a suffix of it sorted by distance) and the per-recovery range check.
     Recovery points are listed once per launch point; with none open there
     is no walk, and otherwise :func:`_recovery_reach` bounds it, so a prefix
-    that can reach no open recovery within range and before its deadline is
-    dropped.  Every later leg adds at least the direct distance home, so the
-    prune loses no sequence the checks below would accept and changes no
-    plan.  The energy of each candidate is priced by
+    that can reach no open recovery within the walk's range and before its
+    deadline is dropped.  Every later leg adds at least the direct distance
+    home, so neither prune loses a sequence the checks below would accept
+    and no plan changes.  The energy of each candidate is priced by
     :func:`vrpdr.energy.leg_energy` from the legs the walk already holds.
     Without drones and robots, or without open customers, nothing is priced.
 
@@ -389,9 +401,15 @@ def assign_sorties(
             rows = distance_rows[kind]
             range_cap, speed = fleet.range_cap(kind), fleet.speed(kind)
             unit_cost, fixed_cost = fleet.unit_cost(kind), fleet.fixed_cost(kind)
-            range_limit = range_cap + FIT_TOL
+            for vehicle in crew:
+                _advance_charging(vehicle, routes, arrivals, fleet, pos, options.charging)
+            # no sortie flies farther than the fullest crew battery carries it empty
+            walk_cap = min(
+                range_cap, energy_mod.battery_range(kind, max(v.level for v in crew), fleet)
+            )
+            walk_limit = walk_cap + FIT_TOL
             here = rows[launch_node]
-            nearby = sorted((here[c], c) for c in unserved if here[c] <= range_cap)
+            nearby = sorted((here[c], c) for c in unserved if here[c] <= walk_cap)
             if not nearby:
                 continue
             pool = sorted(c for _, c in nearby[:NEARBY_POOL])
@@ -409,14 +427,14 @@ def assign_sorties(
             ]
             if not open_recovery:
                 continue
-            reach = _recovery_reach(rows, pool, open_recovery, launch_time, speed, range_limit)
+            reach = _recovery_reach(rows, pool, open_recovery, launch_time, speed, walk_limit)
             # recovery geometry depends on the vehicle only through its
             # battery, so price every statically feasible option once per
             # launch point and scan per vehicle below
             seq_options = []
             payload_limit = fleet.payload_cap(kind) + FIT_TOL
             for seq, legs, fixed_dist in rows.sortie_heads(
-                launch_node, pool, m_eff, weight, payload_limit, range_limit, reach
+                launch_node, pool, m_eff, weight, payload_limit, walk_limit, reach
             ):
                 last_row = rows[seq[-1]]
                 alt_price = None  # summed once a recovery passes range and timing
@@ -426,7 +444,7 @@ def assign_sorties(
                         continue
                     last_leg = last_row[rec_node]
                     dist = fixed_dist + last_leg
-                    if dist > range_limit:
+                    if dist > walk_limit:
                         continue
                     if launch_time + dist / speed > deadline:
                         continue
@@ -443,7 +461,6 @@ def assign_sorties(
             if not seq_options:
                 continue
             for vehicle in crew:
-                _advance_charging(vehicle, routes, arrivals, fleet, pos, options.charging)
                 level = vehicle.level
                 cands = []
                 for seq, opts in seq_options:

@@ -3,12 +3,15 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vrpdr.core import DRONE, ROBOT, FleetSpec, KindMismatchError, Sortie
 from vrpdr.energy import (
     ChargingEvent,
     InvalidEventError,
     apply_charging,
+    battery_range,
     charge_amount,
     charge_walk,
     drone_sortie_energy,
@@ -369,3 +372,62 @@ def test_charge_walk_matches_the_walks_it_replaced():
             pos = launch + rng.randint(1, 2)
         finder_differs += differs
     assert finder_differs == 52
+
+
+def _rate(hi):
+    """A fleet energy parameter in [0, hi], zero drawn often."""
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(
+    kind=st.sampled_from((DRONE, ROBOT)),
+    energy_params=st.fixed_dictionaries(
+        {
+            "W_d": _rate(50.0),
+            "alpha_d": _rate(1000.0),
+            "W_r": _rate(50.0),
+            "k1": _rate(1.0),
+            "k2": _rate(1.0),
+            "g": _rate(20.0),
+            "s_r": st.floats(0.1, 50.0),
+            "l_leg": st.floats(0.05, 2.0),
+            "robot_energy_scale": _rate(200.0),
+        }
+    ),
+    stops=st.lists(
+        st.tuples(st.floats(0.0, 1000.0), st.floats(0.0, 25.0)), min_size=1, max_size=4
+    ),
+)
+@example(DRONE, {}, [(0.1, 0.0), (0.2, 0.0)]).via("one ulp short without any slack")
+@example(DRONE, {"alpha_d": 1000.0, "W_d": 18.3}, [(915.6, 0.0), (48.2, 0.0)]).via(
+    "1e-13 km short without the relative slack"
+)
+def test_battery_range_covers_every_sortie(kind, energy_params, stops):
+    """A sortie's energy buys at least its own distance: every leg costs at
+    least the unloaded energy of its length, and the rate-free fleets have
+    no bound at all.  ``stops`` are (leg km, parcel kg) pairs; the last
+    parcel is dropped, since a sortie has one leg more than parcels."""
+    fleet = FleetSpec(**energy_params)
+    legs = [leg for leg, _ in stops]
+    weights = [mass for _, mass in stops[:-1]]
+    level = leg_energy(kind, legs, weights, fleet)
+    reach = battery_range(kind, level, fleet)
+    assert sum(legs) <= reach
+    if kind == DRONE:
+        free = fleet.alpha_d == 0.0 or fleet.W_d == 0.0
+    else:
+        free = 0.0 in (fleet.k1, fleet.W_r, fleet.g, fleet.robot_energy_scale)
+    if free:
+        assert reach == math.inf
+
+
+def test_battery_range_default_fleet():
+    """An empty default drone flies 14000 / (128 * 18) km on a full battery;
+    the default robot walks just past its 15 km range cap."""
+    fleet = FleetSpec()
+    assert battery_range(DRONE, fleet.B_d, fleet) == pytest.approx(14000.0 / 2304.0, rel=1e-8)
+    assert 15.0 < battery_range(ROBOT, fleet.B_r, fleet) < 15.1
+    assert battery_range(DRONE, 0.0, fleet) < 1e-9
+    assert battery_range(DRONE, 1.0, FleetSpec(W_d=0.0)) == math.inf
+    assert battery_range(ROBOT, 1.0, FleetSpec(k1=0.0)) == math.inf

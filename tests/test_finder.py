@@ -556,6 +556,72 @@ def test_assign_sorties_without_open_recovery_walks_nothing(monkeypatch):
     assert left == unserved
 
 
+def test_charging_in_two_calls_equals_one():
+    """Advancing a carried vehicle's charging to a stop in one call, or to an
+    earlier stop first and then to it, gives the same level bits and the
+    same events, so the crew may charge before the sortie walk."""
+    rng = random.Random(5)
+    charged = topped_up = 0
+    for seed in range(40):
+        fleet = FleetSpec(num_trucks=1 + seed % 2, num_drones=2, num_robots=2)
+        inst = bench.generate_instance(rng.randint(8, 40), seed=seed, fleet=fleet)
+        routes = finder.construct_truck_routes(inst, fleet)
+        arrivals = schedule.arrival_times(routes, inst, fleet)
+        for charging in (True, False):
+            one, two = finder.initial_states(fleet), finder.initial_states(fleet)
+            for a, b in zip(one, two):
+                route = routes[a.aboard_truck]
+                a.aboard_pos = b.aboard_pos = rng.randrange(len(route) - 1)
+                drain = rng.uniform(0.0, fleet.battery(a.vehicle_kind))
+                a.level -= drain
+                b.level -= drain
+                pos = rng.randint(a.aboard_pos, len(route) - 1)
+                finder._advance_charging(a, routes, arrivals, fleet, pos, charging)
+                split = rng.randint(0, pos)
+                finder._advance_charging(b, routes, arrivals, fleet, split, charging)
+                finder._advance_charging(b, routes, arrivals, fleet, pos, charging)
+                assert a.level.hex() == b.level.hex()
+                assert a.events == b.events
+                assert a.charged_upto == b.charged_upto
+                if not charging:
+                    assert not a.events
+                charged += bool(a.events)
+                topped_up += bool(a.events) and a.level >= fleet.battery(a.vehicle_kind) - 1e-6
+    # premise: some vehicles charged, and some hit the capacity clamp
+    assert charged and topped_up
+
+
+def test_assign_sorties_with_empty_batteries_walks_nothing(monkeypatch):
+    """No charge, no battery range: no launch point starts the sortie walk."""
+    from vrpdr.core import DistanceRows
+
+    fleet = FleetSpec(num_trucks=2, num_drones=2, num_robots=2)
+    inst = bench.generate_instance(30, seed=1, fleet=fleet)
+    routes = finder.construct_truck_routes(inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
+    unserved = {c.id for c in inst.customers} - {n for r in routes for n in r}
+    options = ModelOptions(charging=False)
+
+    # premise: with full batteries the same call walks and flies sorties
+    sorties, _, _ = finder.assign_sorties(
+        routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet, options
+    )
+    assert sorties
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sortie walk started with no battery to fly it")
+
+    monkeypatch.setattr(DistanceRows, "sortie_heads", refuse)
+    states = finder.initial_states(fleet)
+    for state in states:
+        state.level = 0.0
+    sorties, _, left = finder.assign_sorties(
+        routes, arrivals, unserved, states, inst, fleet, options
+    )
+    assert sorties == []
+    assert left == unserved
+
+
 def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
     """No drone or robot, or no open customer: return before any table is built."""
     truck_only = FleetSpec(num_drones=0, num_robots=0)
@@ -571,8 +637,9 @@ def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
 
 
 # sha256 of plan_to_json(solve_finder(...)), recorded before the insertion
-# kernel (first six rows) and before the pruned sortie walk (the rest); a
-# change meant only to speed the finder up keeps every plan
+# kernel (first six rows), before the pruned sortie walk (the next nine)
+# and before the battery-bounded walk (the last six); a change meant only
+# to speed the finder up keeps every plan
 GOLDEN_PLANS = [
     ("to", 150, 1, {}, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
     ("to", 150, 2, {}, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
@@ -598,6 +665,12 @@ GOLDEN_PLANS = [
         "ef", 40, 7, {"single_trip": True},
         "39be1fc9fd44712fb7c10a78888084a3c65cad96e0b70b589ed766f7fed06406",
     ),
+    ("ef", 300, 1, {}, "56731b09c897d8f30941be4de1856eb30be18e471881455b768e22758b087ecf"),
+    ("low", 60, 2, {}, "6d2ed198147230621e922d172a3a5605ed57b2fe6b6b5c85ecc769c64f6af592"),
+    ("low", 60, 3, {}, "c6bf4480a0f1c552799acfde80e8ad568961a01d583f27fe81d2b3613fed9cb0"),
+    ("free", 30, 1, {}, "15270427edc28be92b385b4ef592bf2c565d1a69cccc208d649cd24dd7c2a79f"),
+    ("big", 40, 2, {}, "8d92472c77d46d24eaacedebc3d12b376a215835aa7f17ca006fa66d4cbfca40"),
+    ("bigger", 40, 2, {}, "8f61cfd1e83cf70937df9e74d2b7a9a7f101adba4a4090ac187b73bbc06e198c"),
 ]
 
 
@@ -621,6 +694,14 @@ def test_golden_plan_hashes(fleet_name, size, seed, options, digest):
         "ef": FleetSpec(),
         "ef3": FleetSpec(num_trucks=3, num_drones=2, num_robots=2),  # crews, docking on 3 trucks
         "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
+        # full-battery range (km) drone / robot: 5.2 / 13.2, under both range caps
+        "low": FleetSpec(num_trucks=3, num_drones=2, num_robots=2, B_d=12000, B_r=7000),
+        # no unloaded energy rate, so no battery range bound
+        "free": FleetSpec(num_trucks=2, num_drones=2, num_robots=2, W_d=0.0, k1=0.0),
+        # 17.4 / 56.4: the robot range cap binds before its battery
+        "big": FleetSpec(B_d=40000, B_r=30000, C_rate_d=500),
+        # 21.7 / 56.4: both range caps bind before the battery
+        "bigger": FleetSpec(B_d=50000, B_r=30000, C_rate_d=500),
     }[fleet_name]
     inst = bench.generate_instance(size, seed=seed, fleet=fleet)
     text = plan_to_json(finder.solve_finder(inst, fleet, ModelOptions(**options)))

@@ -1,8 +1,11 @@
-"""Property: every plan FINDER returns is physically possible and round-trips.
+"""Properties of FINDER over random fleets and instances.
 
-Random instances with 1-3 trucks, 0-3 drones and robots, small batteries
-and up to 30 % truck-unreachable customers, under each of the 16 toggle
+Every plan FINDER returns is physically possible and round-trips: random
+instances with 1-3 trucks, 0-3 drones and robots, small batteries and up
+to 30 % truck-unreachable customers, under each of the 16 toggle
 combinations.  ``InfeasibleError`` is the only other outcome allowed.
+
+Bounding the sortie walk by the crew's battery range changes no plan.
 """
 
 import itertools
@@ -12,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrpdr import bench, finder, validator
+from vrpdr import bench, energy, finder, validator
 from vrpdr.core import (
     DRONE,
     ROBOT,
@@ -77,3 +80,39 @@ def test_every_finder_plan_is_valid(
     assert plan_to_json(plan_from_json(text)) == text
     vehicles = [(DRONE, d) for d in range(drones)] + [(ROBOT, r) for r in range(robots)]
     assert [(l.vehicle_kind, l.vehicle_id) for l in plan.ledgers] == vehicles
+
+
+def _finder_outcome(inst, fleet, options):
+    try:
+        return plan_to_json(finder.solve_finder(inst, fleet, options))
+    except InfeasibleError as exc:
+        return f"InfeasibleError: {exc} {exc.offending_ids}"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    trucks=st.integers(1, 3),
+    drones=st.integers(0, 3),
+    robots=st.integers(0, 3),
+    battery_d=st.floats(1000.0, 50000.0),
+    battery_r=st.floats(1000.0, 30000.0),
+    unreachable_frac=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_battery_bounded_walk_keeps_every_plan(
+    toggles, trucks, drones, robots, battery_d, battery_r, unreachable_frac, size, seed
+):
+    """With ``battery_range`` lifted to inf the walk reaches out to the range
+    cap again; the plan, or the ``InfeasibleError``, must be the same."""
+    fleet = FleetSpec(
+        num_trucks=trucks, num_drones=drones, num_robots=robots, B_d=battery_d, B_r=battery_r
+    )
+    options = ModelOptions(*toggles)
+    inst = bench.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    bounded = _finder_outcome(inst, fleet, options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy, "battery_range", lambda kind, level, fleet: math.inf)
+        unbounded = _finder_outcome(inst, fleet, options)
+    assert bounded == unbounded
