@@ -4,7 +4,7 @@ Submodules:
   core       data model, metrics, the cap-pruned sortie walk, JSON I/O
   energy     drone/robot energy formulas, battery ledgers, charging
   milp       mixed-integer model builder, LP export
-  schedule   plan objective and truck timeline with waiting for sorties
+  schedule   plan objective, truck timeline, per-vehicle sortie walk
   validator  full constraint checker and simulated makespan
   exact      exhaustive reference optimum for tiny instances
   finder     three-phase construction heuristic with en-route charging

@@ -43,11 +43,13 @@ def generate_instance(
 ) -> Instance:
     """Depot plus ``size`` customers uniform over the 15x15 km square.
 
-    A negative ``size`` or an ``unreachable_frac`` outside [0, 1] raises
-    :class:`InstanceError`.
+    A negative ``size`` or ``seed``, or an ``unreachable_frac`` outside
+    [0, 1], raises :class:`InstanceError`.
     """
     if size < 0:
         raise InstanceError(f"size must be nonnegative, got {size}")
+    if seed < 0:
+        raise InstanceError(f"seed must be nonnegative, got {seed}")
     if not 0.0 <= unreachable_frac <= 1.0:
         raise InstanceError(f"unreachable fraction must lie in [0, 1], got {unreachable_frac}")
     rng = np.random.default_rng(seed)

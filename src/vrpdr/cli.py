@@ -224,6 +224,8 @@ def bench_cmd(scenario, sizes, reps, seed, out_dir, no_plans):
         size_list = _parse_sizes(sizes)
         if reps < 1:
             raise ConfigurationError(f"--reps must be at least 1, got {reps}")
+        if seed < 0:
+            raise ConfigurationError(f"--seed must be nonnegative, got {seed}")
     except ConfigurationError as exc:
         _bad_input(exc)
     result = bench_mod.run_suite(

@@ -23,13 +23,16 @@ distance any sortie of a kind can cover on it.
 
 A battery starts full, drains at each launch and refills on the truck legs
 it rides, clamped at capacity by :func:`charge_walk`, the one battery walk.
-:func:`build_ledgers` gives a plan one ledger per fleet vehicle.
+:func:`charge_legs` turns a vehicle's carried legs into the charging
+events of that walk; the finder's :class:`vrpdr.schedule.Carriage` and
+exact search both call it.  :func:`build_ledgers` gives a plan one ledger
+per fleet vehicle from its declared draws and charging events.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Tuple
 
@@ -84,24 +87,9 @@ class BatteryLedger:
     capacity: float
     entries: Tuple[LedgerEntry, ...] = ()
 
-    @property
-    def level(self) -> float:
-        return self.levels()[-1] if self.entries else self.capacity
-
     def levels(self) -> list:
         """Running level after each entry."""
         return list(accumulate((e.delta for e in self.entries), initial=self.capacity))[1:]
-
-    def consume(self, time: float, amount: float) -> "BatteryLedger":
-        """Record a sortie draw.  Feasibility (level >= 0) is the caller's check."""
-        if amount < 0:
-            raise InvalidEventError(f"negative consumption {amount}")
-        entry = LedgerEntry(time=time, delta=-amount, cause=CAUSE_SORTIE)
-        return replace(self, entries=self.entries + (entry,))
-
-
-def new_ledger(vehicle_kind: str, vehicle_id: int, fleet: FleetSpec) -> BatteryLedger:
-    return BatteryLedger(vehicle_kind, vehicle_id, fleet.battery(vehicle_kind))
 
 
 def charge_walk(level: float, capacity: float, offers) -> Tuple[list, float]:
@@ -120,38 +108,24 @@ def charge_walk(level: float, capacity: float, offers) -> Tuple[list, float]:
     return charged, level
 
 
-def apply_charging(
-    ledger: BatteryLedger, event: ChargingEvent, time: float = None
-) -> Tuple[BatteryLedger, float]:
-    """Append a charge entry clamped at capacity; returns (ledger, applied).
-
-    The one-leg :func:`charge_walk` from the ledger's level, so the running
-    level can never exceed capacity; callers that need to know how much was
-    lost to the clamp compare against ``event.amount``.  ``time`` is the
-    truck's departure from the leg's start node; it defaults to the time of
-    the last ledger entry so successive applies stay chronological.
-    """
-    if event.duration < 0:
-        raise InvalidEventError(f"negative charging duration {event.duration}")
-    if event.amount < 0:
-        raise InvalidEventError(f"negative charging amount {event.amount}")
-    if event.duration == 0 and event.amount > 0:
-        raise InvalidEventError("zero-duration event cannot transfer energy")
-    charged, _ = charge_walk(ledger.level, ledger.capacity, (event.amount,))
-    if not charged:
-        return ledger, 0.0
-    applied = charged[0][1]
-    if time is None:
-        time = ledger.entries[-1].time if ledger.entries else 0.0
-    entry = LedgerEntry(time=time, delta=applied, cause=CAUSE_CHARGE)
-    return replace(ledger, entries=ledger.entries + (entry,)), applied
-
-
 def charge_amount(duration: float, kind: str, fleet: FleetSpec) -> float:
     """Transferable energy for a carried leg: rate * duration."""
     if duration < 0:
         raise InvalidEventError(f"negative charging duration {duration}")
     return fleet.charge_rate(kind) * duration
+
+
+def charge_legs(kind: str, vehicle_id: int, truck: int, level: float, fleet: FleetSpec, legs):
+    """Charge one vehicle across a list of consecutive ``(start node, hours)``
+    legs of ``truck``.
+
+    Each leg offers :func:`charge_amount`; the leg out of the depot offers
+    nothing.  Returns ``((ChargingEvent, ...), final level)``: one event per
+    leg that the :func:`charge_walk` clamp from ``level`` lets charge.
+    """
+    offers = [charge_amount(hours, kind, fleet) if node else 0.0 for node, hours in legs]
+    charged, level = charge_walk(level, fleet.battery(kind), offers)
+    return tuple(ChargingEvent(kind, vehicle_id, truck, *legs[k], a) for k, a in charged), level
 
 
 def _leg_weights(weights):
@@ -233,20 +207,6 @@ def sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
     weights = [inst.node(c).weight for c in sortie.sequence]
     dists = [inst.distance(kind, i, j) for i, j in sortie.legs()]
     return leg_energy(kind, dists, weights, fleet)
-
-
-def drone_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
-    """Flight energy: alpha_d * sum of (self weight + carried mass) * leg km."""
-    if sortie.vehicle_kind != DRONE:
-        raise KindMismatchError(f"expected a drone sortie, got {sortie.vehicle_kind}")
-    return sortie_energy(sortie, inst, fleet)
-
-
-def robot_sortie_energy(sortie: Sortie, inst: Instance, fleet: FleetSpec) -> float:
-    """Walking energy: power at each leg's payload times leg hours, in units."""
-    if sortie.vehicle_kind != ROBOT:
-        raise KindMismatchError(f"expected a robot sortie, got {sortie.vehicle_kind}")
-    return sortie_energy(sortie, inst, fleet)
 
 
 def build_ledgers(plan: Plan, inst: Instance, fleet: FleetSpec) -> tuple:

@@ -5,9 +5,10 @@ remaining customers with non-overlapping drone/robot sortie chains anchored
 on the tour.  Timing never prunes a candidate because trucks may wait at
 recovery nodes for free (the makespan counts travel only); battery
 chronology with en-route charging, payload, range and per-node docking
-rules do, the battery walked by :func:`vrpdr.energy.charge_walk` as in the
-finder.  Candidates are scored by :func:`vrpdr.schedule.score`, and an
-incumbent's truck arrivals, waits included, come from
+rules do.  :func:`vrpdr.energy.charge_legs` charges the battery before each
+launch, as it charges the finder's carriages, and each chain sortie keeps
+those events.  Candidates are scored by :func:`vrpdr.schedule.score`, and
+an incumbent's truck arrivals, waits included, come from
 :func:`vrpdr.schedule.arrival_times`: the objective and timeline the
 validator reads.  :func:`vrpdr.schedule.timed_plan` assembles it, as it
 does the heuristic's plan, and the validator confirms every improving
@@ -73,7 +74,7 @@ class _ChainSortie:
     sequence: tuple
     distance: float
     energy: float
-    charge_legs: tuple  # (leg_start_pos, amount) pairs absorbed before launch
+    events: tuple  # charging events on the legs ridden since the last recovery
 
 
 class _Search:
@@ -106,32 +107,30 @@ class _Search:
                 )
 
 
-def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
+def _vehicle_chains(search: _Search, kind: str, vid: int, route, leg_times, remaining):
     """All sortie chains for one vehicle, left to right along the route.
 
     Yields (chain, served) pairs; a chain is a tuple of _ChainSortie.  The
     battery starts full, drains by sortie energy at each launch, and
-    recharges (clamped) on carried legs between recovery and next launch.
-    Charging on the leg out of the depot is not allowed.  From each launch
-    position, :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the
-    sequences of remaining customers that meet the payload and range caps.
+    recharges on carried legs between recovery and next launch, clamped by
+    :func:`vrpdr.energy.charge_legs`, which charges no leg out of the
+    depot.  From each launch position,
+    :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the sequences of
+    remaining customers that meet the payload and range caps.
     """
     fleet, options = search.fleet, search.options
     m_eff = options.effective_m(fleet)
     cap = fleet.battery(kind)
-    rate = fleet.charge_rate(kind) if options.charging else 0.0
     payload_limit = fleet.payload_cap(kind) + FIT_TOL
     range_limit = fleet.range_cap(kind) + FIT_TOL
     rows, weight, energies = search.rows[kind], search.weight, search.energies
     last_pos = len(route) - 1
 
     def charge_between(start_pos, launch_pos, level):
-        """Clamped (leg, amount) pairs for legs [start_pos, launch_pos) but leg 0."""
-        first = max(start_pos, 1)
-        charged, level = energy_mod.charge_walk(
-            level, cap, [rate * leg_times[p] for p in range(first, launch_pos)]
-        )
-        return tuple((first + k, amount) for k, amount in charged), level
+        """Charging events and level over the legs [start_pos, launch_pos)."""
+        stop = launch_pos if options.charging else 0
+        legs = [(route[p], leg_times[p]) for p in range(start_pos, stop)]
+        return energy_mod.charge_legs(kind, vid, 0, level, fleet, legs)
 
     def rec(start_pos, level, remaining, acc):
         yield tuple(acc), frozenset(set(remaining_all) - set(remaining))
@@ -139,7 +138,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
             return
         for launch_pos in range(start_pos, last_pos):
             launch_node = route[launch_pos]
-            charge_legs, level_at_launch = charge_between(start_pos, launch_pos, level)
+            events, level_at_launch = charge_between(start_pos, launch_pos, level)
             for seq, legs, head in rows.sortie_heads(
                 launch_node, remaining, m_eff, weight, payload_limit, range_limit
             ):
@@ -161,9 +160,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
                     if e > level_at_launch + FIT_TOL:
                         continue
                     search.tick()
-                    entry = _ChainSortie(
-                        launch_pos, recovery_pos, seq, dist, e, charge_legs
-                    )
+                    entry = _ChainSortie(launch_pos, recovery_pos, seq, dist, e, events)
                     if recovery_pos == last_pos:
                         # recovered at the depot: the vehicle is retired
                         yield tuple(acc) + (entry,), frozenset(
@@ -181,7 +178,7 @@ def _vehicle_chains(search: _Search, kind: str, route, leg_times, remaining):
     yield from rec(0, cap, tuple(remaining), [])
 
 
-def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
+def _assemble_plan(search: _Search, route, assignment) -> Plan:
     """Build a full plan from vehicle chains; the truck waits for its sorties."""
     inst, fleet = search.inst, search.fleet
     sorties = []
@@ -201,17 +198,7 @@ def _assemble_plan(search: _Search, route, leg_times, assignment) -> Plan:
                 )
             )
             launch_positions.append(cs.launch_pos)
-            for leg_pos, amount in cs.charge_legs:
-                events.append(
-                    energy_mod.ChargingEvent(
-                        vehicle_kind=kind,
-                        vehicle_id=vid,
-                        truck_id=0,
-                        node=route[leg_pos],
-                        duration=leg_times[leg_pos],
-                        amount=amount,
-                    )
-                )
+            events += cs.events
     arrivals = arrival_times([route], inst, fleet, sorties)
     sorties = [replace(s, launch_time=arrivals[0][p]) for s, p in zip(sorties, launch_positions)]
     return timed_plan([route], arrivals, sorties, events, inst, fleet)
@@ -263,8 +250,8 @@ def solve_exact(
 
     max_trips = 1 if options.single_trip else None
 
-    def chains_for(kind, route, leg_times, remaining):
-        for chain, served in _vehicle_chains(search, kind, route, leg_times, remaining):
+    def chains_for(kind, vid, route, leg_times, remaining):
+        for chain, served in _vehicle_chains(search, kind, vid, route, leg_times, remaining):
             if max_trips is not None and len(chain) > max_trips:
                 continue
             yield chain, served
@@ -292,7 +279,7 @@ def solve_exact(
                     if vidx == len(vehicles):
                         return
                     kind, vid = vehicles[vidx]
-                    for chain, served in chains_for(kind, route, leg_times, remaining):
+                    for chain, served in chains_for(kind, vid, route, leg_times, remaining):
                         acc[(kind, vid)] = chain
                         assign(vidx + 1, tuple(c for c in remaining if c not in served), acc)
                         del acc[(kind, vid)]
@@ -311,7 +298,7 @@ def solve_exact(
                             or _plan_key(route, assignment) >= search.best_key
                         ):
                             return
-                    plan = _assemble_plan(search, route, leg_times, assignment)
+                    plan = _assemble_plan(search, route, assignment)
                     report = validator_mod.validate(plan, inst, fleet, options)
                     if not report.feasible:
                         raise VrpdrInternalError(plan, report)

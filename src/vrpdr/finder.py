@@ -3,44 +3,45 @@
 Phase 1 builds truck routes by nearest-neighbor growth, sized so each truck
 takes at most max(3, |C| // (2T)) customers and the rest stay open for the
 auxiliary fleet, and each leaves one for every later truck; each step takes
-one ``np.hypot`` row over the free customers.  Phase 2 walks
-the truck timeline chronologically and greedily assigns drone/robot
-sorties that satisfy payload, range, energy and synchronization checks,
-recharging carried vehicles (a float level, walked by
-:func:`vrpdr.energy.charge_walk`) from the truck as it drives.  Its
-candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
-cap-pruned sortie walk the model and exact search share, over the nearby
-pool; energy comes from the leg distances the walk already holds.  Unlike
-the model and exact search, FINDER also hands the walk a per-customer
-``reach`` built from the open recovery points, so a prefix that can no
-longer get back to any of them within range and deadline is dropped.  By
-the triangle inequality every sequence that could is still walked.  The
-walk's range is also cut to :func:`vrpdr.energy.battery_range` of the
-fullest crew battery, the farthest any sortie can fly on it empty (6.1 km
-for a full default drone against its 20 km cap), so the crew charges up
-to the launch point before the walk.  A sortie beyond that bound draws
-more than every crew battery holds, and the exact range, timing, price
-and battery checks after the walk are unchanged, so neither prune
-changes a plan.  Phase 3 inserts whatever
-remains into the truck routes at the cheapest Manhattan detour, then
-re-times the accepted sorties against the rebuilt
-timeline.  One incremental cheapest-insertion kernel serves phase 3 and
-the truck-detour prices of phase 2: it holds each customer's best (delta,
-position) per truck in NumPy arrays over the truck distance table
-(:meth:`vrpdr.core.Instance.truck_matrix`) and updates them in bulk after
-each insert.  Both array kernels choose by exact scalar keys, ties
-included, so a plan does not depend on how NumPy rounds.
-Every phase reads the truck timeline as the per-position rows of the
-sortie-free :func:`vrpdr.schedule.arrival_times`, next to the routes;
-sorties that no longer fit are dropped rather than waited for.  The plan
-is assembled and scored by :func:`vrpdr.schedule.timed_plan`.
+one ``np.hypot`` row over the free customers.  Phase 2 walks the truck
+timeline chronologically and greedily assigns drone/robot sorties that
+satisfy payload, range, energy and synchronization checks to the crew
+aboard each launch point.  Each vehicle is a
+:class:`vrpdr.schedule.Carriage`: it charges from its truck as it drives
+and docks where its sortie lands.  Candidates come from
+:meth:`vrpdr.core.DistanceRows.sortie_heads`, the cap-pruned sortie walk
+the model and exact search share, over the nearby pool; energy comes from
+the leg distances the walk already holds.  Unlike the model and exact
+search, FINDER also hands the walk a per-customer ``reach`` built from the
+open recovery points, so a prefix that can no longer get back to any of
+them within range and deadline is dropped.  By the triangle inequality
+every sequence that could is still walked.  The walk's range is also cut
+to :func:`vrpdr.energy.battery_range` of the fullest crew battery, the
+farthest any sortie can fly on it empty (6.1 km for a full default drone
+against its 20 km cap), so the crew charges up to the launch point before
+the walk.  A sortie beyond that bound draws more than every crew battery
+holds, and the exact range, timing, price and battery checks after the
+walk are unchanged, so neither prune changes a plan.  Phase 3 inserts
+whatever remains into the truck routes at the cheapest Manhattan detour,
+then replays the accepted sorties on the rebuilt timeline with
+:func:`vrpdr.schedule.walk`; those that no longer fly are dropped rather
+than waited for, and a rescue pass assigns truck-unreachable customers
+from the finished routes.  One incremental cheapest-insertion kernel
+serves phase 3 and the truck-detour prices of phase 2: it holds each
+customer's best (delta, position) per truck in NumPy arrays over the truck
+distance table (:meth:`vrpdr.core.Instance.truck_matrix`) and updates them
+in bulk after each insert.  Both array kernels choose by exact scalar
+keys, ties included, so a plan does not depend on how NumPy rounds.  Every
+phase reads the truck timeline as the per-position rows of the sortie-free
+:func:`vrpdr.schedule.arrival_times`, next to the routes.  The plan is
+assembled and scored by :func:`vrpdr.schedule.timed_plan`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Set
+from dataclasses import replace
+from typing import List, Set
 
 import numpy as np
 
@@ -60,27 +61,12 @@ from .core import (
     Plan,
     Sortie,
     euclidean_distance,
-    sortie_travel_time,
 )
-from .schedule import arrival_times, timed_plan
+from .schedule import arrival_times, carriages, timed_plan, walk
 
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
 NEAR_TIE = 1e-12          # relative window over np.hypot's row minimum
-
-
-@dataclass
-class VehicleState:
-    vehicle_kind: str
-    vehicle_id: int
-    available_from: float = 0.0
-    aboard_truck: Optional[int] = None
-    aboard_pos: int = 0       # boarding position on the carrying truck
-    charged_upto: int = 0     # charging accrued for legs before this position
-    level: float = 0.0        # running battery level
-    events: List[energy_mod.ChargingEvent] = field(default_factory=list)
-    sortie_count: int = 0
-    retired: bool = False
 
 
 def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
@@ -122,64 +108,6 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
         route.append(0)
         routes.append(route)
     return routes
-
-
-def initial_states(fleet: FleetSpec) -> list:
-    """All vehicles fully charged, riding the truck they are numbered onto."""
-    states = []
-    trucks = max(1, fleet.num_trucks)
-    for kind in (DRONE, ROBOT):
-        for v in range(fleet.count(kind)):
-            states.append(
-                VehicleState(kind, v, aboard_truck=v % trucks, level=fleet.battery(kind))
-            )
-    return states
-
-
-def _advance_charging(
-    state: VehicleState, routes, arrivals, fleet: FleetSpec, upto_pos: int, charging: bool
-) -> None:
-    """Accrue clamped charge for carried legs between the watermark and upto_pos."""
-    t = state.aboard_truck
-    if t is None:
-        return
-    kind, route, times = state.vehicle_kind, routes[t], arrivals[t]
-    end = min(upto_pos, len(route) - 1)
-    legs = []  # (start node, duration) of each leg that can charge
-    for pos in range(max(state.charged_upto, state.aboard_pos), end if charging else 0):
-        duration = times[pos + 1] - times[pos]
-        if route[pos] != 0 and duration > 0:
-            legs.append((route[pos], duration))
-    offers = [energy_mod.charge_amount(duration, kind, fleet) for _, duration in legs]
-    charged, state.level = energy_mod.charge_walk(state.level, fleet.battery(kind), offers)
-    for k, amount in charged:
-        state.events.append(energy_mod.ChargingEvent(kind, state.vehicle_id, t, *legs[k], amount))
-    state.charged_upto = max(state.charged_upto, end)
-
-
-def apply_enroute_charging(states, routes, arrivals, fleet: FleetSpec) -> list:
-    """Charge every carried vehicle across its remaining truck legs."""
-    for state in states:
-        if state.aboard_truck is not None:
-            last = len(routes[state.aboard_truck]) - 1
-            _advance_charging(state, routes, arrivals, fleet, last, True)
-    return states
-
-
-def _dock(state: VehicleState, arrivals, energy: float, truck: int, pos: int) -> None:
-    """Accept a sortie: draw its energy and count the trip, then retire the
-    vehicle at ``truck``'s last stop, the depot return, or re-board it at
-    stop ``pos``."""
-    state.level -= energy
-    state.sortie_count += 1
-    if pos == len(arrivals[truck]) - 1:
-        state.retired = True
-        state.aboard_truck = None
-    else:
-        state.aboard_truck = truck
-        state.aboard_pos = pos
-        state.charged_upto = pos
-    state.available_from = arrivals[truck][pos]
 
 
 def _recovery_options(arrivals, truck: int, pos: int, launch_time: float, flexible: bool):
@@ -308,7 +236,7 @@ def assign_sorties(
     routes,
     arrivals,
     unserved: Set[int],
-    states,
+    carried,
     inst: Instance,
     fleet: FleetSpec,
     options: ModelOptions = ModelOptions(),
@@ -317,13 +245,17 @@ def assign_sorties(
     """Greedy synchronized sortie assignment along the truck timeline.
 
     ``arrivals`` holds the hour of each position of ``routes``, as
-    :func:`vrpdr.schedule.arrival_times` returns it.  Launch points are
-    visited in chronological order; at each one every vehicle kind gets at
-    most one sortie, chosen as the lowest energy-per-customer candidate
-    among the nearby unserved pool that passes payload, range, battery and
-    timing checks and beats the cost of leaving its customers to the truck
+    :func:`vrpdr.schedule.arrival_times` returns it, and ``carried`` the
+    fleet's :func:`vrpdr.schedule.carriages` in fleet order.  Launch points
+    are visited in chronological order; at each one every vehicle kind gets
+    at most one sortie, flown by the first vehicle of its crew (those
+    :meth:`~vrpdr.schedule.Carriage.aboard` there with trips left) that can
+    afford one.  It is the lowest energy-per-customer candidate among the
+    nearby unserved pool that passes payload, range, battery and timing
+    checks and beats the cost of leaving its customers to the truck
     insertion phase, each customer priced by its cheapest solo detour, read
-    for all open customers from one scan of the insertion kernel.
+    for all open customers from one scan of the insertion kernel.  Returns
+    ``(sorties, carried, unserved)``.
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
@@ -349,7 +281,7 @@ def assign_sorties(
     unserved = set(unserved)
     kinds = [kind for kind in (DRONE, ROBOT) if fleet.count(kind)]
     if not kinds or not unserved:
-        return [], states, unserved
+        return [], carried, unserved
     sorties: List[Sortie] = []
     used_launch: Set[tuple] = set()
     used_recovery: Set[tuple] = set()
@@ -383,26 +315,15 @@ def assign_sorties(
         for kind in kinds:
             if not unserved or (kind, launch_node) in used_launch:
                 continue
-            crew = sorted(
-                (
-                    s
-                    for s in states
-                    if s.vehicle_kind == kind
-                    and not s.retired
-                    and s.aboard_truck == t
-                    and s.aboard_pos <= pos
-                    and s.available_from <= launch_time + TIME_TOL
-                    and s.sortie_count < max_trips
-                ),
-                key=lambda s: s.vehicle_id,
-            )
+            aboard = (c for c in carried if c.kind == kind and c.aboard(t, pos, launch_time))
+            crew = [c for c in aboard if c.trips < max_trips]
             if not crew:
                 continue
             rows = distance_rows[kind]
             range_cap, speed = fleet.range_cap(kind), fleet.speed(kind)
             unit_cost, fixed_cost = fleet.unit_cost(kind), fleet.fixed_cost(kind)
             for vehicle in crew:
-                _advance_charging(vehicle, routes, arrivals, fleet, pos, options.charging)
+                vehicle.charge(routes, arrivals, fleet, pos, options.charging)
             # no sortie flies farther than the fullest crew battery carries it empty
             walk_cap = min(
                 range_cap, energy_mod.battery_range(kind, max(v.level for v in crew), fleet)
@@ -496,9 +417,9 @@ def assign_sorties(
                 unserved -= set(seq)
                 used_launch.add((kind, launch_node))
                 used_recovery.add((kind, rec_node))
-                _dock(vehicle, arrivals, e, t2, q)
+                vehicle.dock(arrivals, e, t2, q)
                 break  # one sortie per launch point and kind
-    return sorties, states, unserved
+    return sorties, carried, unserved
 
 
 def insert_unserved(routes, unserved, inst: Instance) -> list:
@@ -511,62 +432,6 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     truck-unreachable customers out.
     """
     return _cheapest_insertion(routes, unserved, inst.truck_matrix())[0]
-
-
-def _replay_sorties(routes, arrivals, sorties, inst, fleet, options, finalize=True):
-    """Re-time accepted sorties on rebuilt routes; drop what no longer fits.
-
-    Returns (kept sorties with fresh launch times, charging events, dropped
-    customer ids, vehicle states).  With ``finalize`` the vehicles
-    also charge across their remaining carried legs; a rescue assignment
-    pass passes ``finalize=False`` so it can keep extending the schedule.
-    """
-    pos_index = [{node: p for p, node in enumerate(route)} for route in routes]
-    states = {
-        (s.vehicle_kind, s.vehicle_id): s for s in initial_states(fleet)
-    }
-
-    def launch_hour(s):
-        if s.launch_node == 0:
-            return 0.0
-        return arrivals[s.launch_truck][pos_index[s.launch_truck].get(s.launch_node, 0)]
-
-    order = sorted(range(len(sorties)), key=lambda i: (launch_hour(sorties[i]), i))
-    kept: List[Sortie] = []
-    dropped: List[int] = []
-    for i in order:
-        s = sorties[i]
-        state = states[(s.vehicle_kind, s.vehicle_id)]
-        lp = pos_index[s.launch_truck].get(s.launch_node)
-        rp = pos_index[s.recovery_truck].get(s.recovery_node)
-        ok = lp is not None and rp is not None and not state.retired
-        if ok:
-            launch_time = 0.0 if s.launch_node == 0 else arrivals[s.launch_truck][lp]
-            deadline = arrivals[s.recovery_truck][rp]
-            ok = (
-                state.aboard_truck == s.launch_truck
-                and state.aboard_pos <= lp
-                and state.available_from <= launch_time + TIME_TOL
-            )
-        if ok:
-            flight = sortie_travel_time(s, inst, fleet)
-            ok = launch_time + flight <= deadline + TIME_TOL and (
-                s.launch_node != s.recovery_node or s.launch_node == 0
-            )
-        if ok:
-            _advance_charging(state, routes, arrivals, fleet, lp, options.charging)
-            e = energy_mod.sortie_energy(s, inst, fleet)
-            ok = e <= state.level + FIT_TOL
-        if not ok:
-            dropped.extend(s.sequence)
-            continue
-        _dock(state, arrivals, e, s.recovery_truck, rp)
-        kept.append(replace(s, launch_time=launch_time))
-    state_list = sorted(states.values(), key=lambda s: (s.vehicle_kind, s.vehicle_id))
-    if finalize and options.charging:
-        apply_enroute_charging(state_list, routes, arrivals, fleet)
-    events = tuple(e for state in state_list for e in state.events)
-    return kept, events, dropped, state_list
 
 
 def solve_finder(
@@ -591,21 +456,22 @@ def solve_finder(
         )
     routes = construct_truck_routes(inst, fleet)
     arrivals = arrival_times(routes, inst, fleet)
-    states = initial_states(fleet)
     routed = {n for r in routes for n in r if n != 0}
     unserved = {c.id for c in inst.customers} - routed
 
-    sorties, states, unserved = assign_sorties(
-        routes, arrivals, unserved, states, inst, fleet, options
+    sorties, _, unserved = assign_sorties(
+        routes, arrivals, unserved, carriages(fleet), inst, fleet, options
     )
 
     blocked = {c for c in unserved if not inst.node(c).truck_reachable}
     routes = insert_unserved(routes, unserved - blocked, inst)
     for _round in range(2 * inst.num_customers + 2):
         arrivals = arrival_times(routes, inst, fleet)
-        kept, events, dropped, replay_states = _replay_sorties(
-            routes, arrivals, sorties, inst, fleet, options, finalize=not blocked
+        steps, carried = walk(
+            routes, arrivals, sorties, inst, fleet, options.charging, finish=not blocked
         )
+        kept = [replace(sorties[i], launch_time=hour) for i, hour, why in steps if why is None]
+        dropped = [c for i, _, why in steps if why is not None for c in sorties[i].sequence]
         blocked |= {c for c in dropped if not inst.node(c).truck_reachable}
         droppable = [c for c in dropped if inst.node(c).truck_reachable]
         if droppable:
@@ -618,14 +484,7 @@ def solve_finder(
         # rescue pass: the fully built routes expose launch and recovery
         # anchors the half-built phase-1 routes did not have
         rescued, _, still = assign_sorties(
-            routes,
-            arrivals,
-            blocked,
-            replay_states,
-            inst,
-            fleet,
-            options,
-            existing_sorties=kept,
+            routes, arrivals, blocked, carried, inst, fleet, options, existing_sorties=kept
         )
         if not rescued:
             raise InfeasibleError(
@@ -637,4 +496,5 @@ def solve_finder(
     else:  # pragma: no cover - every round shrinks the open work
         raise ConfigurationError("sortie re-timing did not stabilize")
 
+    events = tuple(e for c in carried for e in c.events)
     return timed_plan(routes, arrivals, sorties, events, inst, fleet)

@@ -1,21 +1,44 @@
-"""The plan objective, the truck timeline and the plan assembler that every
-solver shares.
+"""The plan objective, the truck timeline, the per-vehicle walk and the plan
+assembler that every solver shares.
 
 :func:`score` is the one objective: weighted operating cost plus makespan,
 the maximum summed travel time over trucks, drones and robots.
 :func:`arrival_times` is the one truck timeline, in which trucks wait for
 the sorties they recover.  The finder, exact search, model substitution
-and validator all read these two.  :func:`timed_plan` is the one plan
-assembler: the finder and exact search both end with it.
+and validator all read these two.  A :class:`Carriage` is one drone or
+robot as the trucks carry it, and :func:`walk` takes each vehicle through
+its sorties in launch order, naming why a sortie cannot fly; the finder
+assigns sorties through the carriages and replays them with the walk.
+:func:`timed_plan` is the one plan assembler: the finder and exact search
+both end with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, Tuple
+import math
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Tuple
 
-from .core import FleetSpec, Instance, ObjectiveBreakdown, Plan, sortie_distance, sortie_travel_time
-from .energy import build_ledgers
+from . import energy as energy_mod
+from .core import (
+    DRONE,
+    FIT_TOL,
+    ROBOT,
+    TIME_TOL,
+    FleetSpec,
+    Instance,
+    ObjectiveBreakdown,
+    Plan,
+    sortie_distance,
+    sortie_travel_time,
+)
+
+# why walk() keeps a sortie on the ground
+NOT_ABOARD = "not aboard"          # the launch truck does not carry it at the launch stop
+NOT_BACK = "not back yet"          # carried there, but its last recovery is after the launch
+LATE = "late"                      # the recovery truck has left, or never comes
+SAME_STOP = "same-stop cyclic"     # launched and recovered at one customer
+BATTERY_SHORT = "battery short"    # draws more than the charged battery holds
 
 
 def score(route_rows, sortie_rows, fleet: FleetSpec) -> ObjectiveBreakdown:
@@ -95,6 +118,118 @@ def arrival_times(routes, inst: Instance, fleet: FleetSpec, sorties=()) -> list:
     return arrivals
 
 
+@dataclass
+class Carriage:
+    """One drone or robot as the trucks carry it: ``truck`` (None once a
+    depot return retired it) carries it from stop ``pos`` on, ready at hour
+    ``ready``; the legs before stop ``charged_upto`` have charged its
+    ``level``, giving ``events``, and ``trips`` counts its sorties."""
+
+    kind: str
+    vehicle_id: int
+    truck: Optional[int]
+    level: float
+    pos: int = 0
+    ready: float = 0.0
+    charged_upto: int = 0
+    trips: int = 0
+    events: list = field(default_factory=list)
+
+    def aboard(self, truck: int, pos: int, hour: float) -> bool:
+        """Can it launch from stop ``pos`` of ``truck`` at ``hour``?"""
+        return self.truck == truck and self.pos <= pos and self.ready <= hour + TIME_TOL
+
+    def charge(self, routes, arrivals, fleet: FleetSpec, upto: float, charging: bool) -> None:
+        """Charge on the carried legs from the watermark to stop ``upto``, at
+        most the route's end (in one call or in two, the same level and
+        events); without ``charging`` only the watermark moves."""
+        t = self.truck
+        if t is None:
+            return
+        route, times = routes[t], arrivals[t]
+        end = min(upto, len(route) - 1)
+        start, stop = max(self.charged_upto, self.pos), end if charging else 0
+        legs = [(route[p], times[p + 1] - times[p]) for p in range(start, stop)]
+        events, self.level = energy_mod.charge_legs(
+            self.kind, self.vehicle_id, t, self.level, fleet, legs
+        )
+        self.events += events
+        self.charged_upto = max(self.charged_upto, end)
+
+    def dock(self, arrivals, energy: float, truck: int, pos: int) -> None:
+        """Fly a sortie that draws ``energy`` and lands at stop ``pos`` of
+        ``truck``: the vehicle rides on from there, or retires at the depot
+        return."""
+        self.level -= energy
+        self.trips += 1
+        self.truck = None if pos == len(arrivals[truck]) - 1 else truck
+        self.pos = self.charged_upto = pos
+        self.ready = arrivals[truck][pos]
+
+
+def carriages(fleet: FleetSpec) -> list:
+    """Every drone, then every robot, by id: full, riding the truck it is
+    numbered onto from the depot."""
+    trucks = max(1, fleet.num_trucks)
+    return [
+        Carriage(kind, v, v % trucks, fleet.battery(kind))
+        for kind in (DRONE, ROBOT)
+        for v in range(fleet.count(kind))
+    ]
+
+
+def walk(routes, arrivals, sorties, inst: Instance, fleet: FleetSpec, charging, finish):
+    """Take every drone and robot through its ``sorties`` in launch order.
+
+    A sortie launches at its stop's hour in ``arrivals`` (from the depot at
+    hour 0).  Returns ``(steps, carried)``: one ``(index into sorties,
+    launch hour, reason)`` per sortie in launch order, and the
+    :func:`carriages` after the walk.  ``reason`` is None when the sortie
+    flies, else the first of :data:`NOT_ABOARD`, :data:`NOT_BACK`,
+    :data:`LATE`, :data:`SAME_STOP` and :data:`BATTERY_SHORT` that holds; a
+    failed sortie leaves its vehicle as it was.  With ``finish`` and
+    ``charging``, every vehicle still carried charges to its route's end.
+    """
+    position = [{node: p for p, node in enumerate(route)} for route in routes]
+    carried = carriages(fleet)
+    index = {(c.kind, c.vehicle_id): k for k, c in enumerate(carried)}
+
+    def launch_hour(s):
+        p = position[s.launch_truck].get(s.launch_node)
+        return 0.0 if s.launch_node == 0 or p is None else arrivals[s.launch_truck][p]
+
+    steps = []
+    for i in sorted(range(len(sorties)), key=lambda i: (launch_hour(sorties[i]), i)):
+        s, hour = sorties[i], launch_hour(sorties[i])
+        k = index[s.vehicle_kind, s.vehicle_id]
+        lp = position[s.launch_truck].get(s.launch_node)  # the depot maps to the return
+        rp = position[s.recovery_truck].get(s.recovery_node)
+        if lp is None or not carried[k].aboard(s.launch_truck, lp, math.inf):
+            reason = NOT_ABOARD
+        elif not carried[k].aboard(s.launch_truck, lp, hour):
+            reason = NOT_BACK
+        elif rp is None or (
+            hour + sortie_travel_time(s, inst, fleet) > arrivals[s.recovery_truck][rp] + TIME_TOL
+        ):
+            reason = LATE
+        elif s.launch_node == s.recovery_node != 0:
+            reason = SAME_STOP
+        else:
+            trial = replace(carried[k], events=list(carried[k].events))
+            trial.charge(routes, arrivals, fleet, lp, charging)
+            energy = energy_mod.sortie_energy(s, inst, fleet)
+            if energy > trial.level + FIT_TOL:
+                reason = BATTERY_SHORT
+            else:
+                trial.dock(arrivals, energy, s.recovery_truck, rp)
+                carried[k], reason = trial, None
+        steps.append((i, hour, reason))
+    if finish and charging:
+        for c in carried:
+            c.charge(routes, arrivals, fleet, math.inf, True)
+    return steps, carried
+
+
 def timed_plan(routes, arrivals, sorties, events, inst: Instance, fleet: FleetSpec) -> Plan:
     """The finished plan: ``routes`` with their ``arrivals`` rows as one
     ``{node: hour}`` map per truck (the depot departure left out, so the
@@ -108,6 +243,6 @@ def timed_plan(routes, arrivals, sorties, events, inst: Instance, fleet: FleetSp
     )
     return replace(
         plan,
-        ledgers=build_ledgers(plan, inst, fleet),
+        ledgers=energy_mod.build_ledgers(plan, inst, fleet),
         objective_breakdown=objective_value(plan, inst, fleet),
     )

@@ -13,7 +13,16 @@ import pytest
 
 from vrpdr import bench, exact, finder, lp_io, milp, validator
 from vrpdr.core import FleetSpec, ModelOptions, Sortie
-from vrpdr.energy import ChargingEvent, apply_charging, charge_amount, new_ledger, robot_power
+from vrpdr.energy import (
+    CAUSE_CHARGE,
+    CAUSE_SORTIE,
+    BatteryLedger,
+    LedgerEntry,
+    charge_amount,
+    charge_walk,
+    robot_power,
+    sortie_energy,
+)
 from conftest import make_instance
 
 FLEET = FleetSpec()  # benchmark defaults: 1 truck, 1 drone, 1 robot
@@ -223,16 +232,12 @@ def test_criterion_07_charging_trend():
 def test_criterion_08_energy_values():
     inst1 = make_instance([(0, 0), (1, 0), (1, 1)], weights=[2.0, 0.5], fleet=FLEET)
     s1 = Sortie("drone", 0, 0, 2, (1,), 0, 0)
-    e1 = __import__("vrpdr.energy", fromlist=["drone_sortie_energy"]).drone_sortie_energy(
-        s1, inst1, FLEET
-    )
+    e1 = sortie_energy(s1, inst1, FLEET)
     assert e1 == pytest.approx(4864.0, abs=1e-9)
 
     inst2 = make_instance([(0, 0), (1, 0), (2, 0), (3, 0)], weights=[2.0, 3.0, 0.5], fleet=FLEET)
     s2 = Sortie("drone", 0, 0, 3, (1, 2), 0, 0)
-    e2 = __import__("vrpdr.energy", fromlist=["drone_sortie_energy"]).drone_sortie_energy(
-        s2, inst2, FLEET
-    )
+    e2 = sortie_energy(s2, inst2, FLEET)
     assert e2 == pytest.approx(7936.0, abs=1e-9)
 
     v = FLEET.s_r / 3.6
@@ -253,26 +258,29 @@ def test_criterion_09_ledger_property():
     clamp_checks = 0
     for trial in range(1000):
         kind = "drone" if trial % 2 == 0 else "robot"
-        ledger = new_ledger(kind, 0, FLEET)
-        cap = ledger.capacity
+        cap = FLEET.battery(kind)
+        level, entries = cap, []
         t = 0.0
         for _ in range(rng.randint(1, 10)):
             t += rng.uniform(0.01, 0.4)
             if rng.random() < 0.5:
-                ledger = ledger.consume(t, rng.uniform(0, ledger.level))
+                draw = rng.uniform(0, level)
+                level -= draw
+                entries.append(LedgerEntry(t, -draw, CAUSE_SORTIE))
             else:
                 duration = rng.uniform(0, 0.8)
                 amount = min(
                     charge_amount(duration, kind, FLEET),
                     charge_amount(duration, kind, FLEET) * rng.uniform(0, 1.5),
                 )
-                before = ledger.level
-                ledger, applied = apply_charging(
-                    ledger, ChargingEvent(kind, 0, 0, 1, duration, amount), time=t
-                )
+                before = level
+                charged, level = charge_walk(level, cap, (amount,))
+                applied = charged[0][1] if charged else 0.0
+                if charged:
+                    entries.append(LedgerEntry(t, applied, CAUSE_CHARGE))
                 assert applied == pytest.approx(min(amount, cap - before), abs=1e-9)
                 clamp_checks += 1
-        for level in ledger.levels():
+        for level in BatteryLedger(kind, 0, cap, tuple(entries)).levels():
             assert -1e-9 <= level <= cap + 1e-9
     assert clamp_checks > 500
     print(

@@ -24,6 +24,8 @@ def test_generate_instance_rejects_bad_arguments(fleet):
     for size, frac in ((-1, 0.0), (5, 1.5), (5, -0.5), (5, float("nan"))):
         with pytest.raises(InstanceError):
             bench.generate_instance(size, seed=0, fleet=fleet, unreachable_frac=frac)
+    with pytest.raises(InstanceError):
+        bench.generate_instance(5, seed=-1, fleet=fleet)
     every = bench.generate_instance(5, seed=0, fleet=fleet, unreachable_frac=1.0)
     assert not any(c.truck_reachable for c in every.customers)
 

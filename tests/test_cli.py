@@ -194,12 +194,14 @@ def test_cli_toggle_flags_reach_the_model(tmp_path):
         ["generate", "--size", "5", "--unreachable-frac", "1.5"],
         ["generate", "--size", "5", "--unreachable-frac", "-0.5"],
         ["generate", "--size", "5", "--trucks", "-1"],
+        ["generate", "--size", "5", "--seed", "-1"],
         ["bench", "--scenario", "modes", "--sizes", "abc"],
         ["bench", "--scenario", "modes", "--sizes", "10:5:0"],
         ["bench", "--scenario", "modes", "--sizes", "10:5:1"],
         ["bench", "--scenario", "modes", "--sizes", "1:2"],
         ["bench", "--scenario", "modes", "--sizes", "-3"],
         ["bench", "--scenario", "modes", "--sizes", "5", "--reps", "0"],
+        ["bench", "--scenario", "modes", "--sizes", "5", "--seed", "-1"],
     ],
     ids=lambda args: " ".join(args),
 )

@@ -429,7 +429,9 @@ def test_plan_json_names_bad_field(edit, message):
     from vrpdr import energy
     from vrpdr.core import ObjectiveBreakdown, PlanStructureError
 
-    ledger = energy.new_ledger("drone", 0, FleetSpec()).consume(0.1, 500.0)
+    ledger = energy.BatteryLedger(
+        "drone", 0, FleetSpec().B_d, (energy.LedgerEntry(0.1, -500.0, energy.CAUSE_SORTIE),)
+    )
     plan = Plan(
         truck_routes=((0, 1, 2, 0),),
         sorties=(Sortie("drone", 0, 1, 2, (3,), 0, 0, launch_time=0.1),),

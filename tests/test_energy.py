@@ -8,17 +8,18 @@ from hypothesis import strategies as st
 
 from vrpdr.core import DRONE, ROBOT, FleetSpec, KindMismatchError, Sortie
 from vrpdr.energy import (
+    CAUSE_CHARGE,
+    CAUSE_SORTIE,
+    BatteryLedger,
     ChargingEvent,
     InvalidEventError,
-    apply_charging,
+    LedgerEntry,
     battery_range,
     charge_amount,
+    charge_legs,
     charge_walk,
-    drone_sortie_energy,
     leg_energy,
-    new_ledger,
     robot_power,
-    robot_sortie_energy,
     sortie_energy,
 )
 from conftest import make_instance
@@ -29,30 +30,24 @@ def test_drone_energy_single_customer():
     inst = make_instance([(0, 0), (1, 0)], weights=[2.0])
     inst = make_instance([(0, 0), (1, 0), (1, 1)], weights=[2.0, 0.5])
     s = Sortie("drone", 0, 0, 2, (1,), 0, 0)
-    assert drone_sortie_energy(s, inst, inst.fleet) == pytest.approx(4864.0, abs=1e-9)
+    assert sortie_energy(s, inst, inst.fleet) == pytest.approx(4864.0, abs=1e-9)
 
 
 def test_drone_energy_two_customers():
     # legs 1,1,1 km; weights 2 and 3: 128 * (23 + 21 + 18) = 7936
     inst = make_instance([(0, 0), (1, 0), (2, 0), (3, 0)], weights=[2.0, 3.0, 0.5])
     s = Sortie("drone", 0, 0, 3, (1, 2), 0, 0)
-    assert drone_sortie_energy(s, inst, inst.fleet) == pytest.approx(7936.0, abs=1e-9)
+    assert sortie_energy(s, inst, inst.fleet) == pytest.approx(7936.0, abs=1e-9)
 
 
 def test_drone_energy_zero_legs():
     inst = make_instance([(5, 5), (5, 5)], weights=[4.0])
     s = Sortie("drone", 0, 0, 0, (1,), 0, 0)
-    assert drone_sortie_energy(s, inst, inst.fleet) == 0.0
+    assert sortie_energy(s, inst, inst.fleet) == 0.0
 
 
 def test_drone_energy_kind_mismatch():
     inst = make_instance([(0, 0), (1, 0)])
-    s = Sortie("robot", 0, 0, 0, (1,), 0, 0)
-    with pytest.raises(KindMismatchError):
-        drone_sortie_energy(s, inst, inst.fleet)
-    s = Sortie("drone", 0, 0, 0, (1,), 0, 0)
-    with pytest.raises(KindMismatchError):
-        robot_sortie_energy(s, inst, inst.fleet)
     with pytest.raises(KindMismatchError):
         leg_energy("truck", [1.0, 1.0], [1.0], inst.fleet)
 
@@ -167,7 +162,7 @@ def test_drone_energy_matches_direct_evaluation():
         expected = _direct_drone_energy(
             fleet.alpha_d, fleet.W_d, [inst.node(c).weight for c in seq], legs
         )
-        assert drone_sortie_energy(s, inst, fleet) == pytest.approx(expected, rel=1e-12)
+        assert sortie_energy(s, inst, fleet) == pytest.approx(expected, rel=1e-12)
 
 
 def test_drone_energy_monotone_in_weight_and_distance():
@@ -177,11 +172,11 @@ def test_drone_energy_monotone_in_weight_and_distance():
         inst_a = make_instance([(0, 0), (1, 0), (2, 0)], weights=[w, 0.5])
         inst_b = make_instance([(0, 0), (1, 0), (2, 0)], weights=[w + 0.5, 0.5])
         s = Sortie("drone", 0, 0, 2, (1,), 0, 0)
-        ea = drone_sortie_energy(s, inst_a, inst_a.fleet)
-        eb = drone_sortie_energy(s, inst_b, inst_b.fleet)
+        ea = sortie_energy(s, inst_a, inst_a.fleet)
+        eb = sortie_energy(s, inst_b, inst_b.fleet)
         assert eb > ea
         stretch = make_instance([(0, 0), (1.5, 0), (2, 0)], weights=[w, 0.5])
-        assert drone_sortie_energy(s, stretch, stretch.fleet) > ea
+        assert sortie_energy(s, stretch, stretch.fleet) > ea
 
 
 def test_heavier_first_never_worse_with_fixed_legs():
@@ -201,8 +196,8 @@ def test_reordering_changes_energy_on_asymmetric_geometry():
     inst = make_instance([(0, 0), (1, 0), (5, 0), (6, 0)], weights=[9.0, 1.0, 0.5])
     a = Sortie("drone", 0, 0, 3, (1, 2), 0, 0)
     b = Sortie("drone", 0, 0, 3, (2, 1), 0, 0)
-    ea = drone_sortie_energy(a, inst, inst.fleet)
-    eb = drone_sortie_energy(b, inst, inst.fleet)
+    ea = sortie_energy(a, inst, inst.fleet)
+    eb = sortie_energy(b, inst, inst.fleet)
     assert ea != pytest.approx(eb)
 
 
@@ -233,7 +228,7 @@ def test_robot_power_zero_speed():
 def test_robot_sortie_energy_zero_legs():
     inst = make_instance([(2, 2), (2, 2)], weights=[5.0])
     s = Sortie("robot", 0, 0, 0, (1,), 0, 0)
-    assert robot_sortie_energy(s, inst, inst.fleet) == 0.0
+    assert sortie_energy(s, inst, inst.fleet) == 0.0
 
 
 def test_robot_sortie_energy_two_term_expansion():
@@ -243,7 +238,7 @@ def test_robot_sortie_energy_two_term_expansion():
     fleet = inst.fleet
     t = 1.0 / fleet.s_r
     expected = (robot_power(5.0, fleet) * t + robot_power(0.0, fleet) * t) * fleet.robot_energy_scale
-    assert robot_sortie_energy(s, inst, fleet) == pytest.approx(expected, rel=1e-12)
+    assert sortie_energy(s, inst, fleet) == pytest.approx(expected, rel=1e-12)
 
 
 def test_robot_energy_increases_with_weight():
@@ -253,35 +248,31 @@ def test_robot_energy_increases_with_weight():
         small = make_instance([(0, 0), (2, 1), (3, 3)], weights=[w, 0.5])
         big = make_instance([(0, 0), (2, 1), (3, 3)], weights=[w + 1.0, 0.5])
         s = Sortie("robot", 0, 0, 2, (1,), 0, 0)
-        assert robot_sortie_energy(s, big, big.fleet) > robot_sortie_energy(s, small, small.fleet)
+        assert sortie_energy(s, big, big.fleet) > sortie_energy(s, small, small.fleet)
 
 
-def test_apply_charging_examples(fleet):
-    ledger = new_ledger("drone", 0, fleet)
-    ledger = ledger.consume(0.5, 11000.0)  # level 3000
-    assert ledger.level == pytest.approx(3000.0)
-    event = ChargingEvent("drone", 0, 0, 3, duration=1.0, amount=5000.0)
-    ledger, applied = apply_charging(ledger, event, time=0.6)
-    assert applied == pytest.approx(5000.0)
-    assert ledger.level == pytest.approx(8000.0)
+def test_charge_legs_examples(fleet):
+    drained = BatteryLedger("drone", 0, fleet.B_d, (LedgerEntry(0.5, -11000.0, CAUSE_SORTIE),))
+    level = drained.levels()[-1]
+    assert level == pytest.approx(3000.0)
+    events, level = charge_legs("drone", 0, 0, level, fleet, [(3, 1.0)])
+    assert events == (ChargingEvent("drone", 0, 0, 3, duration=1.0, amount=5000.0),)
+    assert level == pytest.approx(8000.0)
 
-    full = new_ledger("drone", 0, fleet)
-    full2, applied = apply_charging(full, event, time=0.0)
-    assert applied == 0.0
-    assert full2.level == pytest.approx(fleet.B_d)
+    events, level = charge_legs("drone", 0, 0, fleet.B_d, fleet, [(3, 1.0)])
+    assert events == ()
+    assert level == pytest.approx(fleet.B_d)
 
-    zero = ChargingEvent("drone", 0, 0, 3, duration=0.0, amount=0.0)
-    _, applied = apply_charging(full, zero)
-    assert applied == 0.0
+    events, level = charge_legs("drone", 0, 0, 3000.0, fleet, [(3, 0.0)])
+    assert events == () and level == 3000.0
     assert charge_amount(0.0, "drone", fleet) == 0.0
+    # the leg out of the depot never charges
+    assert charge_legs("drone", 0, 0, 3000.0, fleet, [(0, 1.0)]) == ((), 3000.0)
 
 
-def test_apply_charging_errors(fleet):
-    ledger = new_ledger("robot", 0, fleet)
+def test_charge_legs_errors(fleet):
     with pytest.raises(InvalidEventError):
-        apply_charging(ledger, ChargingEvent("robot", 0, 0, 1, duration=-0.5, amount=10.0))
-    with pytest.raises(InvalidEventError):
-        apply_charging(ledger, ChargingEvent("robot", 0, 0, 1, duration=0.0, amount=10.0))
+        charge_legs("robot", 0, 0, 100.0, fleet, [(1, -0.5)])
 
 
 def test_ledger_random_schedules_stay_in_range(fleet):
@@ -289,23 +280,26 @@ def test_ledger_random_schedules_stay_in_range(fleet):
     rng = random.Random(42)
     for trial in range(1000):
         kind = "drone" if trial % 2 == 0 else "robot"
-        ledger = new_ledger(kind, 0, fleet)
-        cap = ledger.capacity
+        cap = fleet.battery(kind)
+        level, entries = cap, []
         t = 0.0
         for _ in range(rng.randint(1, 12)):
             t += rng.uniform(0.01, 0.5)
             if rng.random() < 0.5:
-                draw = rng.uniform(0, ledger.level)
-                ledger = ledger.consume(t, draw)
+                draw = rng.uniform(0, level)
+                level -= draw
+                entries.append(LedgerEntry(t, -draw, CAUSE_SORTIE))
             else:
                 duration = rng.uniform(0, 1.0)
                 request = charge_amount(duration, kind, fleet) * rng.uniform(0, 1.2)
                 request = min(request, charge_amount(duration, kind, fleet))
-                event = ChargingEvent(kind, 0, 0, 1, duration=duration, amount=request)
-                before = ledger.level
-                ledger, applied = apply_charging(ledger, event, time=t)
+                before = level
+                charged, level = charge_walk(level, cap, (request,))
+                applied = charged[0][1] if charged else 0.0
+                if charged:
+                    entries.append(LedgerEntry(t, applied, CAUSE_CHARGE))
                 assert applied == pytest.approx(min(request, cap - before), abs=1e-9)
-        for level in ledger.levels():
+        for level in BatteryLedger(kind, 0, cap, tuple(entries)).levels():
             assert -1e-9 <= level <= cap + 1e-9
 
 
@@ -323,8 +317,8 @@ def _old_exact_charge_between(route, rate, leg_times, cap, start_pos, launch_pos
 
 
 def _old_finder_charge(capacity, deltas, amount):
-    """The finder's clamp before charge_walk: apply_charging's arithmetic
-    against a ledger level of ``capacity + sum(deltas)``."""
+    """The finder's clamp before charge_walk: the one-event ledger charge's
+    arithmetic against a ledger level of ``capacity + sum(deltas)``."""
     level = capacity + sum(deltas)
     applied = min(amount, max(0.0, capacity - level))
     if applied == 0.0:

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def test_assign_sorties_range_infeasible(fleet):
     routes = [[0, 1, 2, 3, 0]]
     arrivals = schedule.arrival_times(routes, inst, fleet)
     sorties, _, unserved = finder.assign_sorties(
-        routes, arrivals, {4}, finder.initial_states(fleet), inst, fleet
+        routes, arrivals, {4}, schedule.carriages(fleet), inst, fleet
     )
     assert sorties == []
     assert unserved == {4}
@@ -190,7 +191,7 @@ def test_assign_sorties_rejects_timing_misfit(fleet):
     arrivals = schedule.arrival_times(routes, inst, slow)
     no_flex = ModelOptions(flexible_docking=False)
     sorties, _, unserved = finder.assign_sorties(
-        routes, arrivals, {3}, finder.initial_states(slow), inst, slow, no_flex
+        routes, arrivals, {3}, schedule.carriages(slow), inst, slow, no_flex
     )
     assert 3 in unserved
     assert all(3 not in s.sequence for s in sorties)
@@ -208,9 +209,8 @@ def test_flexible_docking_cross_truck_recovery():
     inst = make_instance(pts, weights=weights, reachable=reachable, fleet=fleet)
     routes = [[0, 1, 2, 3, 4, 0], [0, 5, 6, 7, 0]]
     arrivals = schedule.arrival_times(routes, inst, fleet)
-    states = finder.initial_states(fleet)
     sorties, _, unserved = finder.assign_sorties(
-        routes, arrivals, {8}, states, inst, fleet, ModelOptions()
+        routes, arrivals, {8}, schedule.carriages(fleet), inst, fleet, ModelOptions()
     )
     assert not unserved
     assert len(sorties) == 1
@@ -223,7 +223,7 @@ def test_flexible_docking_cross_truck_recovery():
         routes,
         arrivals,
         {8},
-        finder.initial_states(fleet),
+        schedule.carriages(fleet),
         inst,
         fleet,
         ModelOptions(flexible_docking=False),
@@ -240,16 +240,15 @@ def test_flexible_docking_on_seeded_two_truck_instance():
     assert validator.validate(plan, inst, fleet).feasible
 
 
-def test_apply_enroute_charging_examples(fleet):
+def test_carriage_charge_examples(fleet):
     inst = make_instance([(0, 0), (11.25, 11.25), (22.5, 11.25)], weights=[1, 1], fleet=fleet)
     routes = [[0, 1, 2, 0]]
     arrivals = schedule.arrival_times(routes, inst, fleet)
     # leg 1 -> 2 is 11.25 km manhattan = 0.25 h; drain the drone first
-    states = finder.initial_states(fleet)
-    drone = states[0]
+    drone = schedule.carriages(fleet)[0]
     drone.level -= 4000.0
-    drone.aboard_pos = 1
-    finder.apply_enroute_charging([drone], routes, arrivals, fleet)
+    drone.pos = 1
+    drone.charge(routes, arrivals, fleet, len(routes[0]) - 1, True)
     # 0.25 h at 5000/h = 1250 from leg 1->2 plus the return leg 2->0
     assert drone.level > 10000.0
     legs = [(e.node, round(e.duration, 4)) for e in drone.events]
@@ -257,10 +256,9 @@ def test_apply_enroute_charging_examples(fleet):
     assert all(e.node != 0 for e in drone.events)
 
     # a vehicle that never launched stays at capacity with no events
-    fresh = finder.initial_states(fleet)
-    finder.apply_enroute_charging(fresh, routes, arrivals, fleet)
-    assert all(s.level == fleet.battery(s.vehicle_kind) for s in fresh)
-    assert all(not s.events for s in fresh)
+    _, fresh = schedule.walk(routes, arrivals, [], inst, fleet, charging=True, finish=True)
+    assert all(c.level == fleet.battery(c.kind) for c in fresh)
+    assert all(not c.events for c in fresh)
 
 
 def test_insert_unserved_examples(fleet):
@@ -533,7 +531,7 @@ def test_assign_sorties_without_open_recovery_walks_nothing(monkeypatch):
 
     # premise: unbooked, the same call walks from some launch point
     monkeypatch.setattr(DistanceRows, "sortie_heads", counted)
-    finder.assign_sorties(routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet)
+    finder.assign_sorties(routes, arrivals, unserved, schedule.carriages(fleet), inst, fleet)
     assert walks
 
     # launched off the routes, so they book recovery nodes and no launch point
@@ -549,7 +547,7 @@ def test_assign_sorties_without_open_recovery_walks_nothing(monkeypatch):
 
     monkeypatch.setattr(DistanceRows, "sortie_heads", refuse)
     sorties, _, left = finder.assign_sorties(
-        routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet,
+        routes, arrivals, unserved, schedule.carriages(fleet), inst, fleet,
         existing_sorties=booked,
     )
     assert sorties == []
@@ -568,27 +566,67 @@ def test_charging_in_two_calls_equals_one():
         routes = finder.construct_truck_routes(inst, fleet)
         arrivals = schedule.arrival_times(routes, inst, fleet)
         for charging in (True, False):
-            one, two = finder.initial_states(fleet), finder.initial_states(fleet)
+            one, two = schedule.carriages(fleet), schedule.carriages(fleet)
             for a, b in zip(one, two):
-                route = routes[a.aboard_truck]
-                a.aboard_pos = b.aboard_pos = rng.randrange(len(route) - 1)
-                drain = rng.uniform(0.0, fleet.battery(a.vehicle_kind))
+                route = routes[a.truck]
+                a.pos = b.pos = rng.randrange(len(route) - 1)
+                drain = rng.uniform(0.0, fleet.battery(a.kind))
                 a.level -= drain
                 b.level -= drain
-                pos = rng.randint(a.aboard_pos, len(route) - 1)
-                finder._advance_charging(a, routes, arrivals, fleet, pos, charging)
+                pos = rng.randint(a.pos, len(route) - 1)
+                a.charge(routes, arrivals, fleet, pos, charging)
                 split = rng.randint(0, pos)
-                finder._advance_charging(b, routes, arrivals, fleet, split, charging)
-                finder._advance_charging(b, routes, arrivals, fleet, pos, charging)
+                b.charge(routes, arrivals, fleet, split, charging)
+                b.charge(routes, arrivals, fleet, pos, charging)
                 assert a.level.hex() == b.level.hex()
                 assert a.events == b.events
                 assert a.charged_upto == b.charged_upto
                 if not charging:
                     assert not a.events
                 charged += bool(a.events)
-                topped_up += bool(a.events) and a.level >= fleet.battery(a.vehicle_kind) - 1e-6
+                topped_up += bool(a.events) and a.level >= fleet.battery(a.kind) - 1e-6
     # premise: some vehicles charged, and some hit the capacity clamp
     assert charged and topped_up
+
+
+def test_walk_names_each_reason_and_keeps_the_vehicle():
+    """Each failing sortie walked after one that flies is named, and leaves
+    the carriage as the first sortie left it."""
+    from vrpdr.core import Sortie
+
+    fleet = FleetSpec(num_robots=0)
+    pts = [(0, 0), (1, 0), (2, 0), (3, 0), (10, 0)]  # truck stops 1-4
+    pts += [(1, 0.5), (3, 0), (2, 4)]                  # customers 5, 6 (on stop 3), 7
+    inst = make_instance(pts, fleet=fleet)
+    routes = [[0, 1, 2, 3, 4, 0]]
+    arrivals = schedule.arrival_times(routes, inst, fleet)
+    # from the depot to stop 2: drone 0 then rides the truck from hour 2/45
+    first = Sortie("drone", 0, 0, 2, (5,), 0, 0)
+    cases = {
+        schedule.NOT_ABOARD: Sortie("drone", 0, 1, 3, (6,), 0, 0),  # stop 1 is behind it
+        schedule.NOT_BACK: Sortie("drone", 0, 0, 3, (6,), 0, 0),  # the depot at hour 0
+        schedule.LATE: Sortie("drone", 0, 2, 3, (7,), 0, 0),  # 8.1 km against a 1 km leg
+        schedule.SAME_STOP: Sortie("drone", 0, 3, 3, (6,), 0, 0),  # no flight time
+        schedule.BATTERY_SHORT: Sortie("drone", 0, 3, 0, (7,), 0, 0),  # 20,300 units
+    }
+    steps, (before,) = schedule.walk(routes, arrivals, [first], inst, fleet, True, False)
+    assert steps == [(0, 0.0, None)]
+    assert (before.truck, before.pos, before.ready) == (0, 2, arrivals[0][2])
+    assert before.level < fleet.B_d
+
+    def state(c):
+        return (c.level.hex(), c.truck, c.pos, c.ready, c.charged_upto, c.trips, c.events)
+
+    for reason, sortie in cases.items():
+        steps, (after,) = schedule.walk(
+            routes, arrivals, [first, sortie], inst, fleet, True, False
+        )
+        assert [(i, why) for i, _, why in steps] == [(0, None), (1, reason)], reason
+        assert state(after) == state(before), reason
+    # premise: the short sortie's vehicle charges on leg 2 -> 3 before the battery check
+    trial = replace(before, events=list(before.events))
+    trial.charge(routes, arrivals, fleet, 3, True)
+    assert [e.node for e in trial.events] == [2] and trial.level > before.level
 
 
 def test_assign_sorties_with_empty_batteries_walks_nothing(monkeypatch):
@@ -604,7 +642,7 @@ def test_assign_sorties_with_empty_batteries_walks_nothing(monkeypatch):
 
     # premise: with full batteries the same call walks and flies sorties
     sorties, _, _ = finder.assign_sorties(
-        routes, arrivals, unserved, finder.initial_states(fleet), inst, fleet, options
+        routes, arrivals, unserved, schedule.carriages(fleet), inst, fleet, options
     )
     assert sorties
 
@@ -612,11 +650,11 @@ def test_assign_sorties_with_empty_batteries_walks_nothing(monkeypatch):
         raise AssertionError("sortie walk started with no battery to fly it")
 
     monkeypatch.setattr(DistanceRows, "sortie_heads", refuse)
-    states = finder.initial_states(fleet)
-    for state in states:
-        state.level = 0.0
+    carried = schedule.carriages(fleet)
+    for c in carried:
+        c.level = 0.0
     sorties, _, left = finder.assign_sorties(
-        routes, arrivals, unserved, states, inst, fleet, options
+        routes, arrivals, unserved, carried, inst, fleet, options
     )
     assert sorties == []
     assert left == unserved
@@ -626,13 +664,13 @@ def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
     """No drone or robot, or no open customer: return before any table is built."""
     truck_only = FleetSpec(num_drones=0, num_robots=0)
     inst = make_instance([(0, 0), (1, 0), (2, 1)], fleet=truck_only)
-    states = finder.initial_states(truck_only)
+    carried = schedule.carriages(truck_only)
     # None stands in for the routes and their arrivals: neither may be read
-    assert finder.assign_sorties(None, None, {2}, states, inst, truck_only) == ([], states, {2})
+    assert finder.assign_sorties(None, None, {2}, carried, inst, truck_only) == ([], carried, {2})
     full = FleetSpec()
-    full_states = finder.initial_states(full)
-    assert finder.assign_sorties(None, None, set(), full_states, inst, full) == (
-        [], full_states, set()
+    full_carried = schedule.carriages(full)
+    assert finder.assign_sorties(None, None, set(), full_carried, inst, full) == (
+        [], full_carried, set()
     )
 
 
@@ -674,6 +712,23 @@ GOLDEN_PLANS = [
 ]
 
 
+GOLDEN_FLEETS = {
+    "to": FleetSpec(num_drones=0, num_robots=0),
+    "to3": FleetSpec(num_trucks=3, num_drones=0, num_robots=0),
+    "ef": FleetSpec(),
+    "ef3": FleetSpec(num_trucks=3, num_drones=2, num_robots=2),  # crews, docking on 3 trucks
+    "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
+    # full-battery range (km) drone / robot: 5.2 / 13.2, under both range caps
+    "low": FleetSpec(num_trucks=3, num_drones=2, num_robots=2, B_d=12000, B_r=7000),
+    # no unloaded energy rate, so no battery range bound
+    "free": FleetSpec(num_trucks=2, num_drones=2, num_robots=2, W_d=0.0, k1=0.0),
+    # 17.4 / 56.4: the robot range cap binds before its battery
+    "big": FleetSpec(B_d=40000, B_r=30000, C_rate_d=500),
+    # 21.7 / 56.4: both range caps bind before the battery
+    "bigger": FleetSpec(B_d=50000, B_r=30000, C_rate_d=500),
+}
+
+
 def _golden_id(case):
     fleet_name, size, seed, options, digest = case
     flags = [f"{name}={value}" for name, value in sorted(options.items())]
@@ -688,23 +743,38 @@ def _golden_id(case):
 def test_golden_plan_hashes(fleet_name, size, seed, options, digest):
     import hashlib
 
-    fleet = {
-        "to": FleetSpec(num_drones=0, num_robots=0),
-        "to3": FleetSpec(num_trucks=3, num_drones=0, num_robots=0),
-        "ef": FleetSpec(),
-        "ef3": FleetSpec(num_trucks=3, num_drones=2, num_robots=2),  # crews, docking on 3 trucks
-        "docking": FleetSpec(num_trucks=2),  # flexible docking, cross-truck sorties
-        # full-battery range (km) drone / robot: 5.2 / 13.2, under both range caps
-        "low": FleetSpec(num_trucks=3, num_drones=2, num_robots=2, B_d=12000, B_r=7000),
-        # no unloaded energy rate, so no battery range bound
-        "free": FleetSpec(num_trucks=2, num_drones=2, num_robots=2, W_d=0.0, k1=0.0),
-        # 17.4 / 56.4: the robot range cap binds before its battery
-        "big": FleetSpec(B_d=40000, B_r=30000, C_rate_d=500),
-        # 21.7 / 56.4: both range caps bind before the battery
-        "bigger": FleetSpec(B_d=50000, B_r=30000, C_rate_d=500),
-    }[fleet_name]
+    fleet = GOLDEN_FLEETS[fleet_name]
     inst = bench.generate_instance(size, seed=seed, fleet=fleet)
     text = plan_to_json(finder.solve_finder(inst, fleet, ModelOptions(**options)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of plan_to_json(solve_finder(...)) with all toggles on, on plans
+# whose replay drops a late sortie or whose rescue pass serves
+# truck-unreachable customers; recorded before the replay became
+# schedule.walk
+GOLDEN_REPLAY_PLANS = [
+    # fleet, size, seed, unreachable_frac, digest; the first two drop a late sortie
+    ("docking", 20, 35, 0.0, "642e81a07234cfb51cc1ea79eebce070eb6c126e719e0ab96d2e92a47d57be6b"),
+    ("ef3", 60, 18, 0.0, "6efe4889210054b699080eac6dbe2b0d08f2adb764b67023b7545e2dfda3ed1b"),
+    # one rescued sortie, 21 charging events
+    ("ef", 20, 1, 0.1, "24ef9ec5a4d6d272ad178e48d6fab8e58a4c9bc34159f3289db611afcbb1b38f"),
+    # a late sortie dropped, two rescued, 4 sorties and 52 charging events
+    ("ef3", 60, 30, 0.1, "b0f37f0b7ce14b9e947ac086d8f10668972ae6a732c742bef2cd74b29cd69318"),
+]
+
+
+@pytest.mark.parametrize(
+    "fleet_name, size, seed, unreachable_frac, digest",
+    GOLDEN_REPLAY_PLANS,
+    ids=["-".join(map(str, case)) for case in GOLDEN_REPLAY_PLANS],
+)
+def test_golden_replay_plan_hashes(fleet_name, size, seed, unreachable_frac, digest):
+    import hashlib
+
+    fleet = GOLDEN_FLEETS[fleet_name]
+    inst = bench.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    text = plan_to_json(finder.solve_finder(inst, fleet))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -5,6 +5,8 @@ instances with 1-3 trucks, 0-3 drones and robots, small batteries and up
 to 30 % truck-unreachable customers, under each of the 16 toggle
 combinations.  ``InfeasibleError`` is the only other outcome allowed.
 
+Re-walking a plan's sorties with :func:`vrpdr.schedule.walk` flies every
+one at its planned launch time and gives back the plan's charging events.
 Bounding the sortie walk by the crew's battery range changes no plan.
 """
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrpdr import bench, energy, finder, validator
+from vrpdr import bench, energy, finder, schedule, validator
 from vrpdr.core import (
     DRONE,
     ROBOT,
@@ -80,6 +82,15 @@ def test_every_finder_plan_is_valid(
     assert plan_to_json(plan_from_json(text)) == text
     vehicles = [(DRONE, d) for d in range(drones)] + [(ROBOT, r) for r in range(robots)]
     assert [(l.vehicle_kind, l.vehicle_id) for l in plan.ledgers] == vehicles
+    # the plan is its own last walk: walked again it flies as planned
+    arrivals = schedule.arrival_times(plan.truck_routes, inst, fleet)
+    steps, carried = schedule.walk(
+        plan.truck_routes, arrivals, plan.sorties, inst, fleet, charging, finish=True
+    )
+    assert steps == [
+        (i, s.launch_time, None) for i, s in enumerate(plan.sorties)
+    ]
+    assert tuple(e for c in carried for e in c.events) == tuple(plan.charging_events)
 
 
 def _finder_outcome(inst, fleet, options):
