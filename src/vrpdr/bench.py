@@ -197,7 +197,7 @@ def run_scenario(spec: ScenarioSpec, fleet: FleetSpec = FleetSpec(), plan_sink=N
                         "runtime_s": elapsed,
                     }
                 )
-    return {"rows": rows, "timings": timings, "spec": spec}
+    return {"rows": rows, "timings": timings}
 
 
 def summarize(rows: Sequence[dict]) -> list:

@@ -1,8 +1,9 @@
 """Command line interface: generate, export-lp, exact, validate, solve, bench.
 
 Exit codes: 1 an infeasible plan (validate), 2 no feasible plan found, 3
-search budget exhausted, 4 a malformed instance, fleet, plan or option
-value, reported in one ``bad input:`` line.
+search or model-size budget exhausted, reported in one ``budget exceeded:``
+line, 4 a malformed instance, fleet, plan or option value, reported in one
+``bad input:`` line.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .core import (
     InfeasibleError,
     InstanceError,
     ModelOptions,
+    ModelSizeError,
     PlanStructureError,
     instance_from_json,
     plan_from_json,
@@ -101,6 +103,9 @@ def export_lp(instance_path, out, options):
     inst = _load_instance(instance_path)
     try:
         model = milp_mod.build_model(inst, inst.fleet, options)
+    except ModelSizeError as exc:
+        click.echo(f"budget exceeded: {exc}", err=True)
+        sys.exit(3)
     except ConfigurationError as exc:
         _bad_input(exc)
     with open(out, "w") as fh:

@@ -1,9 +1,9 @@
 """Data model and geometry for collaborative truck / drone / robot routing.
 
-:meth:`DistanceRows.sortie_heads` is the one sortie walk: the model, exact
-search and the heuristic all enumerate their drone and robot sorties with
-it, and the heuristic also prunes it by the way home (its optional
-``reach``).  Canonical units throughout the package: kilometres, hours,
+:meth:`DistanceRows.sortie_heads` is the one sortie walk: the model's
+candidate list, which exact search also flies, and the heuristic both
+enumerate their drone and robot sorties with it, and the heuristic also
+prunes it by the way home (its optional ``reach``).  Canonical units throughout the package: kilometres, hours,
 kilograms, dollars.  Battery energy is measured in abstract energy units
 (one unit is one mAh-equivalent; see :mod:`vrpdr.energy` for the watt-hour
 bridge used by the walking robot).

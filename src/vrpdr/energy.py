@@ -15,8 +15,9 @@ covers B_d / (alpha_d * W_d) = 6.1 km on a full battery against a 20 km
 ``D_max_d``, so its battery, not its range cap, decides which sorties fly.
 
 Both formulas live in one kernel, :func:`leg_energy`, which reads only leg
-distances and parcel weights; the finder and exact search call it with the
-leg distances they hold, :func:`sortie_energy` with a plan sortie's.
+distances and parcel weights; the finder and the model's candidate list
+(which exact search flies) call it with the leg distances they hold,
+:func:`sortie_energy` with a plan sortie's.
 Every leg of either formula costs at least the unloaded energy of its
 length, so :func:`battery_range` turns a battery level into the farthest
 distance any sortie of a kind can cover on it.

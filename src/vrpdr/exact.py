@@ -14,13 +14,11 @@ validator reads.  :func:`vrpdr.schedule.timed_plan` assembles it, as it
 does the heuristic's plan, and the validator confirms every improving
 candidate before it becomes the incumbent.
 
-Sorties come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
-cap-pruned walk the heuristic and the model share, over rows built once
-per search; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
-the table the heuristic reads.  Each (sequence, launch, recovery) energy
-is priced by :func:`vrpdr.energy.leg_energy` once per search and no probe
-``Sortie`` is built, so only plan assembly and validation call
-:func:`vrpdr.energy.sortie_energy`.
+Sorties come from :func:`vrpdr.milp.enumerate_sortie_candidates`, the list
+the model gives columns, read once per search with its distances and
+energies; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
+the table the heuristic reads.  No probe ``Sortie`` is built, so only plan
+assembly and validation call :func:`vrpdr.energy.sortie_energy`.
 
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
@@ -38,12 +36,9 @@ from . import validator as validator_mod
 from .core import (
     DRONE,
     FIT_TOL,
-    METRICS,
     ROBOT,
-    VEHICLE_KINDS,
     BudgetExceededError,
     ConfigurationError,
-    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -51,6 +46,7 @@ from .core import (
     Plan,
     Sortie,
 )
+from .milp import enumerate_sortie_candidates
 from .schedule import arrival_times, score, timed_plan
 
 _EPS = 1e-12
@@ -88,11 +84,13 @@ class _Search:
         self.best_obj: Optional[float] = None
         self.best_key = None
         self.best_plan: Optional[Plan] = None
-        points = [nd.point for nd in inst.nodes]
-        self.rows = {kind: DistanceRows(METRICS[kind], points) for kind in VEHICLE_KINDS}
-        self.weight = [nd.weight for nd in inst.nodes]
-        # (kind, sequence, launch node, recovery node) -> sortie energy
-        self.energies = {}
+        # (kind, launch node) -> [(sequence, recovery node, distance, energy)]
+        self.sorties = {}
+        for cand in enumerate_sortie_candidates(inst, fleet, options):
+            for kind, dist in cand.dist.items():
+                self.sorties.setdefault((kind, cand.i), []).append(
+                    (cand.sequence, cand.k, dist, cand.energy[kind])
+                )
 
     def tick(self, amount: int = 1) -> None:
         self.candidates_seen += amount
@@ -110,21 +108,19 @@ class _Search:
 def _vehicle_chains(search: _Search, kind: str, vid: int, route, leg_times, remaining):
     """All sortie chains for one vehicle, left to right along the route.
 
-    Yields (chain, served) pairs; a chain is a tuple of _ChainSortie.  The
-    battery starts full, drains by sortie energy at each launch, and
-    recharges on carried legs between recovery and next launch, clamped by
+    Yields (chain, rest) pairs: a chain is a tuple of _ChainSortie, and
+    rest the customers of ``remaining`` it leaves, in order.  The battery
+    starts full, drains by sortie energy at each launch, and recharges on
+    carried legs between recovery and next launch, clamped by
     :func:`vrpdr.energy.charge_legs`, which charges no leg out of the
-    depot.  From each launch position,
-    :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the sequences of
-    remaining customers that meet the payload and range caps.
+    depot.  From each launch position it flies the listed sorties whose
+    customers are all in ``remaining``, whose recovery node lies later on
+    the route (the depot at the return) and whose energy the charged level
+    covers; under ``single_trip`` a chain holds one sortie at most.
     """
     fleet, options = search.fleet, search.options
-    m_eff = options.effective_m(fleet)
-    cap = fleet.battery(kind)
-    payload_limit = fleet.payload_cap(kind) + FIT_TOL
-    range_limit = fleet.range_cap(kind) + FIT_TOL
-    rows, weight, energies = search.rows[kind], search.weight, search.energies
     last_pos = len(route) - 1
+    position = {node: p for p, node in enumerate(route)}  # the depot maps to the return
 
     def charge_between(start_pos, launch_pos, level):
         """Charging events and level over the legs [start_pos, launch_pos)."""
@@ -133,49 +129,31 @@ def _vehicle_chains(search: _Search, kind: str, vid: int, route, leg_times, rema
         return energy_mod.charge_legs(kind, vid, 0, level, fleet, legs)
 
     def rec(start_pos, level, remaining, acc):
-        yield tuple(acc), frozenset(set(remaining_all) - set(remaining))
-        if not remaining or start_pos > last_pos:
+        yield tuple(acc), remaining
+        if not remaining or (options.single_trip and acc):
             return
+        unserved = set(remaining)
         for launch_pos in range(start_pos, last_pos):
-            launch_node = route[launch_pos]
             events, level_at_launch = charge_between(start_pos, launch_pos, level)
-            for seq, legs, head in rows.sortie_heads(
-                launch_node, remaining, m_eff, weight, payload_limit, range_limit
-            ):
-                parcels = [weight[c] for c in seq]
-                last_row = rows[seq[-1]]
+            for seq, recovery_node, dist, e in search.sorties.get((kind, route[launch_pos]), ()):
+                # a node off the route reads as position 0, before every launch
+                recovery_pos = position.get(recovery_node, 0)
+                if (
+                    recovery_pos <= launch_pos
+                    or e > level_at_launch + FIT_TOL
+                    or not unserved.issuperset(seq)
+                ):
+                    continue
+                search.tick()
+                entry = _ChainSortie(launch_pos, recovery_pos, seq, dist, e, events)
                 rest = tuple(c for c in remaining if c not in seq)
-                for recovery_pos in range(launch_pos + 1, last_pos + 1):
-                    recovery_node = route[recovery_pos]
-                    last_leg = last_row[recovery_node]
-                    dist = head + last_leg
-                    if dist > range_limit:
-                        continue
-                    key = (kind, seq, launch_node, recovery_node)
-                    e = energies.get(key)
-                    if e is None:
-                        e = energies[key] = energy_mod.leg_energy(
-                            kind, legs + (last_leg,), parcels, fleet
-                        )
-                    if e > level_at_launch + FIT_TOL:
-                        continue
-                    search.tick()
-                    entry = _ChainSortie(launch_pos, recovery_pos, seq, dist, e, events)
-                    if recovery_pos == last_pos:
-                        # recovered at the depot: the vehicle is retired
-                        yield tuple(acc) + (entry,), frozenset(
-                            set(remaining_all) - set(rest)
-                        )
-                    else:
-                        yield from rec(
-                            recovery_pos,
-                            level_at_launch - e,
-                            rest,
-                            acc + [entry],
-                        )
+                if recovery_pos == last_pos:
+                    # recovered at the depot: the vehicle is retired
+                    yield tuple(acc) + (entry,), rest
+                else:
+                    yield from rec(recovery_pos, level_at_launch - e, rest, acc + [entry])
 
-    remaining_all = tuple(remaining)
-    yield from rec(0, cap, tuple(remaining), [])
+    yield from rec(0, fleet.battery(kind), tuple(remaining), [])
 
 
 def _assemble_plan(search: _Search, route, assignment) -> Plan:
@@ -248,14 +226,6 @@ def solve_exact(
     search = _Search(inst, fleet, options, budget)
     truck_km = inst.truck_matrix().tolist()
 
-    max_trips = 1 if options.single_trip else None
-
-    def chains_for(kind, vid, route, leg_times, remaining):
-        for chain, served in _vehicle_chains(search, kind, vid, route, leg_times, remaining):
-            if max_trips is not None and len(chain) > max_trips:
-                continue
-            yield chain, served
-
     for size in range(1, len(reachable) + 1):
         for subset in itertools.combinations(sorted(reachable), size):
             rest = [c for c in customers if c not in subset]
@@ -273,18 +243,19 @@ def solve_exact(
                     continue
 
                 def assign(vidx, remaining, acc):
-                    if not remaining and vidx == len(vehicles):
-                        _consider(route, leg_times, dict(acc))
-                        return
                     if vidx == len(vehicles):
+                        if not remaining:
+                            _consider(route, dict(acc))
                         return
                     kind, vid = vehicles[vidx]
-                    for chain, served in chains_for(kind, vid, route, leg_times, remaining):
+                    for chain, left in _vehicle_chains(
+                        search, kind, vid, route, leg_times, remaining
+                    ):
                         acc[(kind, vid)] = chain
-                        assign(vidx + 1, tuple(c for c in remaining if c not in served), acc)
+                        assign(vidx + 1, left, acc)
                         del acc[(kind, vid)]
 
-                def _consider(route, leg_times, assignment):
+                def _consider(route, assignment):
                     search.tick()
                     sortie_rows = [
                         (kind, vid, cs.distance)

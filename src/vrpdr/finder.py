@@ -10,9 +10,9 @@ aboard each launch point.  Each vehicle is a
 :class:`vrpdr.schedule.Carriage`: it charges from its truck as it drives
 and docks where its sortie lands.  Candidates come from
 :meth:`vrpdr.core.DistanceRows.sortie_heads`, the cap-pruned sortie walk
-the model and exact search share, over the nearby pool; energy comes from
-the leg distances the walk already holds.  Unlike the model and exact
-search, FINDER also hands the walk a per-customer ``reach`` built from the
+that also builds the model's candidate list, which exact search flies,
+over the nearby pool; energy comes from the leg distances the walk already
+holds.  Unlike that list, FINDER also hands the walk a per-customer ``reach`` built from the
 open recovery points, so a prefix that can no longer get back to any of
 them within range and deadline is dropped.  By the triangle inequality
 every sequence that could is still walked.  The walk's range is also cut

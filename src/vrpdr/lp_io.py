@@ -170,11 +170,12 @@ def parse_lp(text: str) -> ParsedLp:
     return parsed
 
 
-def solve_lp_text(text: str, time_limit: float = None, mip_gap: float = 0.0):
+def solve_lp_text(text: str, time_limit: float = None):
     """Solve an exported LP with HiGHS via scipy; returns (objective, values).
 
-    Raises :class:`LpParseError` on malformed input and ``RuntimeError``
-    when the solver does not prove optimality.
+    HiGHS runs with a relative gap of 0.  Raises :class:`LpParseError` on
+    malformed input and ``RuntimeError`` when the solver does not prove
+    optimality.
     """
     import numpy as np
     from scipy import sparse
@@ -209,7 +210,7 @@ def solve_lp_text(text: str, time_limit: float = None, mip_gap: float = 0.0):
     upper[binary] = 1.0
     integrality[binary] = 1
 
-    options = {"mip_rel_gap": mip_gap}
+    options = {"mip_rel_gap": 0.0}
     if time_limit is not None:
         options["time_limit"] = time_limit
     res = milp(

@@ -16,9 +16,10 @@ Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.
 
 Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
-cap-pruned sortie walk the heuristic and exact search share, and their
-energy from :func:`vrpdr.energy.leg_energy`; :func:`export_lp` formats
-each distinct number once per call.
+cap-pruned sortie walk the heuristic also runs, and their energy from
+:func:`vrpdr.energy.leg_energy`; exact search flies the same list.
+:func:`export_lp` writes names as they are and formats each distinct number
+once per call.
 """
 
 from __future__ import annotations
@@ -141,9 +142,6 @@ class MilpModel:
     def families(self) -> set:
         return {c.family for c in self.constraints}
 
-    def variable(self, name: str) -> Variable:
-        return self._by_name[name]
-
 
 @dataclass(frozen=True)
 class SortieCandidate:
@@ -168,7 +166,8 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
     recovery ``k`` adds the last leg, the range check and
     :func:`vrpdr.energy.leg_energy` against the battery, all within
     ``FIT_TOL``.  ``dist`` and ``energy`` keep the kinds that fit, and
-    candidates are numbered in (length, sequence, i, k) order.
+    candidates are numbered in (length, sequence, i, k) order.  The model
+    gives these columns, and exact search flies them from its tour stops.
     """
     node_ids = [n.id for n in inst.nodes]
     customers = [n.id for n in inst.customers]
@@ -650,23 +649,15 @@ def check_assignment(model: MilpModel, values: dict, tol: float = 1e-6) -> list:
 # LP text export
 # ---------------------------------------------------------------------------
 
-_LP_SAFE = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-# names the cleaning below leaves as they are: LP-safe characters only, and a
-# first character that cannot start a number
-_LP_CLEAN_NAME = re.compile(r"[A-DF-Za-df-z][A-Za-z0-9_]*")
+# LP-safe names: letters, digits and underscores, and a first character that
+# cannot start a number
+_LP_NAME = re.compile(r"[A-DF-Za-df-z][A-Za-z0-9_]*")
 
 
-def _sanitize(name: str, seen: dict) -> str:
-    if _LP_CLEAN_NAME.fullmatch(name):
-        cleaned = name
-    else:
-        cleaned = "".join(ch if ch in _LP_SAFE else "_" for ch in name)
-        if not cleaned or cleaned[0].isdigit() or cleaned[0] in "eE._":
-            cleaned = "n_" + cleaned
-    first = seen.setdefault(cleaned, name)
-    if first != name:
-        raise VrpdrError(f"LP name collision: {name!r} and {first!r} both map to {cleaned}")
-    return cleaned
+def _lp_name(name: str) -> str:
+    if not _LP_NAME.fullmatch(name):
+        raise VrpdrError(f"name {name!r} is not LP-safe and cannot be exported")
+    return name
 
 
 def _num(v: float) -> str:
@@ -681,14 +672,11 @@ def _signed(coef: float) -> str:
 def export_lp(model: MilpModel) -> str:
     """Deterministic CPLEX-LP text: objective, constraints, bounds, binaries.
 
-    A name that is already LP-safe passes through unchanged after one regex
-    match; any other is cleaned, and two names that clean to the same text
-    raise :class:`VrpdrError`.  Each distinct coefficient is formatted once
-    per call.
+    Names are written as they are; one that is not LP-safe raises
+    :class:`VrpdrError`.  Each distinct coefficient is formatted once per
+    call.
     """
-    seen: dict = {}
-    names = {v.name: _sanitize(v.name, seen) for v in model.variables}
-    cseen: dict = {}
+    names = {v.name: _lp_name(v.name) for v in model.variables}
     term: dict = {}  # coefficient -> its text before a variable name
 
     def body(terms) -> str:
@@ -703,10 +691,9 @@ def export_lp(model: MilpModel) -> str:
     lines.append((" obj:" + body(model.objective_terms)) if model.objective_terms else " obj: 0")
     lines.append("Subject To")
     for c in model.constraints:
-        cname = _sanitize(c.name, cseen)
         if not c.terms:
             raise VrpdrError(f"constraint {c.name} has no terms and cannot be exported")
-        lines.append(f" {cname}:{body(c.terms)} {c.sense} {_num(c.rhs)}")
+        lines.append(f" {_lp_name(c.name)}:{body(c.terms)} {c.sense} {_num(c.rhs)}")
     lines.append("Bounds")
     for v in model.variables:
         if v.kind == BINARY:

@@ -181,9 +181,10 @@ def carriages(fleet: FleetSpec) -> list:
 def walk(routes, arrivals, sorties, inst: Instance, fleet: FleetSpec, charging, finish):
     """Take every drone and robot through its ``sorties`` in launch order.
 
-    A sortie launches at its stop's hour in ``arrivals`` (from the depot at
-    hour 0).  Returns ``(steps, carried)``: one ``(index into sorties,
-    launch hour, reason)`` per sortie in launch order, and the
+    A sortie launches at its stop's hour in ``arrivals``; a depot launch is
+    read at position 0, the departure, as in :func:`arrival_times`.
+    Returns ``(steps, carried)``: one ``(index into sorties, launch hour,
+    reason)`` per sortie in launch order, and the
     :func:`carriages` after the walk.  ``reason`` is None when the sortie
     flies, else the first of :data:`NOT_ABOARD`, :data:`NOT_BACK`,
     :data:`LATE`, :data:`SAME_STOP` and :data:`BATTERY_SHORT` that holds; a
@@ -194,16 +195,19 @@ def walk(routes, arrivals, sorties, inst: Instance, fleet: FleetSpec, charging, 
     carried = carriages(fleet)
     index = {(c.kind, c.vehicle_id): k for k, c in enumerate(carried)}
 
+    def launch_pos(s):
+        return 0 if s.launch_node == 0 else position[s.launch_truck].get(s.launch_node)
+
     def launch_hour(s):
-        p = position[s.launch_truck].get(s.launch_node)
-        return 0.0 if s.launch_node == 0 or p is None else arrivals[s.launch_truck][p]
+        p = launch_pos(s)
+        return 0.0 if p is None else arrivals[s.launch_truck][p]
 
     steps = []
     for i in sorted(range(len(sorties)), key=lambda i: (launch_hour(sorties[i]), i)):
         s, hour = sorties[i], launch_hour(sorties[i])
         k = index[s.vehicle_kind, s.vehicle_id]
-        lp = position[s.launch_truck].get(s.launch_node)  # the depot maps to the return
-        rp = position[s.recovery_truck].get(s.recovery_node)
+        lp = launch_pos(s)
+        rp = position[s.recovery_truck].get(s.recovery_node)  # the depot maps to the return
         if lp is None or not carried[k].aboard(s.launch_truck, lp, math.inf):
             reason = NOT_ABOARD
         elif not carried[k].aboard(s.launch_truck, lp, hour):

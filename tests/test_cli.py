@@ -89,6 +89,24 @@ def test_cli_exact_infeasible_exit_code(tmp_path):
     assert "infeasible" in r.output or "infeasible" in (r.stderr or "")
 
 
+def test_cli_export_lp_over_the_sortie_budget_exit_code(tmp_path, monkeypatch):
+    import functools
+
+    from vrpdr import cli
+    from vrpdr.core import ModelOptions
+
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    lp = tmp_path / "model.lp"
+    runner.invoke(main, ["generate", "--size", "5", "--seed", "1", "--out", str(inst)])
+    monkeypatch.setattr(cli, "ModelOptions", functools.partial(ModelOptions, max_sorties=1))
+    r = runner.invoke(main, ["export-lp", "--instance", str(inst), "--out", str(lp)])
+    assert r.exit_code == 3, r.output
+    (line,) = r.output.strip().splitlines()
+    assert line.startswith("budget exceeded: ") and "exceed the budget of 1;" in line
+    assert not lp.exists()
+
+
 def test_cli_bad_instance_exit_code(tmp_path):
     runner = CliRunner()
     inst = tmp_path / "inst.json"

@@ -602,13 +602,13 @@ def test_walk_names_each_reason_and_keeps_the_vehicle():
     arrivals = schedule.arrival_times(routes, inst, fleet)
     # from the depot to stop 2: drone 0 then rides the truck from hour 2/45
     first = Sortie("drone", 0, 0, 2, (5,), 0, 0)
-    cases = {
-        schedule.NOT_ABOARD: Sortie("drone", 0, 1, 3, (6,), 0, 0),  # stop 1 is behind it
-        schedule.NOT_BACK: Sortie("drone", 0, 0, 3, (6,), 0, 0),  # the depot at hour 0
-        schedule.LATE: Sortie("drone", 0, 2, 3, (7,), 0, 0),  # 8.1 km against a 1 km leg
-        schedule.SAME_STOP: Sortie("drone", 0, 3, 3, (6,), 0, 0),  # no flight time
-        schedule.BATTERY_SHORT: Sortie("drone", 0, 3, 0, (7,), 0, 0),  # 20,300 units
-    }
+    cases = [
+        (schedule.NOT_ABOARD, Sortie("drone", 0, 1, 3, (6,), 0, 0)),  # stop 1 is behind it
+        (schedule.NOT_ABOARD, Sortie("drone", 0, 0, 3, (6,), 0, 0)),  # the depot, position 0
+        (schedule.LATE, Sortie("drone", 0, 2, 3, (7,), 0, 0)),  # 8.1 km against a 1 km leg
+        (schedule.SAME_STOP, Sortie("drone", 0, 3, 3, (6,), 0, 0)),  # no flight time
+        (schedule.BATTERY_SHORT, Sortie("drone", 0, 3, 0, (7,), 0, 0)),  # 20,300 units
+    ]
     steps, (before,) = schedule.walk(routes, arrivals, [first], inst, fleet, True, False)
     assert steps == [(0, 0.0, None)]
     assert (before.truck, before.pos, before.ready) == (0, 2, arrivals[0][2])
@@ -617,12 +617,18 @@ def test_walk_names_each_reason_and_keeps_the_vehicle():
     def state(c):
         return (c.level.hex(), c.truck, c.pos, c.ready, c.charged_upto, c.trips, c.events)
 
-    for reason, sortie in cases.items():
+    for reason, sortie in cases:
         steps, (after,) = schedule.walk(
             routes, arrivals, [first, sortie], inst, fleet, True, False
         )
         assert [(i, why) for i, _, why in steps] == [(0, None), (1, reason)], reason
         assert state(after) == state(before), reason
+    # hand-built rows that reach stop 3 before stop 2: carried there, not back yet
+    early = [arrivals[0][:3] + [arrivals[0][1]] + arrivals[0][4:]]
+    late_stop = Sortie("drone", 0, 3, 4, (7,), 0, 0)
+    steps, (after,) = schedule.walk(routes, early, [first, late_stop], inst, fleet, True, False)
+    assert [(i, why) for i, _, why in steps] == [(0, None), (1, schedule.NOT_BACK)]
+    assert state(after) == state(before)
     # premise: the short sortie's vehicle charges on leg 2 -> 3 before the battery check
     trial = replace(before, events=list(before.events))
     trial.charge(routes, arrivals, fleet, 3, True)

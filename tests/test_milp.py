@@ -260,21 +260,24 @@ def test_candidates_keep_exactly_the_sorties_that_fit():
     kept_total = collections.Counter()
     dropped_total = collections.Counter()
     lone_breaks = set()  # caps that were the only one a dropped sortie broke
-    for n, seed, fleet in (
-        (4, 0, FleetSpec()),
-        (4, 24, FleetSpec()),
-        (5, 4, FleetSpec(B_d=1e6, B_r=1e6)),
-        (5, 4, FleetSpec()),
-        (5, 14, FleetSpec(B_d=30000.0, rho_r=3.0)),
+    for n, seed, fleet, options in (
+        (4, 0, FleetSpec(), ModelOptions()),
+        (4, 24, FleetSpec(), ModelOptions()),
+        (5, 4, FleetSpec(B_d=1e6, B_r=1e6), ModelOptions()),
+        (5, 4, FleetSpec(), ModelOptions()),
+        (5, 14, FleetSpec(B_d=30000.0, rho_r=3.0), ModelOptions()),
+        (5, 4, FleetSpec(B_d=1e6, B_r=1e6), ModelOptions(single_visit=True)),
+        (5, 4, FleetSpec(m=2), ModelOptions()),
     ):
         inst = bench.generate_instance(n, seed=seed, fleet=fleet)
         kept = {
             (kind, c.i, c.sequence, c.k)
-            for c in milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
+            for c in milp.enumerate_sortie_candidates(inst, fleet, options)
             for kind in c.dist
         }
         node_ids = [nd.id for nd in inst.nodes]
-        for seq in enumerate_sequences([c.id for c in inst.customers], fleet.m):
+        fitting = set()
+        for seq in enumerate_sequences([c.id for c in inst.customers], options.effective_m(fleet)):
             anchors = [v for v in node_ids if v not in seq]
             payload = sum(inst.node(c).weight for c in seq)
             for kind in (DRONE, ROBOT):
@@ -296,8 +299,12 @@ def test_candidates_keep_exactly_the_sorties_that_fit():
                         fits = not broken
                         assert fits == ((kind, i, seq, k) in kept), (n, seed, kind, i, seq, k)
                         (kept_total if fits else dropped_total)[kind] += 1
+                        if fits:
+                            fitting.add((kind, i, seq, k))
                         if len(broken) == 1:
                             lone_breaks.add(broken[0])
+        # nothing longer than the effective m, or otherwise unchecked, is kept
+        assert kept == fitting, (n, seed, options)
     # both kinds have sorties on each side of the filter, and each cap alone
     # drops some
     assert min(kept_total[DRONE], kept_total[ROBOT]) > 0
@@ -634,3 +641,15 @@ def test_export_lp_keeps_the_sign_of_zero():
     assert " row_b: + 1 y >= -0" in lines
     assert " -0 <= x <= 0" in lines
     assert " 0 <= y <= -0" in lines
+
+
+def test_export_lp_rejects_a_name_that_is_not_lp_safe():
+    """Names are written as they are, so one an LP reader could misread raises."""
+    for bad in ("x-1", "2x", "e1", "_x", "row a", ""):
+        for as_row in (False, True):
+            model = milp.MilpModel()
+            var = "x" if as_row else bad
+            model.add_var(var, milp.CONTINUOUS)
+            model.add_constraint(bad if as_row else "row", "family", [(1.0, var)], "<=", 1.0)
+            with pytest.raises(VrpdrError, match=re.escape(repr(bad))):
+                milp.export_lp(model)
