@@ -366,7 +366,9 @@ def test_two_truck_finder_plan_substitutes():
 # candidate of every kind, so dropping the columns no vehicle can fly must
 # not move them.  The last three cover the single-trip row, fixed docking
 # and two vehicles of a kind, recorded before the rows read their columns
-# from per-vehicle, per-pair and per-node groups.
+# from per-vehicle, per-pair and per-node groups.  The last two, n = 6 with
+# one truck and n = 5 with two trucks and flexible docking, were recorded
+# before the subtour-flow rows were added.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
@@ -410,6 +412,18 @@ GOLDEN_LP_CASES = [
         "5f05143b3d4e7003a6750dc72dcc00e0325ba74277d9ee1d145427a5bdc33905",
         96.32513744204857,
         id="n3_two_of_each_all_on",
+    ),
+    pytest.param(
+        6, 1, FleetSpec(), ModelOptions(),
+        "ce42f520d38865cad176d61800f4a341adfb28e2e50363aa67dc7af05652affc",
+        82.38820704003133,
+        id="n6_all_on",
+    ),
+    pytest.param(
+        5, 2, FleetSpec(num_trucks=2), ModelOptions(),
+        "c489b8c49ff188724af7ab5a6898f4a4546df096544495d1ba493130031134ca",
+        95.92106830437342,
+        id="n5_two_trucks_flexible",
     ),
 ]
 
