@@ -135,17 +135,16 @@ def _recovery_reach(rows, pool, open_recovery, launch_time, speed, range_limit) 
     A recovery ``(t2, q, node, deadline)`` leaves a sortie the distance
     ``budget = min(range_limit, (deadline - launch_time) * speed)``, so c can
     still get home while its walk distance is at most ``budget - d(c, node)``
-    for some open recovery, plus ``FIT_TOL`` for rounding.
+    for some open recovery, plus ``FIT_TOL`` for rounding.  Both metrics are
+    bitwise symmetric, so ``d(c, node)`` is read from the recovery node's row:
+    a truck stop, whose row the walk builds as a launch row anyway, instead
+    of a row per pool customer.
     """
     budgets = [
-        (min(range_limit, (deadline - launch_time) * speed), node)
+        (min(range_limit, (deadline - launch_time) * speed), rows[node])
         for _, _, node, deadline in open_recovery
     ]
-    reach = {}
-    for c in pool:
-        row = rows[c]
-        reach[c] = max(budget - row[node] for budget, node in budgets) + FIT_TOL
-    return reach
+    return {c: max(budget - row[c] for budget, row in budgets) + FIT_TOL for c in pool}
 
 
 def _detour_price(delta_km: float, fleet: FleetSpec) -> float:

@@ -12,8 +12,16 @@ columns also groups them by vehicle, by vehicle and truck pair, by launch
 and recovery node and by customer; every row reads its columns from those
 groups, in column order, instead of scanning the candidates.
 
+Subtours are cut twice.  The MTZ rows' shared order ``u`` also orders the
+sorties in the precedence rows.  The multi-commodity flow rows (Wong, 1980)
+send one unit from the depot to each truck-served customer over driven arcs,
+which gives the LP relaxation the strength of every subtour-elimination row
+with a polynomial number of rows.  They move no integer optimum.
+
 Constraint group names are shared with :mod:`vrpdr.validator`, which
-reports violations under the same families.
+reports violations under the same families.  ``subtour_flow`` is model-only:
+a plan names its routes outright, and :func:`plan_assignment` routes each
+commodity along the route prefix to its customer.
 
 Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
 cap-pruned sortie walk the heuristic also runs, and their energy from
@@ -55,6 +63,7 @@ VISIT_ONCE = "visit_exactly_once"
 DEPOT = "depot_start_end"
 FLOW = "flow_conservation"
 MTZ = "mtz_subtour"
+SUBTOUR_FLOW = "subtour_flow"  # model-only: a plan names its routes outright
 DOCKING = "docking_truck_presence"
 PRECEDENCE = "sortie_precedence"
 PAYLOAD = "payload_capacity"
@@ -156,7 +165,9 @@ class SortieCandidate:
     energy: Dict[str, float]  # kind that fits -> sortie energy
 
 
-def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: ModelOptions) -> list:
+def enumerate_sortie_candidates(
+    inst: Instance, fleet: FleetSpec, options: ModelOptions, budget: float = float("inf")
+) -> list:
     """The (i, l, k) triples that some vehicle of the fleet can fly.
 
     Launch equals recovery only at the depot: a cyclic sortie at a customer
@@ -168,6 +179,10 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
     ``FIT_TOL``.  ``dist`` and ``energy`` keep the kinds that fit, and
     candidates are numbered in (length, sequence, i, k) order.  The model
     gives these columns, and exact search flies them from its tour stops.
+
+    Each kept (candidate, kind) makes one selection column per vehicle of
+    the kind and per docking pair; the walk raises :class:`ModelSizeError`
+    as soon as their count exceeds ``budget``.
     """
     node_ids = [n.id for n in inst.nodes]
     customers = [n.id for n in inst.customers]
@@ -175,9 +190,12 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
     weight = [nd.weight for nd in inst.nodes]
     m = options.effective_m(fleet)
     fits = {}  # (sequence, i, k) -> ({kind: distance}, {kind: energy})
+    n_pairs = fleet.num_trucks ** 2 if options.flexible_docking else fleet.num_trucks
+    columns = 0
     for kind in (DRONE, ROBOT):
         if not fleet.count(kind):
             continue
+        per_fit = n_pairs * fleet.count(kind)
         rows = DistanceRows(METRICS[kind], points)
         payload_limit = fleet.payload_cap(kind) + FIT_TOL
         range_limit = fleet.range_cap(kind) + FIT_TOL
@@ -201,6 +219,12 @@ def enumerate_sortie_candidates(inst: Instance, fleet: FleetSpec, options: Model
                         dist, energy = fits.setdefault((seq, i, k), ({}, {}))
                         dist[kind] = d
                         energy[kind] = e
+                        columns += per_fit
+                        if columns > budget:
+                            raise ModelSizeError(
+                                f"{columns} sortie variables exceed the budget of {budget}; "
+                                "shrink the instance"
+                            )
     out = []
     for seq, i, k in sorted(fits, key=lambda key: (len(key[0]), key)):
         payload = sum(weight[c] for c in seq)
@@ -222,15 +246,9 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     fleet_kinds = [(kind, veh) for kind in (DRONE, ROBOT) for veh in range(fleet.count(kind))]
     M = fleet.big_M
 
-    candidates = enumerate_sortie_candidates(inst, fleet, options)
+    candidates = enumerate_sortie_candidates(inst, fleet, options, options.max_sorties)
     # (launch truck, recovery truck) pairs a sortie may dock between
     pairs = [(ti, tk) for ti in T for tk in T if options.flexible_docking or ti == tk]
-    n_sortie_vars = len(pairs) * sum(fleet.count(kind) for c in candidates for kind in c.dist)
-    if n_sortie_vars > options.max_sorties:
-        raise ModelSizeError(
-            f"{n_sortie_vars} sortie variables exceed the budget of {options.max_sorties}; "
-            "raise ModelOptions.max_sorties or shrink the instance"
-        )
 
     model = MilpModel()
     model.info["candidates"] = candidates
@@ -337,6 +355,50 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         "<=",
                         float(nC - 1),
                     )
+
+    # --- multi-commodity subtour flow (Wong, 1980) ----------------------------
+    # Commodity k sends one unit from the depot to k when a truck serves k,
+    # over arcs some truck drives; none leaves k or returns to the depot.
+    # Every integer solution carries it on the one depot-to-k path (in-degrees
+    # are at most one and MTZ forbids cycles), and the LP relaxation gains the
+    # strength of every subtour-elimination row.  Truck-unreachable nodes have
+    # their arcs fixed at zero, so they get no commodity and no flow arcs.
+    stops = [j for j in C if inst.nodes[j].truck_reachable]
+    tails = [0] + stops
+    flow = {}  # (k, i, j) -> var
+    for k in stops:
+        for i in tails:
+            if i != k:
+                for j in stops:
+                    if j != i:
+                        flow[k, i, j] = model.add_var(f"f_{k}_{i}_{j}", CONTINUOUS, 0.0, 1.0)
+    model.info["flow"] = flow
+    for k in stops:
+        served = [(-1.0, x[t, i, k]) for t in T for i in V if i != k]
+        model.add_constraint(
+            f"{SUBTOUR_FLOW}_{k}_depot",
+            SUBTOUR_FLOW,
+            [(1.0, flow[k, 0, j]) for j in stops] + served,
+            "=",
+            0.0,
+        )
+        for j in stops:
+            terms = [(1.0, flow[k, i, j]) for i in tails if i != j and i != k]
+            if j == k:
+                terms += served
+            else:
+                terms += [(-1.0, flow[k, j, l]) for l in stops if l != j]
+            model.add_constraint(f"{SUBTOUR_FLOW}_{k}_at{j}", SUBTOUR_FLOW, terms, "=", 0.0)
+    # one capacity row per arc over all trucks: an arc into a customer is
+    # driven at most once, and this is tighter than one row per truck
+    for (k, i, j), var in flow.items():
+        model.add_constraint(
+            f"{SUBTOUR_FLOW}_{k}_cap_{i}_{j}",
+            SUBTOUR_FLOW,
+            [(1.0, var)] + [(-1.0, x[t, i, j]) for t in T],
+            "<=",
+            0.0,
+        )
 
     # --- launch / recovery truck presence (and per-node sortie cardinality) ---
     for kind in (DRONE, ROBOT):
@@ -573,9 +635,18 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
         c = candidates[sid]
         by_struct[kind, veh, ti, tk, c.i, c.sequence, c.k] = key
 
+    flow = model.info["flow"]
     for t, route in enumerate(plan.truck_routes):
         for a, b in zip(route[:-1], route[1:]):
             values[x[t, a, b]] = 1.0
+        # commodity k flows along the route prefix from the depot to k; a
+        # truck-unreachable stop has no flow columns, and the unreachable-arc
+        # rows already reject a route through it
+        for p in range(1, len(route) - 1):
+            k = route[p]
+            for a, b in zip(route[:p], route[1 : p + 1]):
+                if (k, a, b) in flow:
+                    values[flow[k, a, b]] = 1.0
     # arrival times: plan values for visited nodes, zero elsewhere
     for t, arrivals in enumerate(plan.truck_arrivals):
         for node, at in arrivals.items():

@@ -104,6 +104,8 @@ def test_cli_export_lp_over_the_sortie_budget_exit_code(tmp_path, monkeypatch):
     assert r.exit_code == 3, r.output
     (line,) = r.output.strip().splitlines()
     assert line.startswith("budget exceeded: ") and "exceed the budget of 1;" in line
+    # no vrpdr command sets max_sorties, so the line does not ask for it
+    assert "raise ModelOptions.max_sorties" not in line
     assert not lp.exists()
 
 

@@ -52,6 +52,16 @@ def test_metric_properties(a, b, c):
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
 
 
+@given(st.lists(points, min_size=2, max_size=6), st.data())
+def test_distance_rows_are_bitwise_symmetric(pts, data):
+    """FINDER reads d(c, node) from the row of node, so the floats must match."""
+    a = data.draw(st.integers(0, len(pts) - 1))
+    b = data.draw(st.integers(0, len(pts) - 1))
+    for metric in METRICS.values():
+        rows = DistanceRows(metric, pts)
+        assert rows[a][b] == rows[b][a]
+
+
 @given(points, points)
 def test_manhattan_dominates_euclidean(a, b):
     assert manhattan_distance(a, b) >= euclidean_distance(a, b) - 1e-12

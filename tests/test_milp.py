@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -134,6 +135,9 @@ def test_constraint_counts_match_closed_forms(n, fleet):
     S = sum(_perm(n, L) * ((V - L) ** 2 - (V - L) + 1) for L in range(1, min(m, n) + 1))
     S0 = sum(_perm(n, L) * (V - L) for L in range(1, min(m, n) + 1))
     Scc = sum(_perm(n, L) * (V - 1 - L) * max(0, V - 2 - L) for L in range(1, min(m, n) + 1))
+    # flow columns per commodity k: the depot's n arcs and the (n - 1)^2
+    # arcs between customers that leave no customer k
+    F = n * (n + (n - 1) ** 2)
     for caps in (fleet, uncapped):
         model = milp.build_model(inst, caps)
         pairs = [(kind, c) for c in model.info["candidates"] for kind in c.dist]
@@ -152,6 +156,9 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         assert counts[milp.DEPOT] == 2
         assert counts[milp.FLOW] == V
         assert counts[milp.MTZ] == n * (n - 1)
+        # per commodity a depot row and a row per customer, and a capacity
+        # row per flow column
+        assert counts[milp.SUBTOUR_FLOW] == n * (n + 1) + F
         assert counts[milp.PAYLOAD] == P
         assert counts[milp.RANGE] == P
         assert counts[milp.PRECEDENCE] == Pcc
@@ -174,8 +181,9 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         )
         assert counts[milp.DOCKING] == anchors
         # columns: arcs, u, Gamma, A, a selection and a launch time per kept
-        # pair, and the charge (per kind) and charge-time columns per node
-        assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * P + (kinds + 1) * V
+        # pair, the charge (per kind) and charge-time columns per node, and
+        # the flow columns
+        assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * P + (kinds + 1) * V + F
 
 
 def test_feasible_plans_substitute_into_the_model(fleet):
@@ -195,6 +203,51 @@ def test_feasible_plans_substitute_into_the_model(fleet):
         assert milp.evaluate_objective(model, values) == pytest.approx(
             plan.objective_breakdown.weighted_objective, abs=1e-9
         )
+
+
+def _relaxed(text):
+    """The exported LP with every binary relaxed to [0, 1]."""
+    head, binaries = text.split("Binaries\n")
+    names = binaries.replace("End\n", "").split()
+    bounds = "".join(f" 0 <= {name} <= 1\n" for name in names)
+    return head.replace("Bounds\n", "Bounds\n" + bounds) + "End\n"
+
+
+def test_relaxation_meets_every_subtour_cut():
+    """The LP relaxation sends each served customer's in-degree into any set
+    holding it: the cut form of every subtour-elimination row.
+
+    Under MTZ alone this relaxation keeps a fractional subtour, with
+    x_1_3 = x_3_1 = 0.8 fed only 0.2 from outside {1, 3}, and a root bound
+    of 43.5 against an optimum of 68.1.
+    """
+    fleet = FleetSpec()
+    inst = bench.generate_instance(5, seed=23, fleet=fleet)
+    root, values = lp_io.solve_lp_text(_relaxed(milp.export_lp(milp.build_model(inst, fleet))))
+    assert root > 56.0
+    C = [c.id for c in inst.customers]
+    V = [0] + C
+
+    def arc(i, j):
+        return values[f"x_t0_{i}_{j}"]
+
+    for size in range(1, len(C) + 1):
+        for group in itertools.combinations(C, size):
+            inflow = sum(arc(i, j) for i in V if i not in group for j in group)
+            for k in group:
+                assert inflow >= sum(arc(i, k) for i in V if i != k) - 1e-7, (group, k)
+
+
+def test_truck_unreachable_customer_has_no_commodity():
+    fleet = FleetSpec()
+    inst = make_instance(
+        [(0, 0), (2, 0), (2, 2), (0, 2)], fleet=fleet, reachable=[True, False, True]
+    )
+    model = milp.build_model(inst, fleet)
+    flow = model.info["flow"]
+    assert flow and all(2 not in key for key in flow)
+    plan = exact.solve_exact(inst, fleet)
+    assert milp.check_assignment(model, milp.plan_assignment(model, plan, inst, fleet)) == []
 
 
 def test_two_truck_lp_lower_bounds_finder():
@@ -249,6 +302,24 @@ def test_model_size_budget_counts_created_selections(fleet, options):
     assert milp.build_model(inst, fleet, budget).info["sel"] == sel
     with pytest.raises(ModelSizeError):
         milp.build_model(inst, fleet, dataclasses.replace(budget, max_sorties=len(sel) - 1))
+
+
+def test_model_size_budget_fails_before_the_full_enumeration(monkeypatch):
+    fleet = FleetSpec()
+    inst = bench.generate_instance(20, seed=1, fleet=fleet)
+    calls = collections.Counter()
+    leg_energy = energy.leg_energy
+
+    def counted(*args):
+        calls["leg_energy"] += 1
+        return leg_energy(*args)
+
+    monkeypatch.setattr(energy, "leg_energy", counted)
+    milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
+    full = calls.pop("leg_energy")
+    with pytest.raises(ModelSizeError, match="exceed the budget of 100; shrink the instance"):
+        milp.build_model(inst, fleet, ModelOptions(max_sorties=100))
+    assert 0 < calls["leg_energy"] < full
 
 
 def test_candidates_keep_exactly_the_sorties_that_fit():
@@ -321,6 +392,18 @@ def test_exported_lp_optimum_matches_exact(fleet):
     assert obj_lp == pytest.approx(plan.objective_breakdown.weighted_objective, abs=1e-6)
 
 
+def test_highs_answer_is_read_at_its_integer_point(fleet):
+    """HiGHS answers this model with a binary at 1 - 3.4e-7, inside its
+    integrality tolerance, and its objective there is 2e-6 below the exact
+    optimum; read at the integer point it is the exact optimum."""
+    inst = bench.generate_instance(5, seed=565, fleet=fleet)
+    model = milp.build_model(inst, fleet)
+    obj_lp, values = lp_io.solve_lp_text(milp.export_lp(model), time_limit=120)
+    assert all(values[v.name] in (0.0, 1.0) for v in model.variables if v.kind == milp.BINARY)
+    plan = exact.solve_exact(inst, fleet)
+    assert obj_lp == pytest.approx(plan.objective_breakdown.weighted_objective, abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "options",
     [
@@ -372,56 +455,56 @@ def test_two_truck_finder_plan_substitutes():
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "e2e5bf276baf70ea912411d15547e699c597c090e136339b801255fe40101b27",
+        "6a078777ec223f23da08cdad4ecf21a2d45aaa388eea71a652817caf7d9c854c",
         82.3988645761878,
         id="n5_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(), ModelOptions(charging=False),
-        "1ae3facb7f95ccbc65e77a3c280506b5960a14175a620d6cf8493665bc645f48",
+        "6abb21061e3c8c81b3157414932d551447f73435f9d88b1b51b061b13d56da3c",
         71.41450072571689,
         id="n5_no_charging",
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "c62d5af65f5e20209d635cc3dface332a7948b6a6c4f5df5a5e9257503280250",
+        "d128c010eb00c1d97f46672def3a285c17260110de8b59d6c626ed9c17f794b9",
         66.90372127268479,
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "a498eeaca401bcd5323db17b8ed14a5cdd4f14e3e9d7a9fdf1363105c0a4ad04",
+        "eb8b279f1722d4e914dd9ae4e2d0c2663f136375dc04f50a21104cb69229b7c3",
         75.13698996712651,
         id="n3_two_trucks_flexible",
     ),
     pytest.param(
         5, 5, FleetSpec(), ModelOptions(single_trip=True),
-        "b0c40a48a351d8428bf617fe924471b54d76d648c827870c0019642077a21fb3",
+        "dbe3c254c3678c702c0f03f7a642c817db8be9673aeaba5a07f28c62d54c8ec0",
         86.01783362954109,
         id="n5_single_trip",
     ),
     pytest.param(
         4, 6, FleetSpec(num_trucks=2, num_drones=2, num_robots=2),
         ModelOptions(flexible_docking=False),
-        "9bc23a9b9d4261bf76d596a38b7a83ab3f1fe66b7c4abe17265156e25c5043e5",
+        "f9f199f6cc81e5f106321cd378f7ccf66514f5e95f05a98082aacaa61fd09a24",
         75.42247560106148,
         id="n4_two_of_each_fixed_docking",
     ),
     pytest.param(
         3, 7, FleetSpec(num_trucks=2, num_drones=2, num_robots=2), ModelOptions(),
-        "5f05143b3d4e7003a6750dc72dcc00e0325ba74277d9ee1d145427a5bdc33905",
+        "ebf066d46739674845ac8b11c31bcfed97c36ac660786f1c4ce613a571a38f74",
         96.32513744204857,
         id="n3_two_of_each_all_on",
     ),
     pytest.param(
         6, 1, FleetSpec(), ModelOptions(),
-        "ce42f520d38865cad176d61800f4a341adfb28e2e50363aa67dc7af05652affc",
+        "3f761785754f5f73f29581f37ef586d234d053fc7efe8d790e39aa1832786b57",
         82.38820704003133,
         id="n6_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(num_trucks=2), ModelOptions(),
-        "c489b8c49ff188724af7ab5a6898f4a4546df096544495d1ba493130031134ca",
+        "370890d08117ba5d77ab0eac90ea67f3f76966561641cc67e50ee624e3123fb8",
         95.92106830437342,
         id="n5_two_trucks_flexible",
     ),
