@@ -449,9 +449,11 @@ def test_two_truck_finder_plan_substitutes():
 # candidate of every kind, so dropping the columns no vehicle can fly must
 # not move them.  The last three cover the single-trip row, fixed docking
 # and two vehicles of a kind, recorded before the rows read their columns
-# from per-vehicle, per-pair and per-node groups.  The last two, n = 6 with
-# one truck and n = 5 with two trucks and flexible docking, were recorded
-# before the subtour-flow rows were added.
+# from per-vehicle, per-pair and per-node groups.  n = 6 with one truck and
+# n = 5 with two trucks and flexible docking were recorded before the
+# subtour-flow rows were added.  The last two, two trucks with fixed docking,
+# were recorded on the model that still held the MTZ, precedence and
+# per-column cap rows.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
@@ -507,6 +509,18 @@ GOLDEN_LP_CASES = [
         "370890d08117ba5d77ab0eac90ea67f3f76966561641cc67e50ee624e3123fb8",
         95.92106830437342,
         id="n5_two_trucks_flexible",
+    ),
+    pytest.param(
+        5, 0, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
+        "0dd5bccdebadd8a5aaa50e835a769690eb0b0c160664fa12876293a3484d1ca6",
+        112.9780976830463,
+        id="n5_two_trucks_fixed_docking_s0",
+    ),
+    pytest.param(
+        5, 1, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
+        "78e0358a1c8107eae15420861e7836c4d505bae226c5f0425adb102ee52313c9",
+        109.1385533020006,
+        id="n5_two_trucks_fixed_docking_s1",
     ),
 ]
 
