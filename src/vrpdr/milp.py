@@ -3,20 +3,24 @@
 The model is sortie-indexed: every candidate sortie (launch node, ordered
 customer sequence, recovery node) gets one binary per vehicle and per
 (launch truck, recovery truck) pair of each kind whose payload, range and
-battery caps it meets.  No column exists only for a cap row to fix it at
-zero; the cap rows stay on the kept columns to document the caps.  A
-candidate fixes its legs and its payload, so its distance and energy are
-constants per vehicle kind, and every battery row is linear in the
-selection binaries as ``energy * z``.  The loop that makes the selection
-columns also groups them by vehicle, by vehicle and truck pair, by launch
-and recovery node and by customer; every row reads its columns from those
-groups, in column order, instead of scanning the candidates.
+battery caps it meets.  The candidate list keeps the caps, and no row does:
+a row ``coef * y <= cap`` on a column that meets its cap holds for every y
+in [0, 1].  The list also leaves out a cyclic sortie at a customer.  The
+validator still reports both (``PAYLOAD``, ``RANGE``, ``PRECEDENCE``),
+because a plan file can declare any sortie.  A candidate fixes its legs and
+its payload, so its distance and energy are constants per vehicle kind, and
+every battery row is linear in the selection binaries as ``energy * z``.
+The loop that makes the selection columns also groups them by vehicle, by
+vehicle and truck pair, by launch and recovery node and by customer; every
+row reads its columns from those groups, in column order, instead of
+scanning the candidates.
 
-Subtours are cut twice.  The MTZ rows' shared order ``u`` also orders the
-sorties in the precedence rows.  The multi-commodity flow rows (Wong, 1980)
-send one unit from the depot to each truck-served customer over driven arcs,
-which gives the LP relaxation the strength of every subtour-elimination row
-with a polynomial number of rows.  They move no integer optimum.
+The multi-commodity flow rows (Wong, 1980) cut subtours: they send one unit
+from the depot to each truck-served customer over driven arcs, which gives
+the LP relaxation the strength of every subtour-elimination row with a
+polynomial number of rows.  The arrival rows order each truck's stops, and
+the launch and return rows put each recovery at least one flight time after
+its launch, so no node order ``u`` is needed to order the sorties.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.  ``subtour_flow`` is model-only:
@@ -62,13 +66,12 @@ MAKESPAN = "makespan_bound"
 VISIT_ONCE = "visit_exactly_once"
 DEPOT = "depot_start_end"
 FLOW = "flow_conservation"
-MTZ = "mtz_subtour"
 SUBTOUR_FLOW = "subtour_flow"  # model-only: a plan names its routes outright
 DOCKING = "docking_truck_presence"
-PRECEDENCE = "sortie_precedence"
+# validator-only: the candidate list keeps these, so the model has no rows
+PRECEDENCE = "sortie_precedence"  # a cyclic sortie at a customer
 PAYLOAD = "payload_capacity"
 RANGE = "sortie_range"
-SORTIE_BATTERY = "sortie_energy_capacity"
 UNREACHABLE = "truck_unreachable_arc"
 DEPOT_BATTERY = "depot_launch_battery"
 NO_DEPOT_CHARGE = "no_depot_charging"
@@ -160,7 +163,6 @@ class SortieCandidate:
     i: int
     sequence: tuple
     k: int
-    payload: float
     dist: Dict[str, float]  # kind that fits -> sortie distance
     energy: Dict[str, float]  # kind that fits -> sortie energy
 
@@ -170,13 +172,16 @@ def enumerate_sortie_candidates(
 ) -> list:
     """The (i, l, k) triples that some vehicle of the fleet can fly.
 
-    Launch equals recovery only at the depot: a cyclic sortie at a customer
-    node can never satisfy the precedence rows.  Per kind and launch node
-    ``i``, :meth:`vrpdr.core.DistanceRows.sortie_heads` walks the sequences
-    over the other customers that meet the payload and range caps; each
-    recovery ``k`` adds the last leg, the range check and
+    Launch equals recovery only at the depot: the validator rejects a
+    cyclic sortie at a customer node, so the list leaves it out.  Per kind
+    and launch node ``i``, :meth:`vrpdr.core.DistanceRows.sortie_heads`
+    walks the sequences over the other customers that meet the payload and
+    range caps; each recovery ``k`` adds the last leg, the range check and
     :func:`vrpdr.energy.leg_energy` against the battery, all within
-    ``FIT_TOL``.  ``dist`` and ``energy`` keep the kinds that fit, and
+    ``FIT_TOL``.  The walk and the range check stop at the lower of the
+    range cap and :func:`vrpdr.energy.battery_range` of a full battery:
+    a longer sortie draws more than the battery holds, so no kept
+    candidate is lost.  ``dist`` and ``energy`` keep the kinds that fit, and
     candidates are numbered in (length, sequence, i, k) order.  The model
     gives these columns, and exact search flies them from its tour stops.
 
@@ -198,7 +203,10 @@ def enumerate_sortie_candidates(
         per_fit = n_pairs * fleet.count(kind)
         rows = DistanceRows(METRICS[kind], points)
         payload_limit = fleet.payload_cap(kind) + FIT_TOL
-        range_limit = fleet.range_cap(kind) + FIT_TOL
+        range_limit = (
+            min(fleet.range_cap(kind), energy_mod.battery_range(kind, fleet.battery(kind), fleet))
+            + FIT_TOL
+        )
         battery_limit = fleet.battery(kind) + FIT_TOL
         for i in node_ids:
             pool = [c for c in customers if c != i]
@@ -227,8 +235,7 @@ def enumerate_sortie_candidates(
                             )
     out = []
     for seq, i, k in sorted(fits, key=lambda key: (len(key[0]), key)):
-        payload = sum(weight[c] for c in seq)
-        out.append(SortieCandidate(len(out), i, seq, k, payload, *fits[seq, i, k]))
+        out.append(SortieCandidate(len(out), i, seq, k, *fits[seq, i, k]))
     return out
 
 
@@ -240,8 +247,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
         raise ConfigurationError("the model needs at least one truck")
     V = [n.id for n in inst.nodes]
     C = [n.id for n in inst.customers]
-    nC = len(C)
-    nV = len(V)
     T = list(range(fleet.num_trucks))
     fleet_kinds = [(kind, veh) for kind in (DRONE, ROBOT) for veh in range(fleet.count(kind))]
     M = fleet.big_M
@@ -261,7 +266,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             for j in V:
                 if i != j:
                     x[t, i, j] = model.add_var(f"x_t{t}_{i}_{j}", BINARY)
-    u = {i: model.add_var(f"u_{i}", CONTINUOUS, 1.0, float(max(nC, 1))) for i in C}
     gamma = model.add_var("Gamma", CONTINUOUS)
     A = {(t, i): model.add_var(f"A_t{t}_{i}", CONTINUOUS) for t in T for i in V}
 
@@ -291,7 +295,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     covering[j].append(var)
     model.info["sel"] = sel
     model.info["x"] = x
-    model.info["u"] = u
     model.info["A"] = A
     model.info["gamma"] = gamma
     model.info["launch"] = launch
@@ -343,26 +346,15 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             terms += [(-1.0, x[t, j, i]) for i in V if i != j]
             model.add_constraint(f"{FLOW}_t{t}_{j}", FLOW, terms, "=", 0.0)
 
-    # --- MTZ subtour elimination ---------------------------------------------
-    for t in T:
-        for i in C:
-            for j in C:
-                if i != j:
-                    model.add_constraint(
-                        f"{MTZ}_t{t}_{i}_{j}",
-                        MTZ,
-                        [(1.0, u[i]), (-1.0, u[j]), (float(nC), x[t, i, j])],
-                        "<=",
-                        float(nC - 1),
-                    )
-
     # --- multi-commodity subtour flow (Wong, 1980) ----------------------------
     # Commodity k sends one unit from the depot to k when a truck serves k,
     # over arcs some truck drives; none leaves k or returns to the depot.
-    # Every integer solution carries it on the one depot-to-k path (in-degrees
-    # are at most one and MTZ forbids cycles), and the LP relaxation gains the
-    # strength of every subtour-elimination row.  Truck-unreachable nodes have
-    # their arcs fixed at zero, so they get no commodity and no flow arcs.
+    # In-degrees are at most one, so a customer on a cycle away from the depot
+    # has no path to carry its unit: the rows cut every subtour, and an
+    # integer solution carries each unit on the one depot-to-k path.  The LP
+    # relaxation gains the strength of every subtour-elimination row.
+    # Truck-unreachable nodes have their arcs fixed at zero, so they get no
+    # commodity and no flow arcs.
     stops = [j for j in C if inst.nodes[j].truck_reachable]
     tails = [0] + stops
     flow = {}  # (k, i, j) -> var
@@ -417,43 +409,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     model.add_constraint(
                         f"{DOCKING}_recover_{kind[0]}_t{ti}_t{tk}_{k}", DOCKING, terms, "<=", 0.0
                     )
-
-    # --- acyclic precedence (customer-to-customer sorties only) --------------
-    for key, var in sel.items():
-        cand = candidates[key[4]]
-        if cand.i in u and cand.k in u:
-            model.add_constraint(
-                f"{PRECEDENCE}_{var}",
-                PRECEDENCE,
-                [(1.0, u[cand.i]), (-1.0, u[cand.k]), (float(nV), var)],
-                "<=",
-                float(nV - 1),
-            )
-
-    # --- payload and range caps ----------------------------------------------
-    for key, var in sel.items():
-        kind = key[0]
-        cand = candidates[key[4]]
-        model.add_constraint(
-            f"{PAYLOAD}_{var}", PAYLOAD, [(cand.payload, var)], "<=", fleet.payload_cap(kind)
-        )
-        model.add_constraint(
-            f"{RANGE}_{var}", RANGE, [(cand.dist[kind], var)], "<=", fleet.range_cap(kind)
-        )
-
-    # --- per-sortie battery cut ------------------------------------------------
-    # One sortie can never draw more than a full battery: the running level
-    # starts at or below capacity and charging only happens aboard a truck.
-    for key, var in sel.items():
-        kind = key[0]
-        cand = candidates[key[4]]
-        model.add_constraint(
-            f"{SORTIE_BATTERY}_{var}",
-            SORTIE_BATTERY,
-            [(cand.energy[kind], var)],
-            "<=",
-            fleet.battery(kind),
-        )
 
     # --- truck-unreachable arcs fixed to zero -----------------------------------
     for t in T:
@@ -626,7 +581,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
     x = model.info["x"]
     sel = model.info["sel"]
     launch = model.info["launch"]
-    u = model.info["u"]
     A = model.info["A"]
     candidates = model.info["candidates"]
     by_struct = {}
@@ -651,17 +605,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
     for t, arrivals in enumerate(plan.truck_arrivals):
         for node, at in arrivals.items():
             values[A[t, node]] = at
-    # MTZ positions from global arrival order; customers never visited by a
-    # truck sit at the lower bound, which every constraint tolerates
-    for var in u.values():
-        values[var] = 1.0
-    events = []
-    for t, arrivals in enumerate(plan.truck_arrivals):
-        for node, at in arrivals.items():
-            if node != 0:
-                events.append((at, t, node))
-    for rank, (_, _, node) in enumerate(sorted(events), start=1):
-        values[u[node]] = float(rank)
     for s in plan.sorties:
         key = by_struct.get(
             (s.vehicle_kind, s.vehicle_id, s.launch_truck, s.recovery_truck,

@@ -8,6 +8,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrpdr import bench, energy, exact, lp_io, milp, schedule
 from vrpdr.core import (
@@ -134,7 +136,6 @@ def test_constraint_counts_match_closed_forms(n, fleet):
     # candidate sorties: ordered sequences times anchor pairs
     S = sum(_perm(n, L) * ((V - L) ** 2 - (V - L) + 1) for L in range(1, min(m, n) + 1))
     S0 = sum(_perm(n, L) * (V - L) for L in range(1, min(m, n) + 1))
-    Scc = sum(_perm(n, L) * (V - 1 - L) * max(0, V - 2 - L) for L in range(1, min(m, n) + 1))
     # flow columns per commodity k: the depot's n arcs and the (n - 1)^2
     # arcs between customers that leave no customer k
     F = n * (n + (n - 1) ** 2)
@@ -143,11 +144,10 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         pairs = [(kind, c) for c in model.info["candidates"] for kind in c.dist]
         P = len(pairs)
         P0 = sum(1 for _, c in pairs if c.i == 0)
-        Pcc = sum(1 for _, c in pairs if c.i != 0 and c.k != 0)
         flying = {kind for kind, _ in pairs}
         from_depot = {kind for kind, c in pairs if c.i == 0}
         if caps is uncapped:
-            assert (P, P0, Pcc) == (S * kinds, S0 * kinds, Scc * kinds)
+            assert (P, P0) == (S * kinds, S0 * kinds)
         else:
             assert P < S * kinds
         counts = collections.Counter(c.family for c in model.constraints)
@@ -155,14 +155,9 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         assert counts[milp.VISIT_ONCE] == n
         assert counts[milp.DEPOT] == 2
         assert counts[milp.FLOW] == V
-        assert counts[milp.MTZ] == n * (n - 1)
         # per commodity a depot row and a row per customer, and a capacity
         # row per flow column
         assert counts[milp.SUBTOUR_FLOW] == n * (n + 1) + F
-        assert counts[milp.PAYLOAD] == P
-        assert counts[milp.RANGE] == P
-        assert counts[milp.PRECEDENCE] == Pcc
-        assert counts[milp.SORTIE_BATTERY] == P
         assert counts[milp.DEPOT_BATTERY] == len(from_depot)
         assert counts[milp.NO_DEPOT_CHARGE] == kinds
         assert counts[milp.CHARGE_PRESENCE] == kinds * n
@@ -180,10 +175,12 @@ def test_constraint_counts_match_closed_forms(n, fleet):
             for kind in flying
         )
         assert counts[milp.DOCKING] == anchors
-        # columns: arcs, u, Gamma, A, a selection and a launch time per kept
+        # columns: arcs, Gamma, A, a selection and a launch time per kept
         # pair, the charge (per kind) and charge-time columns per node, and
         # the flow columns
-        assert len(model.variables) == V * (V - 1) + n + 1 + V + 2 * P + (kinds + 1) * V + F
+        assert len(model.variables) == V * (V - 1) + 1 + V + 2 * P + (kinds + 1) * V + F
+        # the candidate list keeps the caps, so they have no rows
+        assert not counts.keys() & {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE}
 
 
 def test_feasible_plans_substitute_into_the_model(fleet):
@@ -217,9 +214,10 @@ def test_relaxation_meets_every_subtour_cut():
     """The LP relaxation sends each served customer's in-degree into any set
     holding it: the cut form of every subtour-elimination row.
 
-    Under MTZ alone this relaxation keeps a fractional subtour, with
-    x_1_3 = x_3_1 = 0.8 fed only 0.2 from outside {1, 3}, and a root bound
-    of 43.5 against an optimum of 68.1.
+    With Miller-Tucker-Zemlin order rows in place of the flow rows, this
+    relaxation kept a fractional subtour, with x_1_3 = x_3_1 = 0.8 fed only
+    0.2 from outside {1, 3}, and a root bound of 43.5 against an optimum of
+    68.1.
     """
     fleet = FleetSpec()
     inst = bench.generate_instance(5, seed=23, fleet=fleet)
@@ -383,6 +381,61 @@ def test_candidates_keep_exactly_the_sorties_that_fit():
     assert lone_breaks == {"payload", "range", "battery"}
 
 
+def _rate(hi):
+    """A fleet energy parameter in [0, hi], zero drawn often."""
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    drones=st.integers(0, 2),
+    robots=st.integers(0, 2),
+    battery_d=st.one_of(st.floats(100.0, 20000.0), st.floats(1e5, 1e9)),
+    battery_r=st.one_of(st.floats(100.0, 12000.0), st.floats(1e5, 1e9)),
+    W_d=_rate(40.0),
+    k1=_rate(0.5),
+    m=st.integers(1, 3),
+    single_visit=st.booleans(),
+    tight=st.booleans(),
+    light=st.booleans(),
+    size=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_battery_bounded_candidates_equal_the_unbounded_list(
+    drones, robots, battery_d, battery_r, W_d, k1, m, single_visit, tight, light, size, seed
+):
+    """With ``battery_range`` lifted to inf the candidate walk reaches out to
+    the range cap again; the list must be the same, floats included.  Zero
+    rates (``W_d = 0``, ``k1 = 0``) have no battery bound at all.  A ``tight``
+    fleet's battery is the draw of the sortie that flies farthest per unit
+    of energy; with ``light`` parcels, which weigh nothing, that sortie draws
+    exactly its unloaded energy per km, so it sits on the bound."""
+    fleet = FleetSpec(
+        num_drones=drones, num_robots=robots, B_d=battery_d, B_r=battery_r, W_d=W_d, k1=k1, m=m
+    )
+    options = ModelOptions(single_visit=single_visit)
+    inst = bench.generate_instance(size, seed, fleet)
+    if light:
+        inst = Instance([dataclasses.replace(nd, weight=0.0) for nd in inst.nodes], fleet)
+    if tight:
+        full = dataclasses.replace(fleet, B_d=1e12, B_r=1e12)
+        draws = {}
+        for c in milp.enumerate_sortie_candidates(inst, full, options):
+            for kind, e in c.energy.items():
+                if e > 0 and c.dist[kind] / e > draws.get(kind, (0.0, 0.0))[0]:
+                    draws[kind] = (c.dist[kind] / e, e)
+        fleet = dataclasses.replace(
+            fleet,
+            B_d=draws.get(DRONE, (0.0, battery_d))[1],
+            B_r=draws.get(ROBOT, (0.0, battery_r))[1],
+        )
+    bounded = milp.enumerate_sortie_candidates(inst, fleet, options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy, "battery_range", lambda kind, level, fleet: math.inf)
+        unbounded = milp.enumerate_sortie_candidates(inst, fleet, options)
+    assert bounded == unbounded
+
+
 def test_exported_lp_optimum_matches_exact(fleet):
     from vrpdr import lp_io
 
@@ -453,72 +506,73 @@ def test_two_truck_finder_plan_substitutes():
 # n = 5 with two trucks and flexible docking were recorded before the
 # subtour-flow rows were added.  The last two, two trucks with fixed docking,
 # were recorded on the model that still held the MTZ, precedence and
-# per-column cap rows.
+# per-column cap rows.  Every optimum was recorded with those rows; the
+# hashes were recorded after they were deleted.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "6a078777ec223f23da08cdad4ecf21a2d45aaa388eea71a652817caf7d9c854c",
+        "0db5fe81014f3af428d0921fad6b4488cb80610b04d1c0f786b453027e011416",
         82.3988645761878,
         id="n5_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(), ModelOptions(charging=False),
-        "6abb21061e3c8c81b3157414932d551447f73435f9d88b1b51b061b13d56da3c",
+        "a495b65b89b7e5dd2db096243ee30264161832689c1f9d13c7828d3a9bed2872",
         71.41450072571689,
         id="n5_no_charging",
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "d128c010eb00c1d97f46672def3a285c17260110de8b59d6c626ed9c17f794b9",
+        "d52bb75ff0e810f31e243b25df159f3ad58884336d36fa55116314a21306fe94",
         66.90372127268479,
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "eb8b279f1722d4e914dd9ae4e2d0c2663f136375dc04f50a21104cb69229b7c3",
+        "ecb9594381d2d385e134e273914a6dd963a094efeeef271089e4ae2ffc023cb9",
         75.13698996712651,
         id="n3_two_trucks_flexible",
     ),
     pytest.param(
         5, 5, FleetSpec(), ModelOptions(single_trip=True),
-        "dbe3c254c3678c702c0f03f7a642c817db8be9673aeaba5a07f28c62d54c8ec0",
+        "bd840e4cddc870c9b03a5a55ba1ea0f96ddce5cc1f7b648a061ad2fd6ed2f41c",
         86.01783362954109,
         id="n5_single_trip",
     ),
     pytest.param(
         4, 6, FleetSpec(num_trucks=2, num_drones=2, num_robots=2),
         ModelOptions(flexible_docking=False),
-        "f9f199f6cc81e5f106321cd378f7ccf66514f5e95f05a98082aacaa61fd09a24",
+        "db7574861cf9a8bdf82c8fd47d2e33f693a0f6d9e9d08e641a366ecdf131dc62",
         75.42247560106148,
         id="n4_two_of_each_fixed_docking",
     ),
     pytest.param(
         3, 7, FleetSpec(num_trucks=2, num_drones=2, num_robots=2), ModelOptions(),
-        "ebf066d46739674845ac8b11c31bcfed97c36ac660786f1c4ce613a571a38f74",
+        "d5ac79302f8dfd73042493731a4b3ea8146ba784bf5b2f39d2b7eae57d08066e",
         96.32513744204857,
         id="n3_two_of_each_all_on",
     ),
     pytest.param(
         6, 1, FleetSpec(), ModelOptions(),
-        "3f761785754f5f73f29581f37ef586d234d053fc7efe8d790e39aa1832786b57",
+        "9e538fd01291178cc9aff8831f0dde566651549a0005c6b099e0ab01dfe17c72",
         82.38820704003133,
         id="n6_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(num_trucks=2), ModelOptions(),
-        "370890d08117ba5d77ab0eac90ea67f3f76966561641cc67e50ee624e3123fb8",
+        "c04b66ea9eb0862f90016b1e60639e4eacd43f03739c4b6f8b5b2515ecae1027",
         95.92106830437342,
         id="n5_two_trucks_flexible",
     ),
     pytest.param(
         5, 0, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "0dd5bccdebadd8a5aaa50e835a769690eb0b0c160664fa12876293a3484d1ca6",
+        "a713adb193129384203aa619a51b9790cdf03cd428ade540c8b509c81a845e4b",
         112.9780976830463,
         id="n5_two_trucks_fixed_docking_s0",
     ),
     pytest.param(
         5, 1, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "78e0358a1c8107eae15420861e7836c4d505bae226c5f0425adb102ee52313c9",
+        "5361920fb7166ee848a864ebe689d2fd8dd91f998df2ba62f44e109297da95e2",
         109.1385533020006,
         id="n5_two_trucks_fixed_docking_s1",
     ),

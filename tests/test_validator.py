@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from vrpdr import bench, exact, finder, milp, validator
-from vrpdr.core import FleetSpec, Plan, PlanStructureError, Sortie
+from vrpdr.core import FIT_TOL, FleetSpec, Plan, PlanStructureError, Sortie
 from vrpdr.energy import ChargingEvent, build_ledgers
 from vrpdr.schedule import objective_value
 from conftest import make_instance
@@ -154,24 +154,27 @@ def test_charging_event_families(fleet):
 
 
 def test_all_violation_families_exist_in_the_model(fleet):
-    """Cross-module naming contract: families reported must be model groups.
+    """Cross-module naming contract: a family the validator reports is a
+    model row group, or a cap that the candidate list keeps.
 
     Three customers on a unit square, one of them off the truck network, so
     that every sortie shape fits both vehicle kinds and every family has rows.
+    Payload, range and a cyclic sortie at a customer have no rows: a column
+    exists only for a candidate that meets both caps and is not cyclic at a
+    customer, so such a row could never bind.  The validator still reports
+    all three, because a plan file can declare any sortie.
     """
     inst = make_instance(
         [(0, 0), (1, 0), (1, 1), (0, 1)], fleet=fleet, reachable=[True, True, False]
     )
-    model_families = milp.build_model(inst, fleet).families()
-    checkable = {
+    model = milp.build_model(inst, fleet)
+    model_families = model.families()
+    rows = {
         milp.VISIT_ONCE,
         milp.DEPOT,
         milp.UNREACHABLE,
         milp.ARRIVAL_SEQ,
         milp.DOCKING,
-        milp.PRECEDENCE,
-        milp.PAYLOAD,
-        milp.RANGE,
         milp.LAUNCH_SYNC,
         milp.RETURN_SYNC,
         milp.NO_DEPOT_CHARGE,
@@ -181,7 +184,22 @@ def test_all_violation_families_exist_in_the_model(fleet):
         milp.BATTERY_BALANCE,
         milp.OVERCHARGE,
     }
-    assert checkable <= model_families
+    assert rows <= model_families
+    assert not {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE} & model_families
+    candidates = model.info["candidates"]
+    assert {kind for c in candidates for kind in c.dist} == {"drone", "robot"}
+    for c in candidates:
+        assert c.i != c.k or c.i == 0
+        payload = sum(inst.node(j).weight for j in c.sequence)
+        for kind, dist in c.dist.items():
+            assert payload <= fleet.payload_cap(kind) + FIT_TOL
+            assert dist <= fleet.range_cap(kind) + FIT_TOL
+
+    # the validator names the cyclic sortie the list leaves out
+    inst, plan = feasible_sortie_plan(fleet)
+    cyclic = dataclasses.replace(plan.sorties[0], recovery_node=1)
+    report = validator.validate(dataclasses.replace(plan, sorties=(cyclic,)), inst, fleet)
+    assert milp.PRECEDENCE in {v.constraint_family for v in report.violations}
 
 
 def test_structural_errors_raise(fleet):
