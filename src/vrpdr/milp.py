@@ -20,7 +20,7 @@ from the depot to each truck-served customer over driven arcs, which gives
 the LP relaxation the strength of every subtour-elimination row with a
 polynomial number of rows.  The arrival rows order each truck's stops, and
 the launch and return rows put each recovery at least one flight time after
-its launch, so no node order ``u`` is needed to order the sorties.
+its launch, so the stops and sorties need no separate node order.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.  ``subtour_flow`` is model-only:

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from vrpdr.core import FleetSpec, Instance, Node
 
@@ -18,6 +19,11 @@ def make_instance(points, weights=None, fleet=None, reachable=None, seed=0):
     for idx, (p, w, r) in enumerate(zip(points[1:], weights, reachable), start=1):
         nodes.append(Node(idx, p[0], p[1], w, r))
     return Instance(nodes, fleet, seed=seed)
+
+
+def energy_rate(hi):
+    """A fleet energy parameter in [0, hi], zero drawn often (hypothesis)."""
+    return st.one_of(st.just(0.0), st.floats(0.0, hi))
 
 
 @pytest.fixture

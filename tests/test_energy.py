@@ -22,7 +22,7 @@ from vrpdr.energy import (
     robot_power,
     sortie_energy,
 )
-from conftest import make_instance
+from conftest import energy_rate, make_instance
 
 
 def test_drone_energy_single_customer():
@@ -368,25 +368,20 @@ def test_charge_walk_matches_the_walks_it_replaced():
     assert finder_differs == 52
 
 
-def _rate(hi):
-    """A fleet energy parameter in [0, hi], zero drawn often."""
-    return st.one_of(st.just(0.0), st.floats(0.0, hi))
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(
     kind=st.sampled_from((DRONE, ROBOT)),
     energy_params=st.fixed_dictionaries(
         {
-            "W_d": _rate(50.0),
-            "alpha_d": _rate(1000.0),
-            "W_r": _rate(50.0),
-            "k1": _rate(1.0),
-            "k2": _rate(1.0),
-            "g": _rate(20.0),
+            "W_d": energy_rate(50.0),
+            "alpha_d": energy_rate(1000.0),
+            "W_r": energy_rate(50.0),
+            "k1": energy_rate(1.0),
+            "k2": energy_rate(1.0),
+            "g": energy_rate(20.0),
             "s_r": st.floats(0.1, 50.0),
             "l_leg": st.floats(0.05, 2.0),
-            "robot_energy_scale": _rate(200.0),
+            "robot_energy_scale": energy_rate(200.0),
         }
     ),
     stops=st.lists(

@@ -27,7 +27,7 @@ from vrpdr.core import (
     enumerate_sequences,
     sortie_distance,
 )
-from conftest import make_instance
+from conftest import energy_rate, make_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -381,19 +381,14 @@ def test_candidates_keep_exactly_the_sorties_that_fit():
     assert lone_breaks == {"payload", "range", "battery"}
 
 
-def _rate(hi):
-    """A fleet energy parameter in [0, hi], zero drawn often."""
-    return st.one_of(st.just(0.0), st.floats(0.0, hi))
-
-
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(
     drones=st.integers(0, 2),
     robots=st.integers(0, 2),
     battery_d=st.one_of(st.floats(100.0, 20000.0), st.floats(1e5, 1e9)),
     battery_r=st.one_of(st.floats(100.0, 12000.0), st.floats(1e5, 1e9)),
-    W_d=_rate(40.0),
-    k1=_rate(0.5),
+    W_d=energy_rate(40.0),
+    k1=energy_rate(0.5),
     m=st.integers(1, 3),
     single_visit=st.booleans(),
     tight=st.booleans(),
@@ -500,14 +495,14 @@ def test_two_truck_finder_plan_substitutes():
 # or line order shows here.  Each case also carries its HiGHS optimum.  The
 # first four were recorded on the model that still held a column for every
 # candidate of every kind, so dropping the columns no vehicle can fly must
-# not move them.  The last three cover the single-trip row, fixed docking
+# not move them.  The next three cover the single-trip row, fixed docking
 # and two vehicles of a kind, recorded before the rows read their columns
 # from per-vehicle, per-pair and per-node groups.  n = 6 with one truck and
 # n = 5 with two trucks and flexible docking were recorded before the
 # subtour-flow rows were added.  The last two, two trucks with fixed docking,
-# were recorded on the model that still held the MTZ, precedence and
-# per-column cap rows.  Every optimum was recorded with those rows; the
-# hashes were recorded after they were deleted.
+# check the cross-truck rows.  Every optimum was recorded on the model that
+# still held the MTZ, precedence and per-column cap rows, which could never
+# bind; the hashes were recorded after those rows were deleted.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
