@@ -128,6 +128,13 @@ EXACT_GOLDEN_PLANS = [
         "full", 5, 17, 0.4, {"single_visit": True},
         "02a57ba1482e428ebab9c978818ec294da4e82e6a0126c2b40becc36b237aa79",
     ),
+    # n = 6 and 7, where the search walks the most routes: a truck-only
+    # optimum, one sortie, one at n = 7, and two sorties serving the
+    # unreachable customers (seed 0 at this fraction has no feasible plan)
+    ("full", 6, 0, 0.0, {}, "339cb47261f830ee485c2dcac256b3263cb36074f0eddd3f48855cf37ad8549f"),
+    ("full", 6, 1, 0.0, {}, "6324b7d4502ab1bd82f37c98518f7e7b0bc8610af16d73b0c02a7366027c3018"),
+    ("full", 7, 0, 0.0, {}, "19ce9524d94758ba194245502454b80f528d39d3096a2755d32c8f8059bcffcd"),
+    ("full", 6, 4, 0.4, {}, "c2352430a44e40df3f49fb51b758c6a0c989f6ec2bd493d4874d12f7edb93e72"),
 ]
 
 
