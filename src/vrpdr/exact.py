@@ -20,6 +20,20 @@ energies; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
 the table the heuristic reads.  No probe ``Sortie`` is built, so only plan
 assembly and validation call :func:`vrpdr.energy.sortie_energy`.
 
+Truck subsets are enumerated largest first, so the longest tours,
+truck-only when every customer is reachable, set the incumbent before the
+sortie chains of a shorter route are walked.  A route is skipped when its
+bare score cannot beat the incumbent, or when that score plus ``alpha``
+times the off-route customers' shares exceeds the incumbent by more than
+``_SHARE_TOL``.  A customer's share is the least cost per customer of a
+listed sortie serving it: the sortie's cost split evenly over its
+customers.  Every customer off the route rides exactly one sortie, so the
+sorties cost at least the sum of the shares, and sorties only add flight
+time to the makespan.  Every candidate on a skipped route thus scores
+more than ``_EPS`` above the incumbent, which the search rejects anyway,
+so the prune changes no plan.  A subset is skipped outright when a
+customer off it is served by no listed sortie.
+
 Scope: one truck, at most one drone and one robot; larger fleets belong to
 the LP-export path.
 """
@@ -50,6 +64,7 @@ from .milp import enumerate_sortie_candidates
 from .schedule import arrival_times, score, timed_plan
 
 _EPS = 1e-12
+_SHARE_TOL = 1e-9  # above _EPS and the rounding of a summed bound
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,21 @@ class _ChainSortie:
     events: tuple  # charging events on the legs ridden since the last recovery
 
 
+def _customer_shares(sorties, fleet) -> dict:
+    """Customer -> the least cost per customer of a listed sortie serving it.
+
+    A sortie's cost is split evenly over its customers; a customer that no
+    listed sortie serves is absent.
+    """
+    share = {}
+    for (kind, _), rows in sorties.items():
+        for seq, _, dist, _ in rows:
+            each = (fleet.unit_cost(kind) * dist + fleet.fixed_cost(kind)) / len(seq)
+            for c in seq:
+                share[c] = min(share.get(c, each), each)
+    return share
+
+
 class _Search:
     def __init__(self, inst, fleet, options, budget):
         self.inst = inst
@@ -91,6 +121,7 @@ class _Search:
                 self.sorties.setdefault((kind, cand.i), []).append(
                     (cand.sequence, cand.k, dist, cand.energy[kind])
                 )
+        self.share = _customer_shares(self.sorties, fleet)
 
     def tick(self, amount: int = 1) -> None:
         self.candidates_seen += amount
@@ -226,11 +257,14 @@ def solve_exact(
     search = _Search(inst, fleet, options, budget)
     truck_km = inst.truck_matrix().tolist()
 
-    for size in range(1, len(reachable) + 1):
+    # largest subsets first, so the longest tours set the incumbent early
+    for size in range(len(reachable), 0, -1):
         for subset in itertools.combinations(sorted(reachable), size):
             rest = [c for c in customers if c not in subset]
-            if rest and not vehicles:
-                continue
+            if not all(c in search.share for c in rest):
+                continue  # no listed sortie serves some customer off the route
+            # each customer off the route rides one sortie and pays at least its share
+            rest_cost = fleet.alpha * sum(search.share[c] for c in rest)
             for perm in itertools.permutations(subset):
                 route = (0,) + perm + (0,)
                 km = [truck_km[a][b] for a, b in zip(route[:-1], route[1:])]
@@ -238,7 +272,10 @@ def solve_exact(
                 route_rows = [(sum(km), True)]
                 # sorties only add cost and flight time, so the bare route bounds the plan
                 bound = score(route_rows, (), fleet).weighted_objective
-                if search.best_obj is not None and bound >= search.best_obj - _EPS:
+                if search.best_obj is not None and (
+                    bound >= search.best_obj - _EPS
+                    or bound + rest_cost > search.best_obj + _SHARE_TOL
+                ):
                     search.tick()
                     continue
 

@@ -22,6 +22,13 @@ polynomial number of rows.  The arrival rows order each truck's stops, and
 the launch and return rows put each recovery at least one flight time after
 its launch, so the stops and sorties need no separate node order.
 
+Each vehicle that can fly a listed sortie gets a ``battery_balance`` row,
+charging on or off: its sorties draw at most its battery plus the energy
+charged en route.  With charging off nothing is charged, so the row caps
+the vehicle's total draw at one battery, as the validator's ledger does,
+and it is the model's only battery row; the other charging families
+(``CHARGING_FAMILIES``) are built only with charging on.
+
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.  ``subtour_flow`` is model-only:
 a plan names its routes outright, and :func:`plan_assignment` routes each
@@ -89,7 +96,6 @@ CHARGING_FAMILIES = (
     DEPOT_BATTERY,
     NO_DEPOT_CHARGE,
     CHARGE_PRESENCE,
-    BATTERY_BALANCE,
     CHARGE_TIME,
     CHARGE_RATE,
     OVERCHARGE,
@@ -419,11 +425,11 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         f"{UNREACHABLE}_t{t}_{i}_{j}", UNREACHABLE, [(1.0, x[t, i, j])], "=", 0.0
                     )
 
-    # --- charging block ---------------------------------------------------------
-    if options.charging and fleet_kinds:
-        for kind, veh in fleet_kinds:
+    # --- battery and charging block -----------------------------------------------
+    for kind, veh in fleet_kinds:
+        columns = by_vehicle.get((kind, veh), ())
+        if options.charging:
             # depot-launched sorties must fit in the initial full battery
-            columns = by_vehicle.get((kind, veh), ())
             terms = [(c.energy[kind], var) for c, var in columns if c.i == 0]
             if terms:
                 model.add_constraint(
@@ -455,19 +461,20 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         "<=",
                         0.0,
                     )
-            # total consumption within battery plus charged energy
-            terms = [(c.energy[kind], var) for c, var in columns]
-            charge_terms = [
-                (-1.0, charge[kind, veh, v, t]) for t in T for v in V if v != 0
-            ]
-            if terms:
-                model.add_constraint(
-                    f"{BATTERY_BALANCE}_{kind[0]}{veh}",
-                    BATTERY_BALANCE,
-                    terms + charge_terms,
-                    "<=",
-                    fleet.battery(kind),
-                )
+        # total consumption within battery plus charged energy
+        terms = [(c.energy[kind], var) for c, var in columns]
+        charge_terms = [
+            (-1.0, charge[kind, veh, v, t]) for t in T for v in V if v != 0
+        ] if options.charging else []
+        if terms:
+            model.add_constraint(
+                f"{BATTERY_BALANCE}_{kind[0]}{veh}",
+                BATTERY_BALANCE,
+                terms + charge_terms,
+                "<=",
+                fleet.battery(kind),
+            )
+            if options.charging:
                 # charged energy can never exceed consumed energy (aggregate
                 # view of the running-level cap; see module notes)
                 model.add_constraint(
@@ -477,6 +484,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     "<=",
                     0.0,
                 )
+    if options.charging and fleet_kinds:
         for t in T:
             for v in V:
                 terms = [(1.0, ctime[v, t])]

@@ -1,4 +1,9 @@
+import itertools
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrpdr import bench, exact, finder, validator
 from vrpdr.core import (
@@ -7,6 +12,8 @@ from vrpdr.core import (
     FleetSpec,
     InfeasibleError,
     ModelOptions,
+    VrpdrError,
+    plan_to_json,
 )
 from conftest import make_instance
 
@@ -150,3 +157,52 @@ def test_exact_golden_plan_hashes(fleet_name, size, seed, unreachable_frac, opti
     inst = bench.generate_instance(size, seed=seed, fleet=fleet, unreachable_frac=unreachable_frac)
     plan = exact.solve_exact(inst, fleet, ModelOptions(**options))
     assert hashlib.sha256(plan_to_json(plan).encode()).hexdigest() == digest
+
+
+PRUNE_FLEETS = {
+    "default": FleetSpec(),
+    "no_drone": FleetSpec(num_drones=0),
+    "no_robot": FleetSpec(num_robots=0),
+    "low_battery": FleetSpec(B_d=8000.0),
+    "m2": FleetSpec(m=2),
+}
+TOGGLES = list(itertools.product((False, True), repeat=4))
+
+
+def _exact_outcome(inst, fleet, options):
+    """The plan JSON, or the error's class, text and ids."""
+    try:
+        return plan_to_json(exact.solve_exact(inst, fleet, options))
+    except VrpdrError as err:
+        return (type(err).__name__, str(err), getattr(err, "offending_ids", None))
+
+
+@pytest.mark.parametrize(
+    "charging, flexible_docking, single_visit, single_trip",
+    TOGGLES,
+    ids=["".join("01"[flag] for flag in toggles) for toggles in TOGGLES],
+)
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(
+    fleet_name=st.sampled_from(sorted(PRUNE_FLEETS)),
+    size=st.integers(1, 5),
+    unreachable_frac=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_share_prune_keeps_every_plan(
+    charging, flexible_docking, single_visit, single_trip, fleet_name, size, unreachable_frac, seed
+):
+    """Pruning a route by its off-route customers' sortie shares returns
+    the plan, or the error, of the search that prunes by the bare route only."""
+    fleet = PRUNE_FLEETS[fleet_name]
+    options = ModelOptions(
+        charging=charging,
+        flexible_docking=flexible_docking,
+        single_visit=single_visit,
+        single_trip=single_trip,
+    )
+    inst = bench.generate_instance(size, seed=seed, fleet=fleet, unreachable_frac=unreachable_frac)
+    pruned = _exact_outcome(inst, fleet, options)
+    zeros = {c.id: 0.0 for c in inst.customers}
+    with mock.patch.object(exact, "_customer_shares", lambda sorties, fleet: zeros):
+        assert _exact_outcome(inst, fleet, options) == pruned

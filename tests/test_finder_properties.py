@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrpdr import bench, energy, finder, schedule, validator
+from vrpdr import bench, energy, finder, milp, schedule, validator
 from vrpdr.core import (
     DRONE,
     ROBOT,
@@ -127,3 +127,59 @@ def test_battery_bounded_walk_keeps_every_plan(
         patch.setattr(energy, "battery_range", lambda kind, level, fleet: math.inf)
         unbounded = _finder_outcome(inst, fleet, options)
     assert bounded == unbounded
+
+
+@pytest.mark.parametrize(
+    "charging, flexible_docking, single_visit, single_trip",
+    TOGGLES,
+    ids=["".join("01"[flag] for flag in toggles) for toggles in TOGGLES],
+)
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    trucks=st.integers(1, 3),
+    drones=st.integers(0, 2),
+    robots=st.integers(0, 2),
+    battery_d=st.floats(3000.0, 14000.0),
+    battery_r=st.floats(3000.0, 8000.0),
+    unreachable_frac=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    size=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_valid_finder_plan_satisfies_the_model(
+    charging,
+    flexible_docking,
+    single_visit,
+    single_trip,
+    trucks,
+    drones,
+    robots,
+    battery_d,
+    battery_r,
+    unreachable_frac,
+    size,
+    seed,
+):
+    """The model cuts no plan the validator accepts: substituted into the
+    model, a valid FINDER plan meets every row and scores its objective."""
+    fleet = FleetSpec(
+        num_trucks=trucks, num_drones=drones, num_robots=robots, B_d=battery_d, B_r=battery_r
+    )
+    options = ModelOptions(
+        charging=charging,
+        flexible_docking=flexible_docking,
+        single_visit=single_visit,
+        single_trip=single_trip,
+    )
+    inst = bench.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    try:
+        plan = finder.solve_finder(inst, fleet, options)
+    except InfeasibleError:
+        return
+    if not validator.validate(plan, inst, fleet, options).feasible:
+        return
+    model = milp.build_model(inst, fleet, options)
+    values = milp.plan_assignment(model, plan, inst, fleet)
+    assert milp.check_assignment(model, values) == []
+    assert milp.evaluate_objective(model, values) == pytest.approx(
+        plan.objective_breakdown.weighted_objective, abs=1e-6
+    )
