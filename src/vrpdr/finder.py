@@ -26,11 +26,11 @@ whatever remains into the truck routes at the cheapest Manhattan detour,
 then replays the accepted sorties on the rebuilt timeline with
 :func:`vrpdr.schedule.walk`; those that no longer fly are dropped rather
 than waited for, and a rescue pass assigns truck-unreachable customers
-from the finished routes.  One incremental cheapest-insertion kernel
-serves phase 3 and the truck-detour prices of phase 2: it holds each
-customer's best (delta, position) per truck in NumPy arrays over the truck
-distance table (:meth:`vrpdr.core.Instance.truck_matrix`) and updates them
-in bulk after each insert.  Both array kernels choose by exact scalar
+from the finished routes.  One cheapest-insertion kernel serves phase 3
+and every truck-detour price of phase 2: per truck it keeps a table of the
+open customers' deltas on every edge, from the truck distance table
+(:meth:`vrpdr.core.Instance.truck_matrix`), and after an insert it renews
+only the joined truck's table.  Both array kernels choose by exact scalar
 keys, ties included, so a plan does not depend on how NumPy rounds.  Every
 phase reads the truck timeline as the per-position rows of the sortie-free
 :func:`vrpdr.schedule.arrival_times`, next to the routes.  The plan is
@@ -152,69 +152,66 @@ def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
     return fleet.alpha * fleet.C_t * delta_km + (1.0 - fleet.alpha) * delta_km / fleet.s_t
 
 
-def _scan_route(route, us, dist) -> tuple:
-    """Best ``(deltas, positions)`` of the customers ``us`` over the edges of ``route``.
+def _delta_tables(routes, us, dist) -> tuple:
+    """``(du, tables, best, at)``: the insertion deltas of the open customers ``us``.
 
-    delta = (d(c,a) + d(c,b)) - d(a,b) for the edge (a, b) at a position;
-    argmin keeps the first of equal deltas, which is the lowest position.
+    ``du = dist[us]``.  ``tables[t]`` is a C-ordered open × edges array
+    holding (d(u,a) + d(u,b)) - d(a,b) for each edge (a, b) of route t.
+    ``best`` and ``at``, trucks × open, hold each row's lowest delta and its
+    first position, which is the lowest one.
     """
-    nodes = np.array(route, dtype=np.intp)
-    to = dist[us][:, nodes]
-    deltas = (to[:, :-1] + to[:, 1:]) - dist[nodes[:-1], nodes[1:]]
-    pos = deltas.argmin(axis=1)
-    return deltas[np.arange(len(pos)), pos], pos
-
-
-def _insertion_scan(routes, us, dist) -> tuple:
-    """``(best, at)``: each customer's lowest delta and its position, trucks × customers."""
+    du = dist[us]
+    tables = []
     best = np.empty((len(routes), len(us)))
     at = np.empty((len(routes), len(us)), dtype=np.intp)
     for t, route in enumerate(routes):
-        best[t], at[t] = _scan_route(route, us, dist)
-    return best, at
+        nodes = np.array(route, dtype=np.intp)
+        to = du[:, nodes]
+        tables.append((to[:, :-1] + to[:, 1:]) - dist[nodes[:-1], nodes[1:]])
+        at[t] = tables[t].argmin(axis=1)
+        best[t] = tables[t].min(axis=1)
+    return du, tables, best, at
 
 
 def _cheapest_insertion(routes, customers, dist):
     """Insert every customer at its cheapest edge, cheapest first.
 
     ``dist`` is the truck distance table, an array.  Each step takes the
-    lowest (delta, truck, pos, customer) key over all customers and edges.
-    The best (delta, pos) of every open customer on every truck is held in
-    trucks × customers arrays; after an insert at (t, p) only the two new
-    edges are scored, positions on t past p shift by one, and the customers
-    whose best edge was the one split rescan route t.
-    Returns (new routes, summed delta).
+    lowest (delta, truck, pos, customer) key over the :func:`_delta_tables`
+    of all trucks and swap-removes the customer's row from each.  The truck
+    it joins gets a new table, one column wider: the columns past the split
+    edge move right by one, the two new edges are scored and one ``argmin``
+    renews that truck's ``best`` and ``at``.  Returns (new routes, summed
+    delta).
     """
     routes = [list(r) for r in routes]
     us = np.array(sorted(customers), dtype=np.intp)
-    best, at = _insertion_scan(routes, us, dist)
+    du, tables, best, at = _delta_tables(routes, us, dist)
+    rows = np.arange(len(us))
     total = 0.0
     for last in range(len(us) - 1, -1, -1):
         delta = best.min()
         ts, js = np.nonzero(best == delta)
         t, p, c, j = min(zip(ts.tolist(), at[ts, js].tolist(), us[js].tolist(), js.tolist()))
-        # the key names the customer, so column order is free: swap-remove j
-        us[j], best[:, j], at[:, j] = us[last], best[:, last], at[:, last]
-        us, best, at = us[:last], best[:, :last], at[:, :last]
+        # the key names the customer, so row order is free: swap-remove j
+        us[j], du[j], best[:, j], at[:, j] = us[last], du[last], best[:, last], at[:, last]
+        us, du, best, at = us[:last], du[:last], best[:, :last], at[:, :last]
+        for k, table in enumerate(tables):
+            table[j] = table[last]
+            tables[k] = table[:last]
         route = routes[t]
         route.insert(p + 1, c)
         total += float(delta)
         a, b = route[p], route[p + 2]
-        row_best, row_at = best[t], at[t]
-        split = (row_at == p).nonzero()[0]
-        later = row_at > p
-        row_at += later
-        # the table is symmetric, so row a read at us is d(u,a)
-        to_c = dist[c][us]
-        via_ac = (dist[a][us] + to_c) - dist[a, c]
-        via_cb = (to_c + dist[b][us]) - dist[c, b]
-        # the edge at p wins a tie with p + 1, and both win one with a later edge
-        new_best = np.minimum(via_ac, via_cb)
-        take = (new_best < row_best) | ((new_best == row_best) & later)
-        np.copyto(row_best, new_best, where=take)
-        np.copyto(row_at, p + (via_cb < via_ac), where=take)
-        if split.size:
-            row_best[split], row_at[split] = _scan_route(route, us[split], dist)
+        # a fresh C-ordered table, so argmin reads it without a copy
+        table = np.empty((last, len(route) - 1))
+        table[:, :p] = tables[t][:, :p]
+        table[:, p + 2 :] = tables[t][:, p + 1 :]
+        table[:, p] = (du[:, a] + du[:, c]) - dist[a, c]
+        table[:, p + 1] = (du[:, c] + du[:, b]) - dist[c, b]
+        tables[t] = table
+        at[t] = table.argmin(axis=1)
+        best[t] = table[rows[:last], at[t]]
     return routes, total
 
 
@@ -224,10 +221,10 @@ def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_
     ``truck_km`` is :meth:`Instance.truck_matrix`.  Clustered customers share one
     detour, so summing solo deltas overstates the truck alternative; this
     replays cheapest insertion jointly.  A sequence with a customer the
-    truck cannot reach prices at the distance mask, so a sortie always wins.
+    truck cannot reach prices at infinity, so a sortie always wins.
     """
     if any(not inst.node(c).truck_reachable for c in seq):
-        return _detour_price(fleet.big_M, fleet)
+        return math.inf
     return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
 
 
@@ -253,8 +250,8 @@ def assign_sorties(
     nearby unserved pool that passes payload, range, battery and timing
     checks and beats the cost of leaving its customers to the truck
     insertion phase, each customer priced by its cheapest solo detour, read
-    for all open customers from one scan of the insertion kernel.  Returns
-    ``(sorties, carried, unserved)``.
+    for all open customers from one build of :func:`_delta_tables` (a
+    truck-unreachable one at infinity).  Returns ``(sorties, carried, unserved)``.
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
     cap-pruned depth-first walk, over distance rows built once per call.
@@ -290,14 +287,11 @@ def assign_sorties(
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
     truck_km = inst.truck_matrix()
-    # each open customer's solo detour price: the kernel's first scan, one pass
-    open_ids = sorted(unserved)
-    solo = _detour_price(_insertion_scan(routes, open_ids, truck_km)[0].min(axis=0), fleet)
-    masked = _detour_price(fleet.big_M, fleet)
-    alternative = {
-        c: price if inst.node(c).truck_reachable else masked
-        for c, price in zip(open_ids, solo.tolist())
-    }
+    # each open customer's solo detour price: the kernel's first build, one pass
+    open_ids = [c for c in sorted(unserved) if inst.node(c).truck_reachable]
+    solo = _delta_tables(routes, np.array(open_ids, dtype=np.intp), truck_km)[2].min(axis=0)
+    alternative = dict.fromkeys(unserved, math.inf)
+    alternative.update(zip(open_ids, _detour_price(solo, fleet).tolist()))
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
     distance_rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
@@ -425,10 +419,9 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     """Cheapest-insertion of leftovers: minimize d(i,c)+d(c,j)-d(i,j).
 
     Manhattan truck distances, ties broken by (truck, position, customer);
-    iterates until the set is empty.  Runs the incremental kernel
-    :func:`_cheapest_insertion`, which re-scores only the edges each insert
-    creates and picks exactly what a full rescan would.  Callers keep
-    truck-unreachable customers out.
+    iterates until the set is empty.  Runs :func:`_cheapest_insertion`,
+    whose per-truck delta tables pick exactly what a full rescan would.
+    Callers keep truck-unreachable customers out.
     """
     return _cheapest_insertion(routes, unserved, inst.truck_matrix())[0]
 

@@ -417,10 +417,11 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     )
 
     # --- truck-unreachable arcs fixed to zero -----------------------------------
+    reachable = [nd.truck_reachable for nd in inst.nodes]
     for t in T:
         for i in V:
             for j in V:
-                if i != j and inst.truck_distance(i, j) >= M:
+                if i != j and not (reachable[i] and reachable[j]):
                     model.add_constraint(
                         f"{UNREACHABLE}_t{t}_{i}_{j}", UNREACHABLE, [(1.0, x[t, i, j])], "=", 0.0
                     )

@@ -146,7 +146,6 @@ def validate(
 
     routes = plan.truck_routes
     arrivals = plan.truck_arrivals
-    big_m = fleet.big_M
 
     # visit exactly once
     counts: Dict[int, int] = {c.id: 0 for c in inst.customers}
@@ -173,10 +172,11 @@ def validate(
     # (a, b, km) per truck leg: the arc, sequencing and charging checks read it
     legs = [list(zip(route[:-1], route[1:], inst.truck_legs(route))) for route in routes]
 
-    # truck-unreachable arcs
+    # truck-unreachable arcs: an end the truck cannot reach, whatever the leg's length
+    reachable = [nd.truck_reachable for nd in inst.nodes]
     for t, route_legs in enumerate(legs):
-        for a, b, km in route_legs:
-            if km >= big_m:
+        for a, b, _ in route_legs:
+            if a != b and not (reachable[a] and reachable[b]):
                 add(
                     Violation(
                         milp_mod.UNREACHABLE,

@@ -349,33 +349,41 @@ def test_single_insertion_matches_brute_force(fleet):
         assert delta(chosen_pos, 5) == pytest.approx(best_delta, abs=1e-12)
 
     # integer grid points make equal deltas common, so the tie-break is
-    # exercised; prices must agree bit for bit, not approximately
-    for _ in range(200):
-        trucks = rng.randint(1, 3)
-        leftovers = rng.randint(2, 10)
-        n = rng.randint(0, 6) + leftovers
-        pts = [(float(rng.randint(0, 6)), float(rng.randint(0, 6))) for _ in range(n + 1)]
-        inst = make_instance(pts, fleet=FleetSpec(num_trucks=trucks))
-        ids = list(range(1, n + 1))
-        rng.shuffle(ids)
-        routes = [[0] for _ in range(trucks)]
-        for c in ids[leftovers:]:
-            routes[rng.randrange(trucks)].append(c)
-        routes = [r + [0] for r in routes]
-        open_ids = ids[:leftovers]
-        table = inst.truck_matrix()
-        ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
+    # exercised; prices must agree bit for bit, not approximately.  The
+    # second draw puts 11-30 leftovers onto routes of 0-2 customers, empty
+    # [0, 0] trucks included, so each truck's delta table grows by many
+    # columns before its last customer goes in.
+    for cases, fewest, most, routed in ((200, 2, 10, 6), (40, 11, 30, 2)):
+        for _ in range(cases):
+            trucks = rng.randint(1, 3)
+            leftovers = rng.randint(fewest, most)
+            n = rng.randint(0, routed) + leftovers
+            pts = [(float(rng.randint(0, 6)), float(rng.randint(0, 6))) for _ in range(n + 1)]
+            inst = make_instance(pts, fleet=FleetSpec(num_trucks=trucks))
+            ids = list(range(1, n + 1))
+            rng.shuffle(ids)
+            routes = [[0] for _ in range(trucks)]
+            for c in ids[leftovers:]:
+                routes[rng.randrange(trucks)].append(c)
+            routes = [r + [0] for r in routes]
+            open_ids = ids[:leftovers]
+            table = inst.truck_matrix()
+            ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
 
-        assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
-        seq = tuple(open_ids)
-        assert finder._joint_insertion_price(seq, routes, inst, fleet, table) == (
-            finder._detour_price(ref_total, fleet)
-        )
-        for c in open_ids:
-            solo = _full_rescan_insertion(routes, [c], inst)[1]
-            assert finder._joint_insertion_price((c,), routes, inst, fleet, table) == (
-                finder._detour_price(solo, fleet)
+            assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
+            seq = tuple(open_ids)
+            assert finder._joint_insertion_price(seq, routes, inst, fleet, table) == (
+                finder._detour_price(ref_total, fleet)
             )
+            # the solo deltas assign_sorties prices: the tables' first build
+            us = np.array(sorted(open_ids), dtype=np.intp)
+            solo_deltas = finder._delta_tables(routes, us, table)[2].min(axis=0).tolist()
+            for c, solo_delta in zip(us.tolist(), solo_deltas):
+                solo = _full_rescan_insertion(routes, [c], inst)[1]
+                assert solo_delta == solo
+                assert finder._joint_insertion_price((c,), routes, inst, fleet, table) == (
+                    finder._detour_price(solo, fleet)
+                )
 
 
 def test_truck_only_equals_construct_plus_insert(fleet):
@@ -417,6 +425,31 @@ def test_unreachable_served_by_sortie(fleet):
     plan = finder.solve_finder(inst, fleet)
     assert any(2 in s.sequence for s in plan.sorties)
     assert validator.validate(plan, inst, fleet).feasible
+
+
+def test_unreachable_customers_price_at_infinity_whatever_big_m():
+    """A truck-unreachable customer's truck alternative is infinite, so the
+    distance mask never decides whether a sortie beats it: with ``big_M`` at
+    1 or 0 the plan is the default one, and at ``alpha`` 0 or 1 the price is
+    infinite, not NaN."""
+    solved = 0
+    for seed in range(12):
+        inst = bench.generate_instance(8, seed, FleetSpec(), unreachable_frac=0.1)
+        try:
+            plan = finder.solve_finder(inst)
+        except InfeasibleError:
+            continue
+        solved += 1
+        for big_m in (1.0, 0.0):
+            small = replace(FleetSpec(), big_M=big_m)
+            masked = bench.generate_instance(8, seed, small, unreachable_frac=0.1)
+            assert plan_to_json(finder.solve_finder(masked)) == plan_to_json(plan), (seed, big_m)
+    assert solved
+    for alpha in (0.0, 1.0):
+        edge = replace(FleetSpec(), alpha=alpha)
+        inst = make_instance([(0, 0), (4, 0), (2, 2)], reachable=[True, False], fleet=edge)
+        price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, edge, inst.truck_matrix())
+        assert price == math.inf
 
 
 def test_rescue_pass_uses_anchors_created_by_insertion(fleet):

@@ -248,6 +248,20 @@ def test_truck_unreachable_customer_has_no_commodity():
     assert milp.check_assignment(model, milp.plan_assignment(model, plan, inst, fleet)) == []
 
 
+def test_unreachable_rows_come_from_the_flags():
+    """Only arcs with a truck-unreachable end are fixed at zero, whatever
+    their length against ``big_M``."""
+    for big_m in (FleetSpec().big_M, 2.0, 0.0):
+        fleet = dataclasses.replace(FleetSpec(), big_M=big_m)
+        inst = make_instance(
+            [(0, 0), (2, 0), (2, 2), (0, 2)], fleet=fleet, reachable=[True, False, True]
+        )
+        model = milp.build_model(inst, fleet)
+        fixed = [c.name for c in model.constraints if c.family == milp.UNREACHABLE]
+        arcs = [(i, j) for i in range(4) for j in range(4) if i != j and 2 in (i, j)]
+        assert fixed == [f"{milp.UNREACHABLE}_t0_{i}_{j}" for i, j in arcs], big_m
+
+
 def test_two_truck_lp_lower_bounds_finder():
     """HiGHS on the 2-truck model never scores above the heuristic plan."""
     from vrpdr import finder, lp_io

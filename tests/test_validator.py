@@ -123,6 +123,29 @@ def test_docking_and_unreachable_families(fleet):
     assert milp.UNREACHABLE in {v.constraint_family for v in report.violations}
 
 
+def test_unreachable_arcs_come_from_the_flags(fleet):
+    """An arc is masked when an end is truck-unreachable, whatever its length:
+    with a small ``big_M`` the finder's plan, every customer reachable,
+    drives legs longer than ``big_M`` and is feasible."""
+    for big_m in (5.0, 2.0):
+        short = dataclasses.replace(fleet, big_M=big_m)
+        inst = bench.generate_instance(20, 1, short)
+        plan = finder.solve_finder(inst, short)
+        assert max(km for r in plan.truck_routes for km in inst.truck_legs(r)) > big_m
+        assert validator.validate(plan, inst, short).feasible
+
+    inst, plan = feasible_sortie_plan(fleet)
+    masked = make_instance(
+        [(0.0, 0.0), (3.0, 0.0), (5.0, 0.0), (4.0, 0.3)],
+        weights=[1.0, 1.0, 2.0],
+        reachable=[True, False, True],
+        fleet=dataclasses.replace(fleet, big_M=0.0),
+    )
+    report = validator.validate(plan, masked, masked.fleet)
+    unreachable = [v.involved for v in report.violations if v.constraint_family == milp.UNREACHABLE]
+    assert unreachable == [(0, 1, 2), (0, 2, 0)]
+
+
 def test_charging_event_families(fleet):
     inst, plan = feasible_sortie_plan(fleet)
     t1 = plan.truck_arrivals[0][1]
