@@ -714,9 +714,10 @@ def test_assign_sorties_without_auxiliary_fleet_prices_nothing():
 
 
 # sha256 of plan_to_json(solve_finder(...)), recorded before the insertion
-# kernel (first six rows), before the pruned sortie walk (the next nine)
-# and before the battery-bounded walk (the last six); a change meant only
-# to speed the finder up keeps every plan
+# kernel (first six rows), before the pruned sortie walk (the next nine),
+# before the battery-bounded walk (the next six) and before the insertion
+# kernel read truck rows instead of the n x n table (the last two); a change
+# meant only to speed the finder up keeps every plan
 GOLDEN_PLANS = [
     ("to", 150, 1, {}, "5465bf8629ba743c1e16f542a927ce127e523f7913fcd3251d415f2579e5068d"),
     ("to", 150, 2, {}, "e9f4bb5f6d5c593a3a650b02e791a0cf51b4ce246c7a4fda4620ffb67eab1121"),
@@ -748,6 +749,8 @@ GOLDEN_PLANS = [
     ("free", 30, 1, {}, "15270427edc28be92b385b4ef592bf2c565d1a69cccc208d649cd24dd7c2a79f"),
     ("big", 40, 2, {}, "8d92472c77d46d24eaacedebc3d12b376a215835aa7f17ca006fa66d4cbfca40"),
     ("bigger", 40, 2, {}, "8f61cfd1e83cf70937df9e74d2b7a9a7f101adba4a4090ac187b73bbc06e198c"),
+    ("to", 600, 0, {}, "0a4c6145bba3fe7f1616c1d7ad8f326f5c03eab1cbba0fb0e36e47a18ebeb6c5"),
+    ("to", 600, 1, {}, "5944849a87ceaa7eede73ca1008de0185c9eb6b3bb85aa0012ff33a4ca4343ed"),
 ]
 
 
