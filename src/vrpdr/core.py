@@ -345,29 +345,25 @@ class Instance:
         reach = np.array([nd.truck_reachable for nd in self.nodes])
         return xs, ys, reach
 
-    def truck_matrix(self):
-        """Dense float truck distance matrix, Manhattan and masked like
-        :meth:`truck_distance`.
+    def truck_rows(self, ids):
+        """Manhattan km from each node of ``ids`` to every node, a
+        ``len(ids) × (n + 1)`` float array from :attr:`node_arrays`.
 
-        The table the finder's cheapest-insertion kernel and exact search
-        index.  Built on every call from :attr:`node_arrays` and not kept
-        on the instance: an n² table per instance would dominate the
-        memory of a pool of instances.  A caller that reads it repeatedly
-        holds its own copy.
+        No mask: each entry is :func:`manhattan_distance` of the two points,
+        bit for bit, so the km from i to j in i's row is the km from j to i
+        in j's.  The finder's insertion kernel reads the rows of its open
+        customers and exact search the rows of all nodes; both route
+        truck-reachable nodes only.
         """
-        xs, ys, reach = self.node_arrays
-        manh = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
-        bad = ~(reach[:, None] & reach[None, :])
-        np.fill_diagonal(bad, False)
-        manh[bad] = self.fleet.big_M
-        return manh
+        xs, ys, _ = self.node_arrays
+        ids = np.asarray(ids, dtype=np.intp)
+        return np.abs(xs[ids, None] - xs) + np.abs(ys[ids, None] - ys)
 
     def truck_legs(self, route) -> list:
         """Truck km of each leg of ``route`` as Python floats, each equal to
         :meth:`truck_distance` of the leg's ends, masks included.
 
-        Computed from :attr:`node_arrays` in O(len(route)), not from the
-        n² table.
+        Computed from :attr:`node_arrays` in O(len(route)).
         """
         xs, ys, reach = self.node_arrays
         ids = np.asarray(route, dtype=np.intp)

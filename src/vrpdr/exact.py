@@ -16,9 +16,10 @@ candidate before it becomes the incumbent.
 
 Sorties come from :func:`vrpdr.milp.enumerate_sortie_candidates`, the list
 the model gives columns, read once per search with its distances and
-energies; truck legs come from :meth:`vrpdr.core.Instance.truck_matrix`,
-the table the heuristic reads.  No probe ``Sortie`` is built, so only plan
-assembly and validation call :func:`vrpdr.energy.sortie_energy`.
+energies; truck legs come from :meth:`vrpdr.core.Instance.truck_rows`
+over all nodes, the rows the heuristic's insertion kernel reads.  No probe
+``Sortie`` is built, so only plan assembly and validation call
+:func:`vrpdr.energy.sortie_energy`.
 
 Truck subsets are enumerated largest first, so the longest tours,
 truck-only when every customer is reachable, set the incumbent before the
@@ -255,7 +256,7 @@ def solve_exact(
         )
 
     search = _Search(inst, fleet, options, budget)
-    truck_km = inst.truck_matrix().tolist()
+    truck_km = inst.truck_rows(range(len(inst.nodes))).tolist()
 
     # largest subsets first, so the longest tours set the incumbent early
     for size in range(len(reachable), 0, -1):

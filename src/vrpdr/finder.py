@@ -28,10 +28,11 @@ then replays the accepted sorties on the rebuilt timeline with
 than waited for, and a rescue pass assigns truck-unreachable customers
 from the finished routes.  One cheapest-insertion kernel serves phase 3
 and every truck-detour price of phase 2: per truck it keeps a table of the
-open customers' deltas on every edge, from the truck distance table
-(:meth:`vrpdr.core.Instance.truck_matrix`), and after an insert it renews
-only the joined truck's table.  Both array kernels choose by exact scalar
-keys, ties included, so a plan does not depend on how NumPy rounds.  Every
+open customers' deltas on every edge, from the open customers' own truck
+rows (:meth:`vrpdr.core.Instance.truck_rows`) and the route legs, so no
+n × n table is built, and after an insert it renews only the joined
+truck's table.  Both array kernels choose by exact scalar keys, ties
+included, so a plan does not depend on how NumPy rounds.  Every
 phase reads the truck timeline as the per-position rows of the sortie-free
 :func:`vrpdr.schedule.arrival_times`, next to the routes.  The plan is
 assembled and scored by :func:`vrpdr.schedule.timed_plan`.
@@ -152,80 +153,86 @@ def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
     return fleet.alpha * fleet.C_t * delta_km + (1.0 - fleet.alpha) * delta_km / fleet.s_t
 
 
-def _delta_tables(routes, us, dist) -> tuple:
+def _delta_tables(routes, us, inst: Instance) -> tuple:
     """``(du, tables, best, at)``: the insertion deltas of the open customers ``us``.
 
-    ``du = dist[us]``.  ``tables[t]`` is a C-ordered open × edges array
-    holding (d(u,a) + d(u,b)) - d(a,b) for each edge (a, b) of route t.
+    ``du`` is :meth:`Instance.truck_rows` of ``us``.  ``tables[t]`` is a
+    C-ordered open × edges array holding (d(u,a) + d(u,b)) - d(a,b) for each
+    edge (a, b) of route t, the edge km from :meth:`Instance.truck_legs`.
     ``best`` and ``at``, trucks × open, hold each row's lowest delta and its
     first position, which is the lowest one.
     """
-    du = dist[us]
+    du = inst.truck_rows(us)
     tables = []
     best = np.empty((len(routes), len(us)))
     at = np.empty((len(routes), len(us)), dtype=np.intp)
     for t, route in enumerate(routes):
-        nodes = np.array(route, dtype=np.intp)
-        to = du[:, nodes]
-        tables.append((to[:, :-1] + to[:, 1:]) - dist[nodes[:-1], nodes[1:]])
+        to = du[:, route]
+        tables.append((to[:, :-1] + to[:, 1:]) - inst.truck_legs(route))
         at[t] = tables[t].argmin(axis=1)
         best[t] = tables[t].min(axis=1)
     return du, tables, best, at
 
 
-def _cheapest_insertion(routes, customers, dist):
+def _cheapest_insertion(routes, customers, inst: Instance):
     """Insert every customer at its cheapest edge, cheapest first.
 
-    ``dist`` is the truck distance table, an array.  Each step takes the
-    lowest (delta, truck, pos, customer) key over the :func:`_delta_tables`
-    of all trucks and swap-removes the customer's row from each.  The truck
-    it joins gets a new table, one column wider: the columns past the split
-    edge move right by one, the two new edges are scored and one ``argmin``
-    renews that truck's ``best`` and ``at``.  Returns (new routes, summed
-    delta).
+    Each step takes the lowest (delta, truck, pos, customer) key over the
+    :func:`_delta_tables` of all trucks: one ``argmin`` names it, and only
+    when the lowest delta is not unique is the key built over the tied
+    entries.  The customer's row is swap-removed from each table, after
+    its own truck row has given the km to both ends of the split edge
+    (Manhattan is bitwise symmetric).  The truck it joins gets a new
+    table, one column wider: the columns past the split edge move right
+    by one, the two new edges are scored and one ``argmin`` renews that
+    truck's ``best`` and ``at``.  Returns (new routes, summed delta).
     """
     routes = [list(r) for r in routes]
     us = np.array(sorted(customers), dtype=np.intp)
-    du, tables, best, at = _delta_tables(routes, us, dist)
+    du, tables, best, at = _delta_tables(routes, us, inst)
     rows = np.arange(len(us))
     total = 0.0
     for last in range(len(us) - 1, -1, -1):
-        delta = best.min()
-        ts, js = np.nonzero(best == delta)
-        t, p, c, j = min(zip(ts.tolist(), at[ts, js].tolist(), us[js].tolist(), js.tolist()))
+        t, j = divmod(int(best.argmin()), last + 1)
+        delta = best[t, j]
+        if np.count_nonzero(best == delta) > 1:
+            ts, js = np.nonzero(best == delta)
+            t, _, _, j = min(zip(ts.tolist(), at[ts, js].tolist(), us[js].tolist(), js.tolist()))
+        p, c = int(at[t, j]), int(us[j])
+        route = routes[t]
+        a, b = route[p], route[p + 1]
+        d_ac, d_cb = du[j, a], du[j, b]
         # the key names the customer, so row order is free: swap-remove j
         us[j], du[j], best[:, j], at[:, j] = us[last], du[last], best[:, last], at[:, last]
         us, du, best, at = us[:last], du[:last], best[:, :last], at[:, :last]
         for k, table in enumerate(tables):
             table[j] = table[last]
             tables[k] = table[:last]
-        route = routes[t]
         route.insert(p + 1, c)
         total += float(delta)
-        a, b = route[p], route[p + 2]
         # a fresh C-ordered table, so argmin reads it without a copy
         table = np.empty((last, len(route) - 1))
         table[:, :p] = tables[t][:, :p]
         table[:, p + 2 :] = tables[t][:, p + 1 :]
-        table[:, p] = (du[:, a] + du[:, c]) - dist[a, c]
-        table[:, p + 1] = (du[:, c] + du[:, b]) - dist[c, b]
+        table[:, p] = (du[:, a] + du[:, c]) - d_ac
+        table[:, p + 1] = (du[:, c] + du[:, b]) - d_cb
         tables[t] = table
         at[t] = table.argmin(axis=1)
         best[t] = table[rows[:last], at[t]]
     return routes, total
 
 
-def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec, truck_km) -> float:
+def _joint_insertion_price(seq, routes, inst: Instance, fleet: FleetSpec) -> float:
     """Detour cost of inserting a whole sequence into copies of the routes.
 
-    ``truck_km`` is :meth:`Instance.truck_matrix`.  Clustered customers share one
-    detour, so summing solo deltas overstates the truck alternative; this
-    replays cheapest insertion jointly.  A sequence with a customer the
-    truck cannot reach prices at infinity, so a sortie always wins.
+    Clustered customers share one detour, so summing solo deltas overstates
+    the truck alternative; this replays cheapest insertion jointly on the
+    truck rows of ``seq``.  A sequence with a customer the truck cannot
+    reach prices at infinity, so a sortie always wins.
     """
     if any(not inst.node(c).truck_reachable for c in seq):
         return math.inf
-    return _detour_price(_cheapest_insertion(routes, seq, truck_km)[1], fleet)
+    return _detour_price(_cheapest_insertion(routes, seq, inst)[1], fleet)
 
 
 def assign_sorties(
@@ -286,10 +293,9 @@ def assign_sorties(
         used_recovery.add((s.vehicle_kind, s.recovery_node))
     m_eff = options.effective_m(fleet)
     max_trips = 1 if options.single_trip else math.inf
-    truck_km = inst.truck_matrix()
     # each open customer's solo detour price: the kernel's first build, one pass
     open_ids = [c for c in sorted(unserved) if inst.node(c).truck_reachable]
-    solo = _delta_tables(routes, np.array(open_ids, dtype=np.intp), truck_km)[2].min(axis=0)
+    solo = _delta_tables(routes, open_ids, inst)[2].min(axis=0)
     alternative = dict.fromkeys(unserved, math.inf)
     alternative.update(zip(open_ids, _detour_price(solo, fleet).tolist()))
     points = [nd.point for nd in inst.nodes]
@@ -393,9 +399,7 @@ def assign_sorties(
                         # re-verify multi-customer picks against the joint
                         # detour: clustered customers can share one insertion
                         if seq not in joint_cache:
-                            joint_cache[seq] = _joint_insertion_price(
-                                seq, routes, inst, fleet, truck_km
-                            )
+                            joint_cache[seq] = _joint_insertion_price(seq, routes, inst, fleet)
                         if price > joint_cache[seq]:
                             continue
                     best = (seq, rec_node, e, t2, q)
@@ -423,7 +427,7 @@ def insert_unserved(routes, unserved, inst: Instance) -> list:
     whose per-truck delta tables pick exactly what a full rescan would.
     Callers keep truck-unreachable customers out.
     """
-    return _cheapest_insertion(routes, unserved, inst.truck_matrix())[0]
+    return _cheapest_insertion(routes, unserved, inst)[0]
 
 
 def solve_finder(

@@ -15,7 +15,9 @@ appends, with columns in :meth:`ParsedLp.variable_names` order.
 
 from __future__ import annotations
 
+import os
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Dict, List, Tuple
@@ -170,6 +172,24 @@ def parse_lp(text: str) -> ParsedLp:
     return parsed
 
 
+def _quiet_milp(*args, **kwargs):
+    """``scipy.optimize.milp`` with file descriptor 1 on ``os.devnull``, so
+    HiGHS's diagnostics (``HighsMipSolverData::transformNewIntegerFeasibleSolution``
+    on some n = 5 models) stay out of the caller's output."""
+    from scipy.optimize import milp
+
+    sys.stdout.flush()
+    saved = os.dup(1)
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return milp(*args, **kwargs)
+    finally:
+        os.dup2(saved, 1)
+        os.close(saved)
+
+
 def solve_lp_text(text: str, time_limit: float = None):
     """Solve an exported LP with HiGHS via scipy; returns (objective, values).
 
@@ -180,7 +200,7 @@ def solve_lp_text(text: str, time_limit: float = None):
     """
     import numpy as np
     from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.optimize import Bounds, LinearConstraint
 
     parsed = parse_lp(text)
     names = parsed.variable_names()
@@ -215,7 +235,7 @@ def solve_lp_text(text: str, time_limit: float = None):
     if time_limit is not None:
         options["time_limit"] = time_limit
     constraints = LinearConstraint(A, np.array(lo_c), np.array(hi_c))
-    res = milp(
+    res = _quiet_milp(
         c, constraints=constraints, bounds=Bounds(lower, upper),
         integrality=integrality, options=options,
     )
@@ -228,7 +248,7 @@ def solve_lp_text(text: str, time_limit: float = None):
         # 1 - 3.4e-7 put n = 5 seed 565 2e-6 below its integer point.  The
         # binaries are fixed at their integers and the rest is solved again.
         lower[binary] = upper[binary] = rounded
-        res = milp(c, constraints=constraints, bounds=Bounds(lower, upper), options=options)
+        res = _quiet_milp(c, constraints=constraints, bounds=Bounds(lower, upper), options=options)
         if res.status != 0:
             raise RuntimeError(f"HiGHS's answer does not round to a feasible point: {res.message}")
     values = dict(zip(names, res.x.tolist()))

@@ -232,16 +232,18 @@ def test_truck_distance_masking():
     assert inst.truck_distance(0, 1) == 1
     assert inst.truck_distance(0, 2) == inst.fleet.big_M
     assert inst.truck_distance(2, 2) == 0
-    # matrix agrees with the scalar function
-    mat = inst.truck_matrix()
-    for i in range(3):
-        for j in range(3):
-            assert mat[i, j] == pytest.approx(inst.truck_distance(i, j))
-    # integer coordinates still give a float table, so a fractional mask survives
+    # the rows carry no mask: the scalar function's km between reachable
+    # ends and on the diagonal, the plain Manhattan km to node 2
+    rows = inst.truck_rows(range(3))
+    assert rows.tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)):
+        assert rows[i, j] == inst.truck_distance(i, j)
+    # integer coordinates still give float rows, and a fractional mask survives
     fractional = make_instance(
         [(0, 0), (1, 0), (2, 0)], reachable=[True, False], fleet=FleetSpec(big_M=1e5 + 0.5)
     )
-    assert fractional.truck_matrix()[0, 2] == fractional.truck_distance(0, 2) == 1e5 + 0.5
+    assert fractional.truck_rows([0]).dtype == float
+    assert fractional.truck_distance(0, 2) == 1e5 + 0.5
 
 
 def test_truck_legs_are_the_scalar_truck_distance():
@@ -271,14 +273,40 @@ def test_truck_legs_are_the_scalar_truck_distance():
             masked.truck_legs(bad)
 
 
-def test_truck_matrix_is_the_scalar_truck_distance():
-    """Exact search and the finder read this table; each entry is the float
-    truck_distance returns, masks included."""
+def test_truck_rows_are_the_scalar_truck_distance():
+    """Exact search and the finder's insertion kernel read these rows, over
+    truck-reachable routes only; there each entry is the float
+    truck_distance returns, and a row comes back per id, in order."""
     rng = random.Random(5)
     pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(8)]
     inst = make_instance(pts, reachable=[rng.random() < 0.7 for _ in range(7)])
-    table = inst.truck_matrix().tolist()
-    assert table == [[inst.truck_distance(a, b) for b in range(8)] for a in range(8)]
+    routable = [a for a in range(8) if inst.node(a).truck_reachable]
+    ids = [5, 0, 5, 7, 2]
+    rows = inst.truck_rows(ids)
+    assert rows.shape == (len(ids), 8)
+    for k, a in enumerate(ids):
+        for b in range(8):
+            if a == b or (a in routable and b in routable):
+                assert rows[k, b] == inst.truck_distance(a, b)
+    assert inst.truck_rows([]).shape == (0, 8)
+
+
+def test_truck_rows_are_manhattan_distance_bit_for_bit():
+    """Every entry is manhattan_distance of its two points, unreachable nodes
+    included, and the rows are bitwise symmetric: the finder reads the km
+    of a new edge's ends from the inserted customer's own row."""
+    rng = random.Random(13)
+    for trial in range(30):
+        n = rng.randint(1, 12)
+        pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n + 1)]
+        if trial % 3 == 0:
+            pts = [(float(rng.randint(-3, 3)), y) for _, y in pts]
+        inst = make_instance(pts, reachable=[rng.random() < 0.5 for _ in range(n)])
+        rows = inst.truck_rows(range(n + 1)).tolist()
+        for a in range(n + 1):
+            for b in range(n + 1):
+                expected = manhattan_distance(pts[a], pts[b])
+                assert rows[a][b].hex() == expected.hex() == rows[b][a].hex()
 
 
 def test_instance_json_roundtrip():

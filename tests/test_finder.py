@@ -280,8 +280,7 @@ def test_insert_unserved_examples(fleet):
 
 def test_insertion_delta_value(fleet):
     inst = make_instance([(0, 0), (4, 0), (2, 2)], weights=[1, 1], fleet=fleet)
-    table = inst.truck_matrix()
-    price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, fleet, table)
+    price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, fleet)
     # cheapest manhattan detour for (2,2) onto 0->1 or 1->0 is 4 km
     expected = fleet.alpha * fleet.C_t * 4 + (1 - fleet.alpha) * 4 / fleet.s_t
     assert price == pytest.approx(expected)
@@ -367,21 +366,20 @@ def test_single_insertion_matches_brute_force(fleet):
                 routes[rng.randrange(trucks)].append(c)
             routes = [r + [0] for r in routes]
             open_ids = ids[:leftovers]
-            table = inst.truck_matrix()
             ref_routes, ref_total = _full_rescan_insertion(routes, open_ids, inst)
 
             assert finder.insert_unserved(routes, set(open_ids), inst) == ref_routes
             seq = tuple(open_ids)
-            assert finder._joint_insertion_price(seq, routes, inst, fleet, table) == (
+            assert finder._joint_insertion_price(seq, routes, inst, fleet) == (
                 finder._detour_price(ref_total, fleet)
             )
             # the solo deltas assign_sorties prices: the tables' first build
             us = np.array(sorted(open_ids), dtype=np.intp)
-            solo_deltas = finder._delta_tables(routes, us, table)[2].min(axis=0).tolist()
+            solo_deltas = finder._delta_tables(routes, us, inst)[2].min(axis=0).tolist()
             for c, solo_delta in zip(us.tolist(), solo_deltas):
                 solo = _full_rescan_insertion(routes, [c], inst)[1]
                 assert solo_delta == solo
-                assert finder._joint_insertion_price((c,), routes, inst, fleet, table) == (
+                assert finder._joint_insertion_price((c,), routes, inst, fleet) == (
                     finder._detour_price(solo, fleet)
                 )
 
@@ -448,7 +446,7 @@ def test_unreachable_customers_price_at_infinity_whatever_big_m():
     for alpha in (0.0, 1.0):
         edge = replace(FleetSpec(), alpha=alpha)
         inst = make_instance([(0, 0), (4, 0), (2, 2)], reachable=[True, False], fleet=edge)
-        price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, edge, inst.truck_matrix())
+        price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, edge)
         assert price == math.inf
 
 

@@ -466,6 +466,19 @@ def test_highs_answer_is_read_at_its_integer_point(fleet):
     assert obj_lp == pytest.approx(plan.objective_breakdown.weighted_objective, abs=1e-9)
 
 
+def test_highs_diagnostics_stay_off_stdout(capfd):
+    """HiGHS writes a diagnostic line for this model straight to file
+    descriptor 1; the solve keeps it off the process's output, and the
+    optimum is the one HiGHS reported before."""
+    inst = bench.generate_instance(5, seed=45, fleet=FleetSpec())
+    print("before", flush=True)
+    obj, _ = lp_io.solve_lp_text(milp.export_lp(milp.build_model(inst, inst.fleet)))
+    print("after")
+    out, _ = capfd.readouterr()
+    assert out == "before\nafter\n"
+    assert abs(obj - 42.775238028963855) <= 1e-9
+
+
 @pytest.mark.parametrize(
     "options",
     [
