@@ -103,6 +103,9 @@ def export_lp(instance_path, out, options):
     inst = _load_instance(instance_path)
     try:
         model = milp_mod.build_model(inst, inst.fleet, options)
+    except InfeasibleError as exc:
+        click.echo(f"infeasible: {exc} (ids {list(exc.offending_ids)})", err=True)
+        sys.exit(2)
     except ModelSizeError as exc:
         click.echo(f"budget exceeded: {exc}", err=True)
         sys.exit(3)

@@ -143,7 +143,6 @@ class FleetSpec:
     k2: float = 0.2
     m: int = 3                 # max customers per sortie
     alpha: float = 0.5         # objective weight on cost vs makespan
-    big_M: float = 1e5
     robot_energy_scale: float = 1000.0 / 11.1  # units per Wh
 
     def __post_init__(self):
@@ -331,48 +330,46 @@ class Instance:
         return METRICS[kind](self.node(i).point, self.node(j).point)
 
     def truck_distance(self, i: int, j: int) -> float:
-        """Manhattan truck distance, masked to big_M for unreachable endpoints."""
-        a, b = self.node(i), self.node(j)
-        if i != j and not (a.truck_reachable and b.truck_reachable):
-            return self.fleet.big_M
-        return manhattan_distance(a.point, b.point)
+        """Manhattan truck km between node ids.
+
+        No mask: whether a truck may drive an arc is read from the nodes'
+        ``truck_reachable`` flags, never from its length.
+        """
+        return manhattan_distance(self.node(i).point, self.node(j).point)
 
     @cached_property
     def node_arrays(self) -> tuple:
-        """``(x, y, truck_reachable)`` arrays indexed by node id: O(n), kept."""
+        """``(x, y)`` coordinate arrays indexed by node id: O(n), kept."""
         xs = np.array([nd.x for nd in self.nodes], dtype=float)
         ys = np.array([nd.y for nd in self.nodes], dtype=float)
-        reach = np.array([nd.truck_reachable for nd in self.nodes])
-        return xs, ys, reach
+        return xs, ys
 
     def truck_rows(self, ids):
         """Manhattan km from each node of ``ids`` to every node, a
         ``len(ids) × (n + 1)`` float array from :attr:`node_arrays`.
 
-        No mask: each entry is :func:`manhattan_distance` of the two points,
-        bit for bit, so the km from i to j in i's row is the km from j to i
-        in j's.  The finder's insertion kernel reads the rows of its open
-        customers and exact search the rows of all nodes; both route
-        truck-reachable nodes only.
+        Each entry is :func:`manhattan_distance` of the two points, bit for
+        bit, so the km from i to j in i's row is the km from j to i in j's.
+        The finder's insertion kernel reads the rows of its open customers
+        and exact search the rows of all nodes; both route truck-reachable
+        nodes only.
         """
-        xs, ys, _ = self.node_arrays
+        xs, ys = self.node_arrays
         ids = np.asarray(ids, dtype=np.intp)
         return np.abs(xs[ids, None] - xs) + np.abs(ys[ids, None] - ys)
 
     def truck_legs(self, route) -> list:
         """Truck km of each leg of ``route`` as Python floats, each equal to
-        :meth:`truck_distance` of the leg's ends, masks included.
+        :meth:`truck_distance` of the leg's ends.
 
         Computed from :attr:`node_arrays` in O(len(route)).
         """
-        xs, ys, reach = self.node_arrays
+        xs, ys = self.node_arrays
         ids = np.asarray(route, dtype=np.intp)
         if ids.size and not (ids.min() >= 0 and ids.max() < len(self.nodes)):
             raise InstanceError(f"route {list(route)} references an unknown node id")
         a, b = ids[:-1], ids[1:]
-        km = np.abs(xs[a] - xs[b]) + np.abs(ys[a] - ys[b])
-        km[(a != b) & ~(reach[a] & reach[b])] = self.fleet.big_M
-        return km.tolist()
+        return (np.abs(xs[a] - xs[b]) + np.abs(ys[a] - ys[b])).tolist()
 
 
 class DistanceRows(dict):

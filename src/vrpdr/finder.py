@@ -85,7 +85,7 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
             raise ConfigurationError("cannot route customers with zero trucks")
         return []
     per_truck = max(3, inst.num_customers // (2 * fleet.num_trucks))
-    xs, ys, _ = inst.node_arrays
+    xs, ys = inst.node_arrays
     points = [nd.point for nd in inst.nodes]
     free = list(customers)
     free_x, free_y = xs[free], ys[free]

@@ -18,9 +18,13 @@ scanning the candidates.
 The multi-commodity flow rows (Wong, 1980) cut subtours: they send one unit
 from the depot to each truck-served customer over driven arcs, which gives
 the LP relaxation the strength of every subtour-elimination row with a
-polynomial number of rows.  The arrival rows order each truck's stops, and
-the launch and return rows put each recovery at least one flight time after
-its launch, so the stops and sorties need no separate node order.
+polynomial number of rows.  Only arcs between truck-reachable nodes get a
+column.  The timing rows take their big-M constant from :func:`horizon`,
+which bounds every truck arrival.  The arrival rows order each truck's
+stops.  A sortie's launch time projects out of its launch and return rows,
+leaving one row that puts the recovery at least one flight after the launch
+truck's arrival (hour 0 from the depot), so the stops and sorties need no
+separate node order.
 
 Each vehicle that can fly a listed sortie gets a ``battery_balance`` row,
 charging on or off: its sorties draw at most its battery plus the energy
@@ -57,6 +61,7 @@ from .core import (
     ConfigurationError,
     DistanceRows,
     FleetSpec,
+    InfeasibleError,
     Instance,
     ModelOptions,
     ModelSizeError,
@@ -79,7 +84,8 @@ DOCKING = "docking_truck_presence"
 PRECEDENCE = "sortie_precedence"  # a cyclic sortie at a customer
 PAYLOAD = "payload_capacity"
 RANGE = "sortie_range"
-UNREACHABLE = "truck_unreachable_arc"
+UNREACHABLE = "truck_unreachable_arc"  # an arc with an unreachable end has no column
+LAUNCH_SYNC = "launch_after_arrival"  # launch times project out of the return rows
 DEPOT_BATTERY = "depot_launch_battery"
 NO_DEPOT_CHARGE = "no_depot_charging"
 CHARGE_PRESENCE = "charging_truck_presence"
@@ -88,7 +94,6 @@ CHARGE_TIME = "charging_time_bound"
 CHARGE_RATE = "charging_rate_limit"
 OVERCHARGE = "overcharge_prevention"
 ARRIVAL_SEQ = "truck_arrival_sequence"
-LAUNCH_SYNC = "launch_after_arrival"
 RETURN_SYNC = "return_before_departure"
 SINGLE_TRIP = "single_trip_cap"
 
@@ -144,8 +149,10 @@ class MilpModel:
         self._register(v)
         return name
 
-    def add_constraint(self, name, family, terms, sense, rhs) -> None:
-        """Append a row; zero coefficients are dropped, every variable must exist."""
+    def add_constraint(self, name, family, terms, sense, rhs, ids=()) -> None:
+        """Append a row; zero coefficients are dropped, every variable must exist.
+        A row left with no terms is skipped if ``0 sense rhs`` holds, and else
+        raises :class:`InfeasibleError` naming ``ids``."""
         if sense not in SENSES:
             raise VrpdrError(f"constraint {name} has sense {sense!r}; expected <=, >= or =")
         declared = self._by_name
@@ -155,6 +162,12 @@ class MilpModel:
                 if v not in declared:
                     raise VrpdrError(f"constraint {name} references undeclared variable {v}")
                 kept.append((float(c), v))
+        if not kept:
+            if {"<=": 0.0 <= rhs, ">=": 0.0 >= rhs, "=": rhs == 0.0}[sense]:
+                return
+            raise InfeasibleError(
+                f"constraint {name} has no columns, so 0 {sense} {rhs:g} cannot hold", ids
+            )
         self.constraints.append(Constraint(name, family, tuple(kept), sense, float(rhs)))
 
     def families(self) -> set:
@@ -245,6 +258,30 @@ def enumerate_sortie_candidates(
     return out
 
 
+def horizon(inst: Instance, fleet: FleetSpec, candidates) -> float:
+    """The model's time constant H: no truck arrival exceeds it.
+
+    H = (T × the depot's longest truck arc + the sum over truck-reachable
+    customers of each one's longest truck arc) / ``s_t`` + |C| × the longest
+    listed flight in hours.  Proof for :func:`vrpdr.schedule.arrival_times`
+    on any routes and sorties the model can select: an arrival ends a wait
+    chain from hour 0 at the depot that alternates driven legs with flights,
+    each from a launch truck's arrival to the recovery it holds up.  Wait
+    chains are acyclic, so a chain drives each arc and flies each sortie once
+    at most.  One arc at most leaves each customer, visited once, and each
+    truck leaves the depot once, which bounds the driven hours by the first
+    term; each sortie serves a customer, so at most |C| fly, which bounds
+    the flown hours by the second.  So the timing rows at H keep every plan
+    as ``arrival_times`` times it; a plan file may still declare idle hours
+    past that timeline.
+    """
+    reach = [0] + [c.id for c in inst.customers if c.truck_reachable]
+    longest = [max([inst.truck_distance(i, j) for j in reach if j != i] + [0.0]) for i in reach]
+    flights = [c.dist[kind] / fleet.speed(kind) for c in candidates for kind in c.dist]
+    driven = (fleet.num_trucks * longest[0] + sum(longest[1:])) / fleet.s_t
+    return driven + inst.num_customers * max(flights, default=0.0)
+
+
 def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelOptions()) -> MilpModel:
     """Assemble the full model with one named constraint group per family."""
     if inst.num_customers < 1:
@@ -255,30 +292,34 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     C = [n.id for n in inst.customers]
     T = list(range(fleet.num_trucks))
     fleet_kinds = [(kind, veh) for kind in (DRONE, ROBOT) for veh in range(fleet.count(kind))]
-    M = fleet.big_M
+    # truck-served customers; an arc gets a column only between the depot and
+    # these, so ``ends[j]`` lists the other end of every arc at node j
+    stops = [j for j in C if inst.nodes[j].truck_reachable]
+    tails = [0] + stops
+    ends = {j: [i for i in tails if i != j] if j in tails else [] for j in V}
 
     candidates = enumerate_sortie_candidates(inst, fleet, options, options.max_sorties)
     # (launch truck, recovery truck) pairs a sortie may dock between
     pairs = [(ti, tk) for ti in T for tk in T if options.flexible_docking or ti == tk]
+    H = horizon(inst, fleet, candidates)
 
     model = MilpModel()
     model.info["candidates"] = candidates
     model.info["options"] = options
+    model.info["horizon"] = H
 
     # --- variables ---------------------------------------------------------
     x = {}
     for t in T:
-        for i in V:
-            for j in V:
-                if i != j:
-                    x[t, i, j] = model.add_var(f"x_t{t}_{i}_{j}", BINARY)
+        for i in tails:
+            for j in ends[i]:
+                x[t, i, j] = model.add_var(f"x_t{t}_{i}_{j}", BINARY)
     gamma = model.add_var("Gamma", CONTINUOUS)
     A = {(t, i): model.add_var(f"A_t{t}_{i}", CONTINUOUS) for t in T for i in V}
 
-    # selection and launch-time variables; the rows below read their columns
-    # from the groups filled here, each in column order
+    # selection variables; the rows below read their columns from the groups
+    # filled here, each in column order
     sel = {}     # (kind, veh, ti, tk, sid) -> var
-    launch = {}  # same key -> launch-time var
     by_vehicle = {}   # (kind, veh) -> [(candidate, var)]
     by_pair = {}      # (kind, veh, ti, tk) -> [(candidate, var)]
     by_launch = {}    # (kind, ti, tk, launch node) -> [var]
@@ -292,7 +333,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                 key = (kind, veh, ti, tk, cand.sid)
                 tag = f"{letter}_{kind[0]}{veh}_t{ti}_t{tk}_s{cand.sid}"
                 var = sel[key] = model.add_var(tag, BINARY)
-                launch[key] = model.add_var(f"G_{tag}", CONTINUOUS)
                 by_vehicle.setdefault((kind, veh), []).append((cand, var))
                 by_pair.setdefault((kind, veh, ti, tk), []).append((cand, var))
                 by_launch.setdefault((kind, ti, tk, cand.i), []).append(var)
@@ -303,7 +343,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     model.info["x"] = x
     model.info["A"] = A
     model.info["gamma"] = gamma
-    model.info["launch"] = launch
 
     charge = {}
     ctime = {}
@@ -323,7 +362,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     # --- makespan bounds ----------------------------------------------------
     for t in T:
         terms = [(1.0, gamma)] + [
-            (-inst.truck_distance(i, j) / fleet.s_t, x[t, i, j]) for i in V for j in V if i != j
+            (-inst.truck_distance(i, j) / fleet.s_t, x[t, i, j]) for i in tails for j in ends[i]
         ]
         model.add_constraint(f"{MAKESPAN}_truck{t}", MAKESPAN, terms, ">=", 0.0)
     for (kind, veh, ti, tk), group in by_pair.items():
@@ -331,25 +370,28 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
         model.add_constraint(f"{MAKESPAN}_{kind[0]}{veh}_t{ti}_t{tk}", MAKESPAN, terms, ">=", 0.0)
 
     # --- visit exactly once -------------------------------------------------
+    # a customer no truck reaches and no listed sortie covers leaves this row
+    # empty, and no reachable customer leaves the depot rows empty: both raise
+    # InfeasibleError
     for j in C:
-        terms = [(1.0, x[t, i, j]) for t in T for i in V if i != j]
+        terms = [(1.0, x[t, i, j]) for t in T for i in ends[j]]
         terms += [(1.0, var) for var in covering[j]]
-        model.add_constraint(f"{VISIT_ONCE}_{j}", VISIT_ONCE, terms, "=", 1.0)
+        model.add_constraint(f"{VISIT_ONCE}_{j}", VISIT_ONCE, terms, "=", 1.0, (j,))
 
     # --- depot start / end --------------------------------------------------
     for t in T:
         model.add_constraint(
-            f"{DEPOT}_out_t{t}", DEPOT, [(1.0, x[t, 0, j]) for j in C], "=", 1.0
+            f"{DEPOT}_out_t{t}", DEPOT, [(1.0, x[t, 0, j]) for j in stops], "=", 1.0, C
         )
         model.add_constraint(
-            f"{DEPOT}_in_t{t}", DEPOT, [(1.0, x[t, i, 0]) for i in C], "=", 1.0
+            f"{DEPOT}_in_t{t}", DEPOT, [(1.0, x[t, i, 0]) for i in stops], "=", 1.0, C
         )
 
     # --- flow conservation ---------------------------------------------------
     for t in T:
         for j in V:
-            terms = [(1.0, x[t, i, j]) for i in V if i != j]
-            terms += [(-1.0, x[t, j, i]) for i in V if i != j]
+            terms = [(1.0, x[t, i, j]) for i in ends[j]]
+            terms += [(-1.0, x[t, j, i]) for i in ends[j]]
             model.add_constraint(f"{FLOW}_t{t}_{j}", FLOW, terms, "=", 0.0)
 
     # --- multi-commodity subtour flow (Wong, 1980) ----------------------------
@@ -359,10 +401,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     # has no path to carry its unit: the rows cut every subtour, and an
     # integer solution carries each unit on the one depot-to-k path.  The LP
     # relaxation gains the strength of every subtour-elimination row.
-    # Truck-unreachable nodes have their arcs fixed at zero, so they get no
-    # commodity and no flow arcs.
-    stops = [j for j in C if inst.nodes[j].truck_reachable]
-    tails = [0] + stops
+    # Truck-unreachable nodes have no arcs, so they get no commodity and no
+    # flow arcs.
     flow = {}  # (k, i, j) -> var
     for k in stops:
         for i in tails:
@@ -372,7 +412,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                         flow[k, i, j] = model.add_var(f"f_{k}_{i}_{j}", CONTINUOUS, 0.0, 1.0)
     model.info["flow"] = flow
     for k in stops:
-        served = [(-1.0, x[t, i, k]) for t in T for i in V if i != k]
+        served = [(-1.0, x[t, i, k]) for t in T for i in ends[k]]
         model.add_constraint(
             f"{SUBTOUR_FLOW}_{k}_depot",
             SUBTOUR_FLOW,
@@ -404,26 +444,16 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             for i in V:
                 terms = [(1.0, var) for var in by_launch.get((kind, ti, tk, i), ())]
                 if terms:
-                    terms += [(-1.0, x[ti, j, i]) for j in V if j != i]
+                    terms += [(-1.0, x[ti, j, i]) for j in ends[i]]
                     model.add_constraint(
                         f"{DOCKING}_launch_{kind[0]}_t{ti}_t{tk}_{i}", DOCKING, terms, "<=", 0.0
                     )
             for k in V:
                 terms = [(1.0, var) for var in by_recovery.get((kind, ti, tk, k), ())]
                 if terms:
-                    terms += [(-1.0, x[tk, k, j]) for j in V if j != k]
+                    terms += [(-1.0, x[tk, k, j]) for j in ends[k]]
                     model.add_constraint(
                         f"{DOCKING}_recover_{kind[0]}_t{ti}_t{tk}_{k}", DOCKING, terms, "<=", 0.0
-                    )
-
-    # --- truck-unreachable arcs fixed to zero -----------------------------------
-    reachable = [nd.truck_reachable for nd in inst.nodes]
-    for t in T:
-        for i in V:
-            for j in V:
-                if i != j and not (reachable[i] and reachable[j]):
-                    model.add_constraint(
-                        f"{UNREACHABLE}_t{t}_{i}_{j}", UNREACHABLE, [(1.0, x[t, i, j])], "=", 0.0
                     )
 
     # --- battery and charging block -----------------------------------------------
@@ -453,8 +483,8 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     if v == 0:
                         continue
                     terms = [(1.0, charge[kind, veh, v, t])]
-                    terms += [(-fleet.charge_rate(kind), x[t, i, v]) for i in V if i != v]
-                    terms += [(-fleet.charge_rate(kind), x[t, v, i]) for i in V if i != v]
+                    terms += [(-fleet.charge_rate(kind), x[t, i, v]) for i in ends[v]]
+                    terms += [(-fleet.charge_rate(kind), x[t, v, i]) for i in ends[v]]
                     model.add_constraint(
                         f"{CHARGE_PRESENCE}_{kind[0]}{veh}_v{v}_t{t}",
                         CHARGE_PRESENCE,
@@ -489,9 +519,7 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
         for t in T:
             for v in V:
                 terms = [(1.0, ctime[v, t])]
-                terms += [
-                    (-inst.truck_distance(v, i) / fleet.s_t, x[t, v, i]) for i in V if i != v
-                ]
+                terms += [(-inst.truck_distance(v, i) / fleet.s_t, x[t, v, i]) for i in ends[v]]
                 model.add_constraint(
                     f"{CHARGE_TIME}_v{v}_t{t}", CHARGE_TIME, terms, "<=", 0.0
                 )
@@ -509,42 +537,26 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     # --- truck arrival sequencing -------------------------------------------------
     # Arcs out of the depot anchor at departure time zero; A_t0 therefore
     # reads as the return time once the closing arc propagates through.
-    for t in T:
-        for i in V:
-            for j in V:
-                if i == j:
-                    continue
-                travel = inst.truck_distance(i, j) / fleet.s_t
-                if i == 0:
-                    terms = [(-1.0, A[t, j]), (travel + M, x[t, i, j])]
-                else:
-                    terms = [(1.0, A[t, i]), (-1.0, A[t, j]), (travel + M, x[t, i, j])]
-                model.add_constraint(
-                    f"{ARRIVAL_SEQ}_t{t}_{i}_{j}", ARRIVAL_SEQ, terms, "<=", M
-                )
+    for (t, i, j), var in x.items():
+        travel = inst.truck_distance(i, j) / fleet.s_t
+        terms = [(-1.0, A[t, j]), (travel + H, var)]
+        if i != 0:
+            terms.insert(0, (1.0, A[t, i]))
+        model.add_constraint(f"{ARRIVAL_SEQ}_t{t}_{i}_{j}", ARRIVAL_SEQ, terms, "<=", H)
 
     # --- sortie launch / return synchronization ------------------------------------
+    # A sortie launches at or after its truck reaches the launch node (at hour
+    # zero from the depot) and is back by the time its recovery truck
+    # arrives; with the launch time projected out, one row says both.
     for key, var in sel.items():
         kind, veh, ti, tk, sid = key
         cand = candidates[sid]
-        gvar = launch[key]
-        if cand.i != 0:
-            # launch only after the carrier truck reaches the launch node
-            model.add_constraint(
-                f"{LAUNCH_SYNC}_{var}",
-                LAUNCH_SYNC,
-                [(1.0, A[ti, cand.i]), (-1.0, gvar), (M, var)],
-                "<=",
-                M,
-            )
         travel = cand.dist[kind] / fleet.speed(kind)
-        model.add_constraint(
-            f"{RETURN_SYNC}_{var}",
-            RETURN_SYNC,
-            [(1.0, gvar), (-1.0, A[tk, cand.k]), (M, var)],
-            "<=",
-            M - travel,
-        )
+        if cand.i == 0:
+            terms, big = [(-1.0, A[tk, cand.k]), (H, var)], H
+        else:
+            terms, big = [(1.0, A[ti, cand.i]), (-1.0, A[tk, cand.k]), (2 * H, var)], 2 * H
+        model.add_constraint(f"{RETURN_SYNC}_{var}", RETURN_SYNC, terms, "<=", big - travel)
 
     # --- optional single-trip cap ----------------------------------------------------
     if options.single_trip:
@@ -554,18 +566,13 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
 
     # --- objective --------------------------------------------------------------------
     alpha = fleet.alpha
-    obj = []
-    for t in T:
-        for i in V:
-            for j in V:
-                if i != j:
-                    obj.append((alpha * fleet.C_t * inst.truck_distance(i, j), x[t, i, j]))
+    obj = [(alpha * fleet.C_t * inst.truck_distance(i, j), var) for (t, i, j), var in x.items()]
     for key, var in sel.items():
         kind = key[0]
         cand = candidates[key[4]]
         obj.append((alpha * (fleet.unit_cost(kind) * cand.dist[kind] + fleet.fixed_cost(kind)), var))
     for t in T:
-        for j in C:
+        for j in stops:
             obj.append((alpha * fleet.f_t, x[t, 0, j]))
     obj.append((1.0 - alpha, gamma))
     # merge duplicate variables (x_t_0j carries both travel and fixed cost)
@@ -589,7 +596,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
     values = {v.name: 0.0 for v in model.variables}
     x = model.info["x"]
     sel = model.info["sel"]
-    launch = model.info["launch"]
     A = model.info["A"]
     candidates = model.info["candidates"]
     by_struct = {}
@@ -601,10 +607,11 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
     flow = model.info["flow"]
     for t, route in enumerate(plan.truck_routes):
         for a, b in zip(route[:-1], route[1:]):
+            if (t, a, b) not in x:
+                raise VrpdrError(f"truck {t} drives {a}->{b}, which has no model column")
             values[x[t, a, b]] = 1.0
         # commodity k flows along the route prefix from the depot to k; a
-        # truck-unreachable stop has no flow columns, and the unreachable-arc
-        # rows already reject a route through it
+        # route that revisits a node drives arcs that carry no commodity
         for p in range(1, len(route) - 1):
             k = route[p]
             for a, b in zip(route[:p], route[1 : p + 1]):
@@ -622,7 +629,6 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
         if key is None:
             raise VrpdrError(f"plan sortie {s} has no counterpart in the model")
         values[sel[key]] = 1.0
-        values[launch[key]] = s.launch_time
     charge = model.info["charge"]
     ctime = model.info["ctime"]
     if charge:

@@ -180,7 +180,7 @@ def validate(
                 add(
                     Violation(
                         milp_mod.UNREACHABLE,
-                        f"truck {t} drives masked arc {a}->{b}",
+                        f"truck {t} drives a truck-unreachable arc {a}->{b}",
                         (t, a, b),
                     )
                 )

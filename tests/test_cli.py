@@ -257,3 +257,40 @@ def test_cli_unusable_fleet_exit_code(tmp_path):
         assert r.exit_code == 4, (args, r.output)
         assert r.output.strip().splitlines() == [r.output.strip()], args
         assert r.output.startswith("bad input:"), args
+
+
+def test_cli_export_lp_infeasible_exit_code(tmp_path):
+    """A customer that no truck reaches and no listed sortie covers: the
+    model cannot be built, and export-lp exits 2 as exact does."""
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    lp = tmp_path / "model.lp"
+    r = runner.invoke(
+        main,
+        ["generate", "--size", "5", "--seed", "0", "--unreachable-frac", "0.3", "--out", str(inst)],
+    )
+    assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["export-lp", "--instance", str(inst), "--out", str(lp)])
+    assert r.exit_code == 2, r.output
+    assert r.output.startswith("infeasible: constraint visit_exactly_once_1 has no columns")
+    assert r.output.strip().endswith("(ids [1])")
+    assert not lp.exists()
+    r = runner.invoke(main, ["exact", "--instance", str(inst)])
+    assert r.exit_code == 2, r.output
+
+
+def test_cli_instance_naming_big_m_exit_code(tmp_path):
+    """The model takes its time constant from the instance, so a fleet has
+    no ``big_M``: a file that still names it is bad input, exit 4."""
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    assert "big_M" not in doc["fleet"]
+    doc["fleet"]["big_M"] = 1e5
+    inst.write_text(json.dumps(doc))
+    for args in (["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")],
+                 ["export-lp", "--instance", str(inst), "--out", str(tmp_path / "m.lp")]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 4, (args, r.output)
+        assert r.output.strip().splitlines() == ["bad input: unknown field(s) ['big_M'] in fleet"]

@@ -227,34 +227,34 @@ def test_instance_rejects_bad_node_data(x, y, weight):
         Instance(nodes, FleetSpec())
 
 
-def test_truck_distance_masking():
+def test_truck_distance_has_no_mask():
+    """Truck km is plain Manhattan km, unreachable ends included: whether a
+    truck may drive an arc is read from the nodes' flags, never from a
+    distance."""
     inst = make_instance([(0, 0), (1, 0), (2, 0)], reachable=[True, False])
+    assert [nd.truck_reachable for nd in inst.nodes] == [True, True, False]
     assert inst.truck_distance(0, 1) == 1
-    assert inst.truck_distance(0, 2) == inst.fleet.big_M
+    assert inst.truck_distance(0, 2) == 2
     assert inst.truck_distance(2, 2) == 0
-    # the rows carry no mask: the scalar function's km between reachable
-    # ends and on the diagonal, the plain Manhattan km to node 2
+    # the rows are the scalar function's km, unreachable node 2 included
     rows = inst.truck_rows(range(3))
     assert rows.tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
-    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)):
-        assert rows[i, j] == inst.truck_distance(i, j)
-    # integer coordinates still give float rows, and a fractional mask survives
-    fractional = make_instance(
-        [(0, 0), (1, 0), (2, 0)], reachable=[True, False], fleet=FleetSpec(big_M=1e5 + 0.5)
-    )
-    assert fractional.truck_rows([0]).dtype == float
-    assert fractional.truck_distance(0, 2) == 1e5 + 0.5
+    for i in range(3):
+        for j in range(3):
+            assert rows[i, j] == inst.truck_distance(i, j)
+    # integer coordinates still give float rows
+    assert inst.truck_rows([0]).dtype == float
 
 
 def test_truck_legs_are_the_scalar_truck_distance():
     """Schedules, scores and the validator read these leg vectors; each leg
-    is the float truck_distance returns, bit for bit, masks included."""
+    is the float truck_distance returns, bit for bit, unreachable ends
+    included."""
     rng = random.Random(11)
     for trial in range(40):
         n = rng.randint(1, 9)
         pts = [(rng.uniform(-50, 50), rng.uniform(-50, 50)) for _ in range(n + 1)]
-        fleet = FleetSpec(big_M=rng.choice([1e5, 1e5 + 0.5, 37.25]))
-        inst = make_instance(pts, reachable=[rng.random() < 0.6 for _ in range(n)], fleet=fleet)
+        inst = make_instance(pts, reachable=[rng.random() < 0.6 for _ in range(n)])
         inner = [rng.randrange(n + 1) for _ in range(rng.randint(0, 8))]
         if inner:
             k = rng.randrange(len(inner))
@@ -264,13 +264,13 @@ def test_truck_legs_are_the_scalar_truck_distance():
             expected = [inst.truck_distance(a, b) for a, b in zip(route[:-1], route[1:])]
             assert all(type(km) is float for km in legs)
             assert [km.hex() for km in legs] == [float(km).hex() for km in expected]
-    masked = make_instance([(0, 0), (1, 0), (2.5, 0)], reachable=[True, False])
-    assert masked.truck_legs([0, 2, 2, 1, 0]) == [masked.fleet.big_M, 0.0, masked.fleet.big_M, 1.0]
-    assert masked.truck_legs([0, 0]) == [0.0]
-    assert masked.truck_legs([]) == []
+    unreachable = make_instance([(0, 0), (1, 0), (2.5, 0)], reachable=[True, False])
+    assert unreachable.truck_legs([0, 2, 2, 1, 0]) == [2.5, 0.0, 1.5, 1.0]
+    assert unreachable.truck_legs([0, 0]) == [0.0]
+    assert unreachable.truck_legs([]) == []
     for bad in ([0, 3, 0], [0, -1, 0]):
         with pytest.raises(InstanceError):
-            masked.truck_legs(bad)
+            unreachable.truck_legs(bad)
 
 
 def test_truck_rows_are_the_scalar_truck_distance():
@@ -378,7 +378,6 @@ def test_benchmark_defaults_frozen():
     assert (f.k1, f.k2) == (0.1, 0.2)
     assert f.m == 3
     assert f.alpha == 0.5
-    assert f.big_M == 1e5
 
 
 @pytest.mark.parametrize(

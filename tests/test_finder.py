@@ -425,25 +425,11 @@ def test_unreachable_served_by_sortie(fleet):
     assert validator.validate(plan, inst, fleet).feasible
 
 
-def test_unreachable_customers_price_at_infinity_whatever_big_m():
-    """A truck-unreachable customer's truck alternative is infinite, so the
-    distance mask never decides whether a sortie beats it: with ``big_M`` at
-    1 or 0 the plan is the default one, and at ``alpha`` 0 or 1 the price is
-    infinite, not NaN."""
-    solved = 0
-    for seed in range(12):
-        inst = bench.generate_instance(8, seed, FleetSpec(), unreachable_frac=0.1)
-        try:
-            plan = finder.solve_finder(inst)
-        except InfeasibleError:
-            continue
-        solved += 1
-        for big_m in (1.0, 0.0):
-            small = replace(FleetSpec(), big_M=big_m)
-            masked = bench.generate_instance(8, seed, small, unreachable_frac=0.1)
-            assert plan_to_json(finder.solve_finder(masked)) == plan_to_json(plan), (seed, big_m)
-    assert solved
-    for alpha in (0.0, 1.0):
+def test_unreachable_customers_price_at_infinity():
+    """A truck-unreachable customer's truck alternative is infinite, read
+    from its flag: at any ``alpha`` the price is infinite, not NaN, though
+    the customer's Manhattan km are finite."""
+    for alpha in (0.0, 0.5, 1.0):
         edge = replace(FleetSpec(), alpha=alpha)
         inst = make_instance([(0, 0), (4, 0), (2, 2)], reachable=[True, False], fleet=edge)
         price = finder._joint_insertion_price((2,), [[0, 1, 0]], inst, edge)

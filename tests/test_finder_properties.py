@@ -7,7 +7,9 @@ combinations.  ``InfeasibleError`` is the only other outcome allowed.
 
 Re-walking a plan's sorties with :func:`vrpdr.schedule.walk` flies every
 one at its planned launch time and gives back the plan's charging events.
-Bounding the sortie walk by the crew's battery range changes no plan.
+Bounding the sortie walk by the crew's battery range changes no plan.  A
+valid plan satisfies every row of the model, and no truck arrives after
+the model's horizon.
 """
 
 import itertools
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrpdr import bench, energy, finder, milp, schedule, validator
+from vrpdr import bench, energy, exact, finder, milp, schedule, validator
 from vrpdr.core import (
     DRONE,
     ROBOT,
@@ -183,3 +185,46 @@ def test_every_valid_finder_plan_satisfies_the_model(
     assert milp.evaluate_objective(model, values) == pytest.approx(
         plan.objective_breakdown.weighted_objective, abs=1e-6
     )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    trucks=st.integers(1, 3),
+    drones=st.integers(0, 2),
+    robots=st.integers(0, 2),
+    battery_d=st.floats(3000.0, 14000.0),
+    battery_r=st.floats(3000.0, 8000.0),
+    unreachable_frac=st.sampled_from([0.0, 0.1, 0.2, 0.3]),
+    size=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_arrival_is_within_the_model_horizon(
+    toggles, trucks, drones, robots, battery_d, battery_r, unreachable_frac, size, seed
+):
+    """Every arrival of a valid FINDER plan, and of the exact plan at n <= 6
+    (one truck, at most one drone and one robot), is at most the horizon H
+    the model's timing rows take."""
+    fleet = FleetSpec(
+        num_trucks=trucks, num_drones=drones, num_robots=robots, B_d=battery_d, B_r=battery_r
+    )
+    options = ModelOptions(*toggles)
+    inst = bench.generate_instance(size, seed, fleet, unreachable_frac=unreachable_frac)
+    plans = []
+    try:
+        plan = finder.solve_finder(inst, fleet, options)
+        if validator.validate(plan, inst, fleet, options).feasible:
+            plans.append(plan)
+    except InfeasibleError:
+        pass
+    if trucks == 1 and max(drones, robots) <= 1 and size <= 6:
+        try:
+            plans.append(exact.solve_exact(inst, fleet, options))
+        except InfeasibleError:
+            pass
+    if not plans:
+        return
+    horizon = milp.build_model(inst, fleet, options).info["horizon"]
+    for plan in plans:
+        latest = max(at for arrivals in plan.truck_arrivals for at in arrivals.values())
+        assert latest <= horizon + 1e-9, (latest, horizon)

@@ -17,6 +17,7 @@ from vrpdr.core import (
     FIT_TOL,
     ROBOT,
     FleetSpec,
+    InfeasibleError,
     Instance,
     ModelOptions,
     ModelSizeError,
@@ -166,7 +167,6 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         assert counts[milp.CHARGE_TIME] == V
         assert counts[milp.CHARGE_RATE] == kinds * V
         assert counts[milp.ARRIVAL_SEQ] == V * (V - 1)
-        assert counts[milp.LAUNCH_SYNC] == P - P0
         assert counts[milp.RETURN_SYNC] == P
         # docking: one launch and one recovery row per kind per anchor node
         # of a candidate that kind can fly
@@ -175,12 +175,14 @@ def test_constraint_counts_match_closed_forms(n, fleet):
             for kind in flying
         )
         assert counts[milp.DOCKING] == anchors
-        # columns: arcs, Gamma, A, a selection and a launch time per kept
-        # pair, the charge (per kind) and charge-time columns per node, and
-        # the flow columns
-        assert len(model.variables) == V * (V - 1) + 1 + V + 2 * P + (kinds + 1) * V + F
-        # the candidate list keeps the caps, so they have no rows
-        assert not counts.keys() & {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE}
+        # columns: arcs, Gamma, A, a selection per kept pair, the charge
+        # (per kind) and charge-time columns per node, and the flow columns
+        assert len(model.variables) == V * (V - 1) + 1 + V + P + (kinds + 1) * V + F
+        # the candidate list keeps the caps, the columns keep reachability
+        # and launch times project out, so none of these has rows
+        validator_only = {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE, milp.UNREACHABLE,
+                          milp.LAUNCH_SYNC}
+        assert not counts.keys() & validator_only
 
 
 def test_feasible_plans_substitute_into_the_model(fleet):
@@ -249,17 +251,54 @@ def test_truck_unreachable_customer_has_no_commodity():
 
 
 def test_unreachable_rows_come_from_the_flags():
-    """Only arcs with a truck-unreachable end are fixed at zero, whatever
-    their length against ``big_M``."""
-    for big_m in (FleetSpec().big_M, 2.0, 0.0):
-        fleet = dataclasses.replace(FleetSpec(), big_M=big_m)
-        inst = make_instance(
-            [(0, 0), (2, 0), (2, 2), (0, 2)], fleet=fleet, reachable=[True, False, True]
-        )
-        model = milp.build_model(inst, fleet)
-        fixed = [c.name for c in model.constraints if c.family == milp.UNREACHABLE]
-        arcs = [(i, j) for i in range(4) for j in range(4) if i != j and 2 in (i, j)]
-        assert fixed == [f"{milp.UNREACHABLE}_t0_{i}_{j}" for i, j in arcs], big_m
+    """Only arcs between truck-reachable nodes get a column, read from the
+    flags: node 2 has no arc, no arrival row and no flow row, and no row
+    fixes an arc at zero."""
+    fleet = FleetSpec()
+    inst = make_instance(
+        [(0, 0), (2, 0), (2, 2), (0, 2)], fleet=fleet, reachable=[True, False, True]
+    )
+    model = milp.build_model(inst, fleet)
+    arcs = [(i, j) for i in (0, 1, 3) for j in (0, 1, 3) if i != j]
+    assert list(model.info["x"]) == [(0, i, j) for i, j in arcs]
+    assert [v.name for v in model.variables if v.name.startswith("x_")] == [
+        f"x_t0_{i}_{j}" for i, j in arcs
+    ]
+    rows = [c.name for c in model.constraints]
+    assert [r for r in rows if r.startswith(milp.ARRIVAL_SEQ)] == [
+        f"{milp.ARRIVAL_SEQ}_t0_{i}_{j}" for i, j in arcs
+    ]
+    flow_rows = [r for r in rows if r.startswith(milp.FLOW)]
+    assert flow_rows == [f"{milp.FLOW}_t0_{j}" for j in (0, 1, 3)]
+    assert milp.UNREACHABLE not in model.families()
+    # customer 2 is served by sortie only
+    (visit,) = [c for c in model.constraints if c.name == f"{milp.VISIT_ONCE}_2"]
+    assert visit.terms and all(not var.startswith("x_") for _, var in visit.terms)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 6, 7, 8, 9])
+def test_customer_no_truck_or_sortie_reaches_is_infeasible(seed):
+    """A truck-unreachable customer that no listed sortie covers leaves its
+    visit row with no columns: the model raises InfeasibleError naming it,
+    as exact search does, instead of handing HiGHS an infeasible model."""
+    fleet = FleetSpec()
+    inst = bench.generate_instance(5, seed, fleet, unreachable_frac=0.3)
+    with pytest.raises(InfeasibleError) as err:
+        milp.build_model(inst, fleet)
+    (j,) = err.value.offending_ids
+    assert not inst.node(j).truck_reachable
+    assert f"{milp.VISIT_ONCE}_{j} has no columns" in str(err.value)
+    with pytest.raises(InfeasibleError) as err:
+        exact.solve_exact(inst, fleet)
+    assert j in err.value.offending_ids
+
+
+def test_no_reachable_customer_leaves_the_depot_row_empty():
+    fleet = FleetSpec()
+    inst = make_instance([(0, 0), (1, 0), (1, 1)], fleet=fleet, reachable=[False, False])
+    with pytest.raises(InfeasibleError, match=f"{milp.DEPOT}_out_t0 has no columns") as err:
+        milp.build_model(inst, fleet)
+    assert err.value.offending_ids == (1, 2)
 
 
 def test_two_truck_lp_lower_bounds_finder():
@@ -545,71 +584,74 @@ def test_two_truck_finder_plan_substitutes():
 # still held the MTZ, precedence and per-column cap rows, which could never
 # bind; the hashes were recorded after those rows were deleted.  The
 # charging-off hash was recorded after its model gained the battery rows.
+# Every hash was recorded again when the timing rows took the instance's
+# horizon, the launch-time columns projected out and the arcs with a
+# truck-unreachable end lost their columns; no optimum moved.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "0db5fe81014f3af428d0921fad6b4488cb80610b04d1c0f786b453027e011416",
+        "1a1373b3b4f8447254844a84365444907fa0257ec99a6ae8f5011b81ec3660c9",
         82.3988645761878,
         id="n5_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(), ModelOptions(charging=False),
-        "7b756af51caf1ae5d39af2cfe7d22a1763526b031830105bb74e3d49d3178415",
+        "751ca14581aab485d27a493f3c997c55983589c13444e2a84abc49cdd4c374c4",
         71.41450072571689,
         id="n5_no_charging",
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "d52bb75ff0e810f31e243b25df159f3ad58884336d36fa55116314a21306fe94",
+        "d40e20cdf2ed8f97b2e61f8368997501b6668d99fc283ee2bd4f6552ead8ff93",
         66.90372127268479,
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "ecb9594381d2d385e134e273914a6dd963a094efeeef271089e4ae2ffc023cb9",
+        "ccf2e7a54a8a3110b432242fc9b9a77a0bf86a637d82252004fc530ba2f22177",
         75.13698996712651,
         id="n3_two_trucks_flexible",
     ),
     pytest.param(
         5, 5, FleetSpec(), ModelOptions(single_trip=True),
-        "bd840e4cddc870c9b03a5a55ba1ea0f96ddce5cc1f7b648a061ad2fd6ed2f41c",
+        "a5cfc9335923956d83a9565882b1b1e3a2afe7df651d37885aa23307953a95ed",
         86.01783362954109,
         id="n5_single_trip",
     ),
     pytest.param(
         4, 6, FleetSpec(num_trucks=2, num_drones=2, num_robots=2),
         ModelOptions(flexible_docking=False),
-        "db7574861cf9a8bdf82c8fd47d2e33f693a0f6d9e9d08e641a366ecdf131dc62",
+        "d55b6a9a5a1e2ea92ec380932630a229235bff46628ae5d83ebeb08e0182afd0",
         75.42247560106148,
         id="n4_two_of_each_fixed_docking",
     ),
     pytest.param(
         3, 7, FleetSpec(num_trucks=2, num_drones=2, num_robots=2), ModelOptions(),
-        "d5ac79302f8dfd73042493731a4b3ea8146ba784bf5b2f39d2b7eae57d08066e",
+        "9812dee8dcdcb906a44fb2e7639f6965bcf2c73ad1dd63b8d126a0478bb185a5",
         96.32513744204857,
         id="n3_two_of_each_all_on",
     ),
     pytest.param(
         6, 1, FleetSpec(), ModelOptions(),
-        "9e538fd01291178cc9aff8831f0dde566651549a0005c6b099e0ab01dfe17c72",
+        "5c2b4418f6cb997a5bee2abe976a6b472cadd8bef3d5a3465c8bf8d721c5528b",
         82.38820704003133,
         id="n6_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(num_trucks=2), ModelOptions(),
-        "c04b66ea9eb0862f90016b1e60639e4eacd43f03739c4b6f8b5b2515ecae1027",
+        "348b6ef03c418c395c34e76c6bda44f186d9911cecd13dc4e1e35a157d3ffeed",
         95.92106830437342,
         id="n5_two_trucks_flexible",
     ),
     pytest.param(
         5, 0, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "a713adb193129384203aa619a51b9790cdf03cd428ade540c8b509c81a845e4b",
+        "2f2793499da6522ac4025baa6540ff395a18b1504f48d841a49d940868147e06",
         112.9780976830463,
         id="n5_two_trucks_fixed_docking_s0",
     ),
     pytest.param(
         5, 1, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "5361920fb7166ee848a864ebe689d2fd8dd91f998df2ba62f44e109297da95e2",
+        "371fa337319bed74375e624b3e36611c691ad9a41eb651960dbddd0c91e54fca",
         109.1385533020006,
         id="n5_two_trucks_fixed_docking_s1",
     ),
@@ -788,6 +830,22 @@ def test_add_constraint_rejects_unknown_sense():
         model.add_constraint("row_b", "family", [(1.0, "x"), (2.0, "y")], "<=", 1.0)
     model.add_constraint("row_c", "family", [(1, "x"), (0.0, "x")], ">=", 0)
     assert model.constraints == [milp.Constraint("row_c", "family", ((1.0, "x"),), ">=", 0.0)]
+
+
+def test_add_constraint_skips_an_empty_row_that_holds():
+    """A row with no terms reads ``0 sense rhs``: it is skipped when that
+    holds, and raises InfeasibleError with the given ids when it cannot."""
+    model = milp.MilpModel()
+    model.add_var("x", milp.BINARY)
+    for sense, rhs in (("=", 0.0), ("<=", 0.0), ("<=", 2.0), (">=", 0.0), (">=", -1.0)):
+        model.add_constraint("row", "family", [(0.0, "x")], sense, rhs)
+        model.add_constraint("row", "family", [], sense, rhs)
+    assert model.constraints == []
+    for sense, rhs in (("=", 1.0), ("<=", -1.0), (">=", 0.5)):
+        with pytest.raises(InfeasibleError, match="row_d has no columns") as err:
+            model.add_constraint("row_d", "family", [], sense, rhs, (4, 7))
+        assert err.value.offending_ids == (4, 7)
+    assert model.constraints == []
 
 
 def test_parse_lp_matches_reference_on_mutated_text():

@@ -1,11 +1,21 @@
 import dataclasses
+import math
 
 import pytest
 
 from vrpdr import bench, exact, finder, milp, validator
-from vrpdr.core import FIT_TOL, FleetSpec, Plan, PlanStructureError, Sortie
+from vrpdr.core import (
+    DRONE,
+    FIT_TOL,
+    FleetSpec,
+    Plan,
+    PlanStructureError,
+    Sortie,
+    manhattan_distance,
+    sortie_distance,
+)
 from vrpdr.energy import ChargingEvent, build_ledgers
-from vrpdr.schedule import objective_value
+from vrpdr.schedule import objective_value, score
 from conftest import make_instance
 
 
@@ -124,26 +134,32 @@ def test_docking_and_unreachable_families(fleet):
 
 
 def test_unreachable_arcs_come_from_the_flags(fleet):
-    """An arc is masked when an end is truck-unreachable, whatever its length:
-    with a small ``big_M`` the finder's plan, every customer reachable,
-    drives legs longer than ``big_M`` and is feasible."""
-    for big_m in (5.0, 2.0):
-        short = dataclasses.replace(fleet, big_M=big_m)
-        inst = bench.generate_instance(20, 1, short)
-        plan = finder.solve_finder(inst, short)
-        assert max(km for r in plan.truck_routes for km in inst.truck_legs(r)) > big_m
-        assert validator.validate(plan, inst, short).feasible
-
+    """An arc is reported when an end is truck-unreachable, with its
+    ``(t, a, b)`` ids, though its km are finite; each leg scores at its
+    plain Manhattan km, so the objective stays finite."""
     inst, plan = feasible_sortie_plan(fleet)
     masked = make_instance(
         [(0.0, 0.0), (3.0, 0.0), (5.0, 0.0), (4.0, 0.3)],
         weights=[1.0, 1.0, 2.0],
         reachable=[True, False, True],
-        fleet=dataclasses.replace(fleet, big_M=0.0),
+        fleet=fleet,
     )
-    report = validator.validate(plan, masked, masked.fleet)
-    unreachable = [v.involved for v in report.violations if v.constraint_family == milp.UNREACHABLE]
-    assert unreachable == [(0, 1, 2), (0, 2, 0)]
+    report = validator.validate(plan, masked, fleet)
+    unreachable = [v for v in report.violations if v.constraint_family == milp.UNREACHABLE]
+    assert [v.involved for v in unreachable] == [(0, 1, 2), (0, 2, 0)]
+    assert unreachable[0].detail == "truck 0 drives a truck-unreachable arc 1->2"
+    route = plan.truck_routes[0]
+    km = sum(
+        manhattan_distance(masked.node(a).point, masked.node(b).point)
+        for a, b in zip(route[:-1], route[1:])
+    )
+    assert km == 10.0
+    sortie = plan.sorties[0]
+    expected = score([(km, True)], [(DRONE, 0, sortie_distance(sortie, masked))], fleet)
+    got = objective_value(plan, masked, fleet)
+    assert math.isfinite(got.weighted_objective)
+    assert got == expected
+    assert report.model_makespan == expected.makespan
 
 
 def test_charging_event_families(fleet):
@@ -178,14 +194,16 @@ def test_charging_event_families(fleet):
 
 def test_all_violation_families_exist_in_the_model(fleet):
     """Cross-module naming contract: a family the validator reports is a
-    model row group, or a cap that the candidate list keeps.
+    model row group, or a rule that the model's columns keep.
 
     Three customers on a unit square, one of them off the truck network, so
     that every sortie shape fits both vehicle kinds and every family has rows.
     Payload, range and a cyclic sortie at a customer have no rows: a column
     exists only for a candidate that meets both caps and is not cyclic at a
-    customer, so such a row could never bind.  The validator still reports
-    all three, because a plan file can declare any sortie.
+    customer, so such a row could never bind.  An arc with a truck-unreachable
+    end has no column, and launch times project out of the return rows.  The
+    validator still reports all five, because a plan file can declare any
+    route, sortie and launch time.
     """
     inst = make_instance(
         [(0, 0), (1, 0), (1, 1), (0, 1)], fleet=fleet, reachable=[True, True, False]
@@ -195,10 +213,8 @@ def test_all_violation_families_exist_in_the_model(fleet):
     rows = {
         milp.VISIT_ONCE,
         milp.DEPOT,
-        milp.UNREACHABLE,
         milp.ARRIVAL_SEQ,
         milp.DOCKING,
-        milp.LAUNCH_SYNC,
         milp.RETURN_SYNC,
         milp.NO_DEPOT_CHARGE,
         milp.CHARGE_PRESENCE,
@@ -208,7 +224,8 @@ def test_all_violation_families_exist_in_the_model(fleet):
         milp.OVERCHARGE,
     }
     assert rows <= model_families
-    assert not {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE} & model_families
+    validator_only = {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE, milp.UNREACHABLE, milp.LAUNCH_SYNC}
+    assert not validator_only & model_families
     candidates = model.info["candidates"]
     assert {kind for c in candidates for kind in c.dist} == {"drone", "robot"}
     for c in candidates:
