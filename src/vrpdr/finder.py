@@ -3,10 +3,11 @@
 Phase 1 builds truck routes by nearest-neighbor growth, sized so each truck
 takes at most max(3, |C| // (2T)) customers and the rest stay open for the
 auxiliary fleet, and each leaves one for every later truck; each step takes
-one ``np.hypot`` row over the free customers.  Phase 2 walks the truck
-timeline chronologically and greedily assigns drone/robot sorties that
-satisfy payload, range, energy and synchronization checks to the crew
-aboard each launch point.  Each vehicle is a
+one complex-magnitude row over the reachable customers, a routed one masked
+at infinity, and builds the exact key only on a near tie.  Phase 2 walks
+the truck timeline chronologically and greedily assigns drone/robot
+sorties that satisfy payload, range, energy and synchronization checks to
+the crew aboard each launch point.  Each vehicle is a
 :class:`vrpdr.schedule.Carriage`: it charges from its truck as it drives
 and docks where its sortie lands.  Candidates come from
 :meth:`vrpdr.core.DistanceRows.sortie_heads`, the cap-pruned sortie walk
@@ -67,7 +68,17 @@ from .schedule import arrival_times, carriages, timed_plan, walk
 
 NEARBY_POOL = 10          # unserved candidates considered per launch point
 RECOVERY_SCAN = 10        # truck stops scanned ahead for a recovery point
-NEAR_TIE = 1e-12          # relative window over np.hypot's row minimum
+NEAR_TIE = 1e-12          # relative window over the straight-line row minimum
+
+
+def _straight_row(z, here: complex):
+    """Straight-line km from ``here`` to each point of the complex array ``z``.
+
+    One subtraction and one magnitude per point.  Each entry is within 2 ulp
+    (3e-16 relative) of :func:`vrpdr.core.euclidean_distance`, at any scale,
+    and a zero difference gives exactly 0.
+    """
+    return np.abs(z - here)
 
 
 def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
@@ -79,33 +90,34 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
     nearest is the lowest (straight-line distance, id) key, the distance
     from :func:`vrpdr.core.euclidean_distance`.
     """
-    customers = [c.id for c in inst.customers if inst.node(c.id).truck_reachable]
+    customers = [c for c in inst.customers if c.truck_reachable]
     if fleet.num_trucks < 1:
         if customers or inst.num_customers:
             raise ConfigurationError("cannot route customers with zero trucks")
         return []
     per_truck = max(3, inst.num_customers // (2 * fleet.num_trucks))
-    xs, ys = inst.node_arrays
     points = [nd.point for nd in inst.nodes]
-    free = list(customers)
-    free_x, free_y = xs[free], ys[free]
+    ids = [c.id for c in customers]
+    z = np.array([complex(c.x, c.y) for c in customers], dtype=complex)
+    left = len(ids)
     routes = []
     for t in range(fleet.num_trucks):
-        quota = min(per_truck, len(free) - (fleet.num_trucks - 1 - t))
+        quota = min(per_truck, left - (fleet.num_trucks - 1 - t))
         route = [0]
         for _ in range(quota):
             here = points[route[-1]]
-            # np.hypot may differ from math.hypot by an ulp, so keep every
-            # candidate near the row minimum and pick with the exact key
-            row = np.hypot(free_x - here[0], free_y - here[1])
-            near = (row <= row.min() * (1.0 + NEAR_TIE)).nonzero()[0].tolist()
-            i = min(near, key=lambda i: (euclidean_distance(here, points[free[i]]), free[i]))
-            route.append(free[i])
-            # the key names the customer, so order is free: swap-remove i
-            last = len(free) - 1
-            free[i], free_x[i], free_y[i] = free[last], free_x[last], free_y[last]
-            free.pop()
-            free_x, free_y = free_x[:last], free_y[:last]
+            # the row is within 2 ulp of the exact key's distance, so the
+            # true nearest is in the window and a window of one is it
+            row = _straight_row(z, complex(*here))
+            i = int(row.argmin())
+            near = (row <= row[i] * (1.0 + NEAR_TIE)).nonzero()[0]
+            if len(near) > 1:
+                # a routed customer ties in only when the row minimum overflows to inf
+                near = near[np.isfinite(z[near])].tolist()
+                i = min(near, key=lambda i: (euclidean_distance(here, points[ids[i]]), ids[i]))
+            route.append(ids[i])
+            z[i] = math.inf  # masked in place: its row entry is inf from now on
+        left -= len(route) - 1
         route.append(0)
         routes.append(route)
     return routes

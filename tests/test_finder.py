@@ -60,11 +60,12 @@ def _reference_nearest_neighbour(inst, fleet):
 
 
 def _hypot_disagreement(seed):
-    """A point whose np.hypot from the origin is not its math.hypot, by search."""
+    """A point whose straight-line row entry from the origin is not its
+    math.hypot, by search."""
     rng = random.Random(seed)
     while True:
         x, y = rng.uniform(0, 15), rng.uniform(0, 15)
-        if float(np.hypot(x, y)) != math.hypot(x, y):
+        if float(finder._straight_row(np.array([complex(x, y)]), 0j)[0]) != math.hypot(x, y):
             return x, y
 
 
@@ -95,22 +96,64 @@ def test_construction_matches_scalar_nearest_neighbour():
                 inst, fleet
             )
 
-    # np.hypot and math.hypot order these two candidates differently: the
-    # scalar key ties them (lower id wins) where np.hypot does not, or the
-    # other way round
+    # the kernel's row and math.hypot order these two candidates
+    # differently: the scalar key ties them (lower id wins) where the row
+    # does not, or the other way round
     for seed in range(5):
         x, y = _hypot_disagreement(seed)
         exact = math.hypot(x, y)
-        on_axis = (exact, 0.0)  # math.hypot and np.hypot both give exact here
+        on_axis = (exact, 0.0)  # math.hypot and the row both give exact here
         for pts in ([(0, 0), (x, y), on_axis], [(0, 0), on_axis, (x, y)]):
             inst = make_instance(pts, fleet=FleetSpec(num_drones=0, num_robots=0))
-            row = np.hypot([p[0] for p in pts[1:]], [p[1] for p in pts[1:]])
+            row = finder._straight_row(np.array([complex(*p) for p in pts[1:]]), 0j)
             scalar_first = _reference_nearest_neighbour(inst, inst.fleet)[0][1]
             if 1 + int(np.argmin(row)) != scalar_first:
                 break
         else:
-            pytest.fail("no layout where np.hypot and math.hypot pick differently")
+            pytest.fail("no layout where the row and math.hypot pick differently")
         assert finder.construct_truck_routes(inst, inst.fleet)[0][1] == scalar_first
+
+    # stacked points: a customer on the depot's point, two or three
+    # customers on one point, truck-unreachable customers among them
+    for seed in range(30):
+        spots = [(0.0, 0.0)] + [(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(3)]
+        pts = [(0.0, 0.0)] + [rng.choice(spots) for _ in range(rng.randint(4, 10))]
+        reachable = [rng.random() < 0.75 for _ in pts[1:]]
+        for trucks in (1, 2, 3):
+            if sum(reachable) < trucks:
+                continue
+            fleet = FleetSpec(num_trucks=trucks)
+            inst = make_instance(pts, fleet=fleet, reachable=reachable)
+            assert finder.construct_truck_routes(inst, fleet) == _reference_nearest_neighbour(
+                inst, fleet
+            ), (seed, trucks)
+
+    # on both sides of the float limit every step across the depot
+    # overflows to inf, where the routed customers' masks lie too
+    big = 1.5e308
+    pts = [(0.0, 0.0), (big, 0.0), (-big, 1.0), (big, 1.0), (-big, 0.0), (-big, 2.0)]
+    for trucks in (1, 2):
+        fleet = FleetSpec(num_trucks=trucks)
+        inst = make_instance(pts, fleet=fleet)
+        with np.errstate(over="ignore"):
+            routes = finder.construct_truck_routes(inst, fleet)
+        assert routes == _reference_nearest_neighbour(inst, fleet)
+
+
+def test_straight_row_is_within_the_near_tie_window():
+    """The exactness of the nearest-neighbour window rests on this: each
+    entry of the kernel's row is within 1e-15 of math.hypot, relative, far
+    inside ``NEAR_TIE``, at every scale, and a zero difference gives 0."""
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e-300, 1e-160, 1e160, 1e300):
+        d = rng.uniform(-1, 1, (2, 5000)) * scale
+        row = finder._straight_row(d[0] + 1j * d[1], 0j).tolist()
+        exact = [math.hypot(x, y) for x, y in zip(d[0].tolist(), d[1].tolist())]
+        worst = max(abs(r - e) / e for r, e in zip(row, exact))
+        assert worst <= 1e-15 < finder.NEAR_TIE, (scale, worst)
+    here = complex(2.5, -7.0)
+    assert finder._straight_row(np.array([here, here]), here).tolist() == [0.0, 0.0]
+    assert finder._straight_row(np.zeros(3, dtype=complex), 0j).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_every_truck_leaves_the_depot():

@@ -9,7 +9,8 @@ Re-walking a plan's sorties with :func:`vrpdr.schedule.walk` flies every
 one at its planned launch time and gives back the plan's charging events.
 Bounding the sortie walk by the crew's battery range changes no plan.  A
 valid plan satisfies every row of the model, and no truck arrives after
-the model's horizon.
+the model's horizon; a pinned list of 2-3 truck plans with sorties, most of
+them docking across trucks, shows both where random draws rarely reach.
 """
 
 import itertools
@@ -228,3 +229,29 @@ def test_every_arrival_is_within_the_model_horizon(
     for plan in plans:
         latest = max(at for arrivals in plan.truck_arrivals for at in arrivals.values())
         assert latest <= horizon + 1e-9, (latest, horizon)
+
+
+# (trucks, n, seed) of every FINDER plan with a sortie at n in {12, 15},
+# 2-3 trucks and the default drone and robot, over seeds 0-39; 20 of the
+# 27 dock on another truck than they launch from
+MULTI_TRUCK_SORTIE_PLANS = [
+    (2, 12, 0), (2, 12, 2), (2, 12, 4), (2, 12, 6), (2, 12, 20), (2, 12, 24), (2, 12, 26),
+    (2, 12, 36), (2, 15, 0), (2, 15, 2), (2, 15, 6), (2, 15, 16), (2, 15, 20), (2, 15, 23),
+    (2, 15, 24), (2, 15, 29), (2, 15, 35), (2, 15, 36), (2, 15, 39), (3, 12, 0), (3, 12, 33),
+    (3, 15, 0), (3, 15, 18), (3, 15, 24), (3, 15, 29), (3, 15, 31), (3, 15, 35),
+]
+
+
+@pytest.mark.parametrize("trucks, size, seed", MULTI_TRUCK_SORTIE_PLANS)
+def test_multi_truck_sortie_plans_satisfy_the_model(trucks, size, seed):
+    """A multi-truck plan with a sortie is valid, meets every row of the
+    model and has no arrival after the model's horizon."""
+    fleet = FleetSpec(num_trucks=trucks)
+    inst = bench.generate_instance(size, seed, fleet)
+    plan = finder.solve_finder(inst, fleet)
+    assert plan.sorties
+    assert validator.validate(plan, inst, fleet).feasible
+    model = milp.build_model(inst, fleet)
+    assert milp.check_assignment(model, milp.plan_assignment(model, plan, inst, fleet)) == []
+    latest = max(at for arrivals in plan.truck_arrivals for at in arrivals.values())
+    assert latest <= model.info["horizon"] + 1e-9, (latest, model.info["horizon"])
