@@ -304,6 +304,15 @@ class Instance:
         depot = nodes[0]
         if depot.weight != 0.0 or not depot.truck_reachable:
             raise InstanceError("depot must have zero weight and be truck reachable")
+        xs, ys = [nd.x for nd in nodes], [nd.y for nd in nodes]
+        width, height = max(xs) - min(xs), max(ys) - min(ys)
+        # no leg is longer than width + height and no route has more than n + 1
+        # legs, so every truck km sum, and the hours from it, stays finite
+        if not math.isfinite(len(nodes) * (width + height)):
+            raise InstanceError(
+                f"coordinates too far apart: {len(nodes)} legs of the bounding "
+                f"box's width plus height ({width!r} + {height!r} km) overflow"
+            )
         self.nodes = nodes
         self.fleet = fleet
         self.seed = seed

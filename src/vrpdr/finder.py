@@ -9,7 +9,10 @@ the truck timeline chronologically and greedily assigns drone/robot
 sorties that satisfy payload, range, energy and synchronization checks to
 the crew aboard each launch point.  Each vehicle is a
 :class:`vrpdr.schedule.Carriage`: it charges from its truck as it drives
-and docks where its sortie lands.  Candidates come from
+(a full one charges nothing and skips the charging walk) and docks where
+its sortie lands.  What does not change between launch points is built
+once per phase-2 pass: each kind's distance rows and constants, and the
+walk bound per kind and top crew level.  Candidates come from
 :meth:`vrpdr.core.DistanceRows.sortie_heads`, the cap-pruned sortie walk
 that also builds the model's candidate list, which exact search flies,
 over the nearby pool; energy comes from the leg distances the walk already
@@ -112,8 +115,9 @@ def construct_truck_routes(inst: Instance, fleet: FleetSpec) -> list:
             i = int(row.argmin())
             near = (row <= row[i] * (1.0 + NEAR_TIE)).nonzero()[0]
             if len(near) > 1:
-                # a routed customer ties in only when the row minimum overflows to inf
-                near = near[np.isfinite(z[near])].tolist()
+                # the row minimum is finite (Instance bounds every leg), so no
+                # routed customer's inf is in the window
+                near = near.tolist()
                 i = min(near, key=lambda i: (euclidean_distance(here, points[ids[i]]), ids[i]))
             route.append(ids[i])
             z[i] = math.inf  # masked in place: its row entry is inf from now on
@@ -151,13 +155,21 @@ def _recovery_reach(rows, pool, open_recovery, launch_time, speed, range_limit) 
     for some open recovery, plus ``FIT_TOL`` for rounding.  Both metrics are
     bitwise symmetric, so ``d(c, node)`` is read from the recovery node's row:
     a truck stop, whose row the walk builds as a launch row anyway, instead
-    of a row per pool customer.
+    of a row per pool customer.  One pass over the recoveries keeps each
+    customer's best gap, replaced only by a strictly larger one as ``max``
+    does, so every float is the one ``max`` over the recoveries gives.
     """
-    budgets = [
-        (min(range_limit, (deadline - launch_time) * speed), rows[node])
-        for _, _, node, deadline in open_recovery
-    ]
-    return {c: max(budget - row[c] for budget, row in budgets) + FIT_TOL for c in pool}
+    best = None
+    for _, _, node, deadline in open_recovery:
+        budget, row = min(range_limit, (deadline - launch_time) * speed), rows[node]
+        if best is None:
+            best = {c: budget - row[c] for c in pool}
+            continue
+        for c in pool:
+            gap = budget - row[c]
+            if gap > best[c]:  # strictly larger, as max() keeps the first maximum
+                best[c] = gap
+    return {c: gap + FIT_TOL for c, gap in best.items()}
 
 
 def _detour_price(delta_km: float, fleet: FleetSpec) -> float:
@@ -273,16 +285,21 @@ def assign_sorties(
     truck-unreachable one at infinity).  Returns ``(sorties, carried, unserved)``.
 
     Candidates come from :meth:`vrpdr.core.DistanceRows.sortie_heads`, the
-    cap-pruned depth-first walk, over distance rows built once per call.
-    The crew first charges up to the launch point (charging in two chunks
-    gives the same floats and events as in one), and the walk's range is
-    the lower of the range cap and :func:`vrpdr.energy.battery_range` of
-    the fullest crew battery: every sortie costs at least its unloaded
-    energy per km times its length, so one beyond that bound fails the
-    battery check for every vehicle.  The same bound trims the nearby pool
-    (a suffix of it sorted by distance) and the per-recovery range check.
+    cap-pruned depth-first walk.  Per call, not per launch point, each kind
+    gets one table entry: its distance rows (a row is built on first use),
+    range cap, speed, unit and fixed cost and payload limit.  The crew first
+    charges up to the launch point (charging in two chunks gives the same
+    floats and events as in one, and a full vehicle returns at once), and
+    the walk's range is the lower of the range cap and
+    :func:`vrpdr.energy.battery_range` of the fullest crew battery, computed
+    once per (kind, top crew level) in the call: every sortie costs at
+    least its unloaded energy per km times its length, so one beyond that
+    bound fails the battery check for every vehicle.  The same bound trims
+    the nearby pool (a suffix of it sorted by distance) and the
+    per-recovery range check.
     Recovery points are listed once per launch point; with none open there
-    is no walk, and otherwise :func:`_recovery_reach` bounds it, so a prefix
+    is no walk, and otherwise :func:`_recovery_reach`, one pass over the open
+    recoveries, bounds it, so a prefix
     that can reach no open recovery within the walk's range and before its
     deadline is dropped.  Every later leg adds at least the direct distance
     home, so neither prune loses a sequence the checks below would accept
@@ -312,7 +329,19 @@ def assign_sorties(
     alternative.update(zip(open_ids, _detour_price(solo, fleet).tolist()))
     points = [nd.point for nd in inst.nodes]
     weight = [nd.weight for nd in inst.nodes]
-    distance_rows = {kind: DistanceRows(METRICS[kind], points) for kind in kinds}
+    # each kind's rows and constants, built once per call
+    spec = {
+        kind: (
+            DistanceRows(METRICS[kind], points),
+            fleet.range_cap(kind),
+            fleet.speed(kind),
+            fleet.unit_cost(kind),
+            fleet.fixed_cost(kind),
+            fleet.payload_cap(kind) + FIT_TOL,
+        )
+        for kind in kinds
+    }
+    walk_caps = {}  # (kind, top crew level) -> walk_cap
 
     events = sorted(
         (times[pos], t, pos) for t, times in enumerate(arrivals) for pos in range(len(times) - 1)
@@ -326,19 +355,22 @@ def assign_sorties(
         for kind in kinds:
             if not unserved or (kind, launch_node) in used_launch:
                 continue
-            aboard = (c for c in carried if c.kind == kind and c.aboard(t, pos, launch_time))
-            crew = [c for c in aboard if c.trips < max_trips]
+            crew = [
+                c
+                for c in carried
+                if c.kind == kind and c.aboard(t, pos, launch_time) and c.trips < max_trips
+            ]
             if not crew:
                 continue
-            rows = distance_rows[kind]
-            range_cap, speed = fleet.range_cap(kind), fleet.speed(kind)
-            unit_cost, fixed_cost = fleet.unit_cost(kind), fleet.fixed_cost(kind)
+            rows, range_cap, speed, unit_cost, fixed_cost, payload_limit = spec[kind]
             for vehicle in crew:
                 vehicle.charge(routes, arrivals, fleet, pos, options.charging)
             # no sortie flies farther than the fullest crew battery carries it empty
-            walk_cap = min(
-                range_cap, energy_mod.battery_range(kind, max(v.level for v in crew), fleet)
-            )
+            top = max(v.level for v in crew)
+            walk_cap = walk_caps.get((kind, top))
+            if walk_cap is None:
+                walk_cap = min(range_cap, energy_mod.battery_range(kind, top, fleet))
+                walk_caps[kind, top] = walk_cap
             walk_limit = walk_cap + FIT_TOL
             here = rows[launch_node]
             nearby = sorted((here[c], c) for c in unserved if here[c] <= walk_cap)
@@ -364,7 +396,6 @@ def assign_sorties(
             # battery, so price every statically feasible option once per
             # launch point and scan per vehicle below
             seq_options = []
-            payload_limit = fleet.payload_cap(kind) + FIT_TOL
             for seq, legs, fixed_dist in rows.sortie_heads(
                 launch_node, pool, m_eff, weight, payload_limit, walk_limit, reach
             ):

@@ -142,13 +142,20 @@ class Carriage:
     def charge(self, routes, arrivals, fleet: FleetSpec, upto: float, charging: bool) -> None:
         """Charge on the carried legs from the watermark to stop ``upto``, at
         most the route's end (in one call or in two, the same level and
-        events); without ``charging`` only the watermark moves."""
+        events); without ``charging`` only the watermark moves.  With no leg
+        left or a full battery, too, only the watermark moves: each leg's
+        clamped amount, ``min(offer, capacity - level)``, is then at most 0
+        and never above ``CHARGE_FLOOR``, so :func:`vrpdr.energy.charge_legs`
+        would give no event and the same level."""
         t = self.truck
         if t is None:
             return
         route, times = routes[t], arrivals[t]
         end = min(upto, len(route) - 1)
         start, stop = max(self.charged_upto, self.pos), end if charging else 0
+        if stop <= start or self.level >= fleet.battery(self.kind):
+            self.charged_upto = max(self.charged_upto, end)
+            return
         legs = [(route[p], times[p + 1] - times[p]) for p in range(start, stop)]
         events, self.level = energy_mod.charge_legs(
             self.kind, self.vehicle_id, t, self.level, fleet, legs

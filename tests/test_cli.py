@@ -121,6 +121,21 @@ def test_cli_bad_instance_exit_code(tmp_path):
     assert "node 1 has a non-finite coordinate" in r.output + (r.stderr or "")
 
 
+def test_cli_overflowing_coordinates_exit_code(tmp_path):
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    runner.invoke(main, ["generate", "--size", "4", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    doc["depot"]["x"] = doc["depot"]["y"] = 0.0
+    far = [(1.5e308, 0), (-1.5e308, 1), (1.5e308, 1), (-1.5e308, 0)]
+    for c, (x, y) in zip(doc["customers"], far):
+        c["x"], c["y"] = x, y
+    inst.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
+    assert r.exit_code == 4, r.output
+    assert r.output.startswith("bad input: coordinates too far apart")
+
+
 def test_cli_validate_unknown_node_exit_code(tmp_path):
     runner = CliRunner()
     inst = tmp_path / "inst.json"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vrpdr import finder
 from vrpdr.core import (
+    FIT_TOL,
     METRICS,
     ConfigurationError,
     DistanceRows,
@@ -157,6 +158,47 @@ def test_reach_prune_keeps_every_sequence_that_gets_home(data):
     assert all(seq in kept for seq, _, head in full if gets_home(seq, head))
 
 
+grid = st.integers(-6, 6).map(float)  # integer points tie often in both metrics
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_recovery_reach_is_the_max_over_recoveries_bit_for_bit(data):
+    """``_recovery_reach`` is ``max(budget - d(c, r)) + FIT_TOL`` over the
+    open recoveries, every float to the bit."""
+    pts = data.draw(st.lists(st.tuples(grid, grid), min_size=2, max_size=9))
+    kind = data.draw(st.sampled_from(("drone", "robot")))
+    nodes = range(len(pts))
+    pool = data.draw(st.lists(st.sampled_from(nodes), min_size=1, unique=True))
+    launch_time = data.draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 10))
+    speed = data.draw(st.sampled_from((1.0, 2.0, 4.0)) | st.floats(0.5, 80))
+    range_limit = data.draw(st.sampled_from((0.0, 3.0, 7.0, math.inf)) | st.floats(0, 60))
+    recovery = [
+        (0, q, node, launch_time + delay)
+        for q, (node, delay) in enumerate(
+            data.draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from(nodes),
+                        st.sampled_from((0.0, 0.5, 1.0, -0.25)) | st.floats(-1, 3),
+                    ),
+                    min_size=1,
+                    max_size=12,
+                )
+            )
+        )
+    ]
+    rows = DistanceRows(METRICS[kind], pts)
+    budgets = [
+        (min(range_limit, (deadline - launch_time) * speed), rows[node])
+        for _, _, node, deadline in recovery
+    ]
+    want = {c: max(b - row[c] for b, row in budgets) + FIT_TOL for c in pool}
+    got = finder._recovery_reach(rows, pool, recovery, launch_time, speed, range_limit)
+    assert list(got) == list(want)
+    assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+
 def test_sortie_distance_unknown_node():
     inst = make_instance([(0, 0), (1, 0)])
     s = Sortie("drone", 0, 0, 1, (7,), 0, 0)
@@ -225,6 +267,22 @@ def test_instance_rejects_bad_node_data(x, y, weight):
     nodes = [Node(0, 0.0, 0.0), Node(1, 2.0, 2.0, 1.0), Node(2, x, y, weight)]
     with pytest.raises(InstanceError, match="node 2"):
         Instance(nodes, FleetSpec())
+
+
+def test_instance_rejects_coordinates_whose_travel_overflows():
+    """An instance loads only while (n + 1) legs of its bounding box's width
+    plus height stay finite, so no route's km or hours overflow."""
+    far = [(0, 0), (1.5e308, 0), (-1.5e308, 1), (1.5e308, 1), (-1.5e308, 0)]
+    with pytest.raises(InstanceError, match="coordinates too far apart"):
+        make_instance(far)
+    with pytest.raises(InstanceError, match="too far apart"):
+        make_instance([(0, 0), (1e308, 0)])  # 2 legs of 1e308 km overflow
+    # three nodes 5e307 km apart load (1.5e308), a fourth does not (2e308)
+    assert make_instance([(0, 0), (5e307, 0), (0, 0)]).num_customers == 2
+    with pytest.raises(InstanceError, match="too far apart"):
+        make_instance([(0, 0), (5e307, 0), (0, 0), (0, 0)])
+    with pytest.raises(InstanceError, match="too far apart"):
+        make_instance([(0, 0), (0, 1e308), (0, -1e308)])  # an infinite height
 
 
 def test_truck_distance_has_no_mask():

@@ -4,13 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vrpdr import bench, finder, schedule, validator
+from vrpdr import bench, energy, finder, schedule, validator
 from vrpdr.core import (
     ConfigurationError,
+    DistanceRows,
     FleetSpec,
     InfeasibleError,
     Instance,
+    InstanceError,
     ModelOptions,
     Node,
     plan_to_json,
@@ -128,16 +132,19 @@ def test_construction_matches_scalar_nearest_neighbour():
                 inst, fleet
             ), (seed, trucks)
 
-    # on both sides of the float limit every step across the depot
-    # overflows to inf, where the routed customers' masks lie too
-    big = 1.5e308
-    pts = [(0.0, 0.0), (big, 0.0), (-big, 1.0), (big, 1.0), (-big, 0.0), (-big, 2.0)]
+    # near the float limit: a layout whose steps across the depot overflow
+    # no longer loads, and the widest that loads routes as the scalar key
+    def layout(big):
+        return [(0.0, 0.0), (big, 0.0), (-big, 1.0), (big, 1.0), (-big, 0.0), (-big, 2.0)]
+
+    with pytest.raises(InstanceError, match="too far apart"):
+        make_instance(layout(1.5e308))
     for trucks in (1, 2):
         fleet = FleetSpec(num_trucks=trucks)
-        inst = make_instance(pts, fleet=fleet)
-        with np.errstate(over="ignore"):
-            routes = finder.construct_truck_routes(inst, fleet)
-        assert routes == _reference_nearest_neighbour(inst, fleet)
+        inst = make_instance(layout(1.3e307), fleet=fleet)
+        assert finder.construct_truck_routes(inst, fleet) == _reference_nearest_neighbour(
+            inst, fleet
+        )
 
 
 def test_straight_row_is_within_the_near_tie_window():
@@ -647,6 +654,98 @@ def test_charging_in_two_calls_equals_one():
                 topped_up += bool(a.events) and a.level >= fleet.battery(a.kind) - 1e-6
     # premise: some vehicles charged, and some hit the capacity clamp
     assert charged and topped_up
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    size=st.integers(4, 30),
+    trucks=st.integers(1, 2),
+    vehicle=st.integers(0, 1),
+    drain=st.just(0.0) | st.floats(0.0, 1.0) | st.floats(0.0, 1e-3),
+    charging=st.booleans(),
+    data=st.data(),
+)
+def test_carriage_charge_equals_explicit_charge_legs(
+    seed, size, trucks, vehicle, drain, charging, data
+):
+    """One or two ``Carriage.charge`` calls, from any level (often a full
+    battery, where the call returns before charging, or one just short of
+    it), leave the level bits,
+    events and watermark that :func:`vrpdr.energy.charge_legs` gives over
+    the same carried legs."""
+    fleet = FleetSpec(num_trucks=trucks)
+    inst = bench.generate_instance(size, seed=seed, fleet=fleet)
+    routes = finder.construct_truck_routes(inst, fleet)
+    arrivals = schedule.arrival_times(routes, inst, fleet)
+    car = schedule.carriages(fleet)[vehicle]
+    capacity = fleet.battery(car.kind)
+    last = len(routes[car.truck]) - 1
+    car.level = capacity - drain * capacity
+    car.pos = data.draw(st.integers(0, last))
+    car.charged_upto = data.draw(st.integers(car.pos, last))
+    uptos = data.draw(st.lists(st.integers(0, last + 2), min_size=1, max_size=2))
+
+    level, events, upto = car.level, [], car.charged_upto
+    route, times = routes[car.truck], arrivals[car.truck]
+    for stop in uptos:
+        car.charge(routes, arrivals, fleet, stop, charging)
+        end = min(stop, last)
+        legs = [
+            (route[p], times[p + 1] - times[p])
+            for p in range(max(upto, car.pos), end if charging else 0)
+        ]
+        charged, level = energy.charge_legs(car.kind, car.vehicle_id, car.truck, level, fleet, legs)
+        events += charged
+        upto = max(upto, end)
+        assert car.level.hex() == level.hex()
+        assert car.events == events
+        assert car.charged_upto == upto
+
+
+def test_sortie_pass_prices_each_crew_level_once_and_charges_no_full_vehicle(monkeypatch):
+    """In one ``assign_sorties`` pass, ``battery_range`` runs at most once
+    per (kind, top crew level), and no full vehicle reaches ``charge_legs``,
+    though the walk starts at many launch points."""
+    battery_range, charge_legs = energy.battery_range, energy.charge_legs
+    heads, charge = DistanceRows.sortie_heads, schedule.Carriage.charge
+    ranges, charged, walks, charges = [], [], [], []
+
+    def counted_range(kind, level, fleet):
+        ranges.append((kind, level))
+        return battery_range(kind, level, fleet)
+
+    def counted_charge_legs(kind, vehicle_id, truck, level, fleet, legs):
+        charged.append((kind, level))
+        return charge_legs(kind, vehicle_id, truck, level, fleet, legs)
+
+    def counted_heads(rows, start, *args):
+        walks.append(start)
+        return heads(rows, start, *args)
+
+    def counted_charge(vehicle, *args):
+        charges.append(vehicle.level)
+        return charge(vehicle, *args)
+
+    monkeypatch.setattr(energy, "battery_range", counted_range)
+    monkeypatch.setattr(energy, "charge_legs", counted_charge_legs)
+    monkeypatch.setattr(DistanceRows, "sortie_heads", counted_heads)
+    monkeypatch.setattr(schedule.Carriage, "charge", counted_charge)
+    fleet = FleetSpec()
+    for seed in range(5):
+        inst = bench.generate_instance(20, seed=seed, fleet=fleet)
+        routes = finder.construct_truck_routes(inst, fleet)
+        arrivals = schedule.arrival_times(routes, inst, fleet)
+        unserved = {c.id for c in inst.customers} - {n for r in routes for n in r}
+        for calls in (ranges, charged, walks, charges):
+            calls.clear()
+        finder.assign_sorties(routes, arrivals, unserved, schedule.carriages(fleet), inst, fleet)
+        assert ranges and len(ranges) == len(set(ranges))
+        assert all(level < fleet.battery(kind) for kind, level in charged)
+        # premise: the walk ran at more launch points than battery_range ran,
+        # and the crews were charged at every one of them
+        assert len(walks) > len(ranges)
+        assert len(charges) >= len(walks)
 
 
 def test_walk_names_each_reason_and_keeps_the_vehicle():

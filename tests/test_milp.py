@@ -19,6 +19,7 @@ from vrpdr.core import (
     FleetSpec,
     InfeasibleError,
     Instance,
+    InstanceError,
     ModelOptions,
     ModelSizeError,
     Node,
@@ -913,3 +914,23 @@ def test_export_lp_rejects_a_name_that_is_not_lp_safe():
             model.add_constraint(bad if as_row else "row", "family", [(1.0, var)], "<=", 1.0)
             with pytest.raises(VrpdrError, match=re.escape(repr(bad))):
                 milp.export_lp(model)
+
+
+huge = st.sampled_from((1.5e308, -1.5e308, 4e307, -4e307, 1e307, -1e307, 2e306))
+coordinate = st.floats(-20, 20) | st.floats(allow_nan=False, allow_infinity=False) | huge
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=7))
+def test_horizon_is_finite_for_every_instance_that_loads(points):
+    """An instance either fails at load with ``InstanceError`` or has a
+    finite horizon, which bounds every arrival (default fleet)."""
+    try:
+        inst = make_instance(points)
+    except InstanceError:
+        return
+    fleet = inst.fleet
+    candidates = milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
+    assert math.isfinite(milp.horizon(inst, fleet, candidates))
+    tour = [list(range(len(points))) + [0]]
+    assert all(map(math.isfinite, schedule.arrival_times(tour, inst, fleet)[0]))
