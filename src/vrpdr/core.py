@@ -201,7 +201,6 @@ class ModelOptions:
     flexible_docking: bool = True
     single_visit: bool = False
     single_trip: bool = False
-    max_sorties: int = 200_000
 
     def effective_m(self, fleet: FleetSpec) -> int:
         return 1 if self.single_visit else fleet.m

@@ -31,7 +31,20 @@ charging on or off: its sorties draw at most its battery plus the energy
 charged en route.  With charging off nothing is charged, so the row caps
 the vehicle's total draw at one battery, as the validator's ledger does,
 and it is the model's only battery row; the other charging families
-(``CHARGING_FAMILIES``) are built only with charging on.
+(``CHARGING_FAMILIES``) are built only with charging on.  Charging has one
+rule: a vehicle charges at most rate × hours on the leg out of a stop that
+its truck drives.  So each vehicle k, truck-served customer v and truck t
+get one column ``C[k, v, t]`` and one ``charging_rate_limit`` row, ``C <=
+rate_k * sum_i (d(v, i) / s_t) * x[t, v, i]``; the validator's other
+charging families need no rows, and no LP optimum moves for want of them.
+A charge column at the depot or at a customer no truck reaches would be
+pinned at 0.  A charging-time column ``Ct >= 0`` would appear only in ``Ct
+<= sum_i leg_h * x[t, v, i]`` and ``C <= rate * Ct``, and eliminating it
+gives the rate row; the sum is never negative, so nothing is lost.  A
+presence row ``C <= rate * (x_in + x_out)`` is implied whenever every leg
+out of v takes 2 h or less, even in the LP relaxation, since the flow rows
+make x_in equal to x_out; on a longer leg it would cut plans the validator
+accepts.
 
 Constraint group names are shared with :mod:`vrpdr.validator`, which
 reports violations under the same families.  ``subtour_flow`` is model-only:
@@ -47,6 +60,7 @@ once per call.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Tuple
@@ -80,31 +94,29 @@ DEPOT = "depot_start_end"
 FLOW = "flow_conservation"
 SUBTOUR_FLOW = "subtour_flow"  # model-only: a plan names its routes outright
 DOCKING = "docking_truck_presence"
-# validator-only: the candidate list keeps these, so the model has no rows
-PRECEDENCE = "sortie_precedence"  # a cyclic sortie at a customer
-PAYLOAD = "payload_capacity"
-RANGE = "sortie_range"
+# validator-only families: the model needs no rows for them, each for the
+# reason given
+PRECEDENCE = "sortie_precedence"  # the candidate list leaves out cyclic sorties at a customer
+PAYLOAD = "payload_capacity"  # the candidate list keeps the cap
+RANGE = "sortie_range"  # the candidate list keeps the cap
 UNREACHABLE = "truck_unreachable_arc"  # an arc with an unreachable end has no column
 LAUNCH_SYNC = "launch_after_arrival"  # launch times project out of the return rows
+NO_DEPOT_CHARGE = "no_depot_charging"  # the depot has no charge column
+CHARGE_PRESENCE = "charging_truck_presence"  # the rate row allows charge only on a driven leg
+CHARGE_TIME = "charging_time_bound"  # the rate row is its projection
 DEPOT_BATTERY = "depot_launch_battery"
-NO_DEPOT_CHARGE = "no_depot_charging"
-CHARGE_PRESENCE = "charging_truck_presence"
 BATTERY_BALANCE = "battery_balance"
-CHARGE_TIME = "charging_time_bound"
 CHARGE_RATE = "charging_rate_limit"
 OVERCHARGE = "overcharge_prevention"
 ARRIVAL_SEQ = "truck_arrival_sequence"
 RETURN_SYNC = "return_before_departure"
 SINGLE_TRIP = "single_trip_cap"
 
-CHARGING_FAMILIES = (
-    DEPOT_BATTERY,
-    NO_DEPOT_CHARGE,
-    CHARGE_PRESENCE,
-    CHARGE_TIME,
-    CHARGE_RATE,
-    OVERCHARGE,
-)
+CHARGING_FAMILIES = (DEPOT_BATTERY, CHARGE_RATE, OVERCHARGE)
+
+# selection columns the candidate walk may make before ``build_model``
+# raises ModelSizeError; no command sets it
+MAX_SORTIE_COLUMNS = 200_000
 
 
 @dataclass(frozen=True)
@@ -274,12 +286,18 @@ def horizon(inst: Instance, fleet: FleetSpec, candidates) -> float:
     the flown hours by the second.  So the timing rows at H keep every plan
     as ``arrival_times`` times it; a plan file may still declare idle hours
     past that timeline.
+
+    The return rows carry 2H; where 2H overflows, which coordinates that
+    load can do with many trucks, this raises :class:`ConfigurationError`.
     """
     reach = [0] + [c.id for c in inst.customers if c.truck_reachable]
     longest = [max([inst.truck_distance(i, j) for j in reach if j != i] + [0.0]) for i in reach]
     flights = [c.dist[kind] / fleet.speed(kind) for c in candidates for kind in c.dist]
     driven = (fleet.num_trucks * longest[0] + sum(longest[1:])) / fleet.s_t
-    return driven + inst.num_customers * max(flights, default=0.0)
+    H = driven + inst.num_customers * max(flights, default=0.0)
+    if not math.isfinite(2 * H):
+        raise ConfigurationError(f"model horizon {H:g} h overflows with {fleet.num_trucks} trucks")
+    return H
 
 
 def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelOptions()) -> MilpModel:
@@ -298,14 +316,13 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     tails = [0] + stops
     ends = {j: [i for i in tails if i != j] if j in tails else [] for j in V}
 
-    candidates = enumerate_sortie_candidates(inst, fleet, options, options.max_sorties)
+    candidates = enumerate_sortie_candidates(inst, fleet, options, MAX_SORTIE_COLUMNS)
     # (launch truck, recovery truck) pairs a sortie may dock between
     pairs = [(ti, tk) for ti in T for tk in T if options.flexible_docking or ti == tk]
     H = horizon(inst, fleet, candidates)
 
     model = MilpModel()
     model.info["candidates"] = candidates
-    model.info["options"] = options
     model.info["horizon"] = H
 
     # --- variables ---------------------------------------------------------
@@ -344,20 +361,14 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
     model.info["A"] = A
     model.info["gamma"] = gamma
 
-    charge = {}
-    ctime = {}
-    if options.charging and fleet_kinds:
-        for kind, veh in fleet_kinds:
-            for t in T:
-                for v in V:
-                    charge[kind, veh, v, t] = model.add_var(
-                        f"C_{kind[0]}{veh}_v{v}_t{t}", CONTINUOUS
-                    )
-        for t in T:
-            for v in V:
-                ctime[v, t] = model.add_var(f"Ct_v{v}_t{t}", CONTINUOUS)
+    # one charge column per vehicle, truck and truck-served customer
+    charge = {
+        (kind, veh, v, t): model.add_var(f"C_{kind[0]}{veh}_v{v}_t{t}", CONTINUOUS)
+        for kind, veh in (fleet_kinds if options.charging else ())
+        for t in T
+        for v in stops
+    }
     model.info["charge"] = charge
-    model.info["ctime"] = ctime
 
     # --- makespan bounds ----------------------------------------------------
     for t in T:
@@ -470,33 +481,21 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     "<=",
                     fleet.battery(kind),
                 )
+            # at most rate x hours on the leg out of v that truck t drives
+            rate = fleet.charge_rate(kind)
             for t in T:
-                model.add_constraint(
-                    f"{NO_DEPOT_CHARGE}_{kind[0]}{veh}_t{t}",
-                    NO_DEPOT_CHARGE,
-                    [(1.0, charge[kind, veh, 0, t])],
-                    "=",
-                    0.0,
-                )
-            for t in T:
-                for v in V:
-                    if v == 0:
-                        continue
+                for v in stops:
                     terms = [(1.0, charge[kind, veh, v, t])]
-                    terms += [(-fleet.charge_rate(kind), x[t, i, v]) for i in ends[v]]
-                    terms += [(-fleet.charge_rate(kind), x[t, v, i]) for i in ends[v]]
+                    terms += [
+                        (-rate * inst.truck_distance(v, i) / fleet.s_t, x[t, v, i])
+                        for i in ends[v]
+                    ]
                     model.add_constraint(
-                        f"{CHARGE_PRESENCE}_{kind[0]}{veh}_v{v}_t{t}",
-                        CHARGE_PRESENCE,
-                        terms,
-                        "<=",
-                        0.0,
+                        f"{CHARGE_RATE}_{kind[0]}{veh}_v{v}_t{t}", CHARGE_RATE, terms, "<=", 0.0
                     )
         # total consumption within battery plus charged energy
         terms = [(c.energy[kind], var) for c, var in columns]
-        charge_terms = [
-            (-1.0, charge[kind, veh, v, t]) for t in T for v in V if v != 0
-        ] if options.charging else []
+        charge_terms = [(-1.0, var) for key, var in charge.items() if key[:2] == (kind, veh)]
         if terms:
             model.add_constraint(
                 f"{BATTERY_BALANCE}_{kind[0]}{veh}",
@@ -515,24 +514,6 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
                     "<=",
                     0.0,
                 )
-    if options.charging and fleet_kinds:
-        for t in T:
-            for v in V:
-                terms = [(1.0, ctime[v, t])]
-                terms += [(-inst.truck_distance(v, i) / fleet.s_t, x[t, v, i]) for i in ends[v]]
-                model.add_constraint(
-                    f"{CHARGE_TIME}_v{v}_t{t}", CHARGE_TIME, terms, "<=", 0.0
-                )
-        for kind, veh in fleet_kinds:
-            for t in T:
-                for v in V:
-                    model.add_constraint(
-                        f"{CHARGE_RATE}_{kind[0]}{veh}_v{v}_t{t}",
-                        CHARGE_RATE,
-                        [(1.0, charge[kind, veh, v, t]), (-fleet.charge_rate(kind), ctime[v, t])],
-                        "<=",
-                        0.0,
-                    )
 
     # --- truck arrival sequencing -------------------------------------------------
     # Arcs out of the depot anchor at departure time zero; A_t0 therefore
@@ -565,25 +546,18 @@ def build_model(inst: Instance, fleet: FleetSpec, options: ModelOptions = ModelO
             model.add_constraint(f"{SINGLE_TRIP}_{kind[0]}{veh}", SINGLE_TRIP, terms, "<=", 1.0)
 
     # --- objective --------------------------------------------------------------------
+    # a truck's fixed cost rides on its arc out of the depot
     alpha = fleet.alpha
-    obj = [(alpha * fleet.C_t * inst.truck_distance(i, j), var) for (t, i, j), var in x.items()]
+    obj = [
+        (alpha * fleet.C_t * inst.truck_distance(i, j) + (alpha * fleet.f_t if i == 0 else 0.0), var)
+        for (t, i, j), var in x.items()
+    ]
     for key, var in sel.items():
         kind = key[0]
         cand = candidates[key[4]]
         obj.append((alpha * (fleet.unit_cost(kind) * cand.dist[kind] + fleet.fixed_cost(kind)), var))
-    for t in T:
-        for j in stops:
-            obj.append((alpha * fleet.f_t, x[t, 0, j]))
     obj.append((1.0 - alpha, gamma))
-    # merge duplicate variables (x_t_0j carries both travel and fixed cost)
-    merged: Dict[str, float] = {}
-    order: List[str] = []
-    for coef, var in obj:
-        if var not in merged:
-            merged[var] = 0.0
-            order.append(var)
-        merged[var] += coef
-    model.objective_terms = [(merged[v], v) for v in order if merged[v] != 0.0]
+    model.objective_terms = [(coef, var) for coef, var in obj if coef != 0.0]
     return model
 
 
@@ -630,19 +604,12 @@ def plan_assignment(model: MilpModel, plan: Plan, inst: Instance, fleet: FleetSp
             raise VrpdrError(f"plan sortie {s} has no counterpart in the model")
         values[sel[key]] = 1.0
     charge = model.info["charge"]
-    ctime = model.info["ctime"]
     if charge:
         for e in plan.charging_events:
             var = charge.get((e.vehicle_kind, e.vehicle_id, e.node, e.truck_id))
             if var is None:
                 raise VrpdrError(f"charging event at node {e.node} has no model variable")
             values[var] += e.amount
-        for (v, t), var in ctime.items():
-            route = plan.truck_routes[t] if t < len(plan.truck_routes) else ()
-            for a, b in zip(route[:-1], route[1:]):
-                if a == v:
-                    values[var] = inst.truck_distance(a, b) / fleet.s_t
-                    break
     values[model.info["gamma"]] = schedule_mod.objective_value(plan, inst, fleet).makespan
     return values
 

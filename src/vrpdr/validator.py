@@ -1,8 +1,14 @@
 """Plan feasibility checking against every constraint family.
 
 Violations carry the same family names that :mod:`vrpdr.milp` uses for its
-constraint groups, so a failed check always points at the corresponding
-model block.  Timing checks use a 1e-6 hour tolerance and energy checks a
+constraint groups, so most failed checks point at the corresponding model
+block.  Eight families are validator-only: the model needs no rows for
+them, but a plan file can break them.  They are ``sortie_precedence``,
+``payload_capacity`` and ``sortie_range`` (the candidate list keeps them),
+``truck_unreachable_arc`` and ``launch_after_arrival`` (no arc or
+launch-time column), and ``no_depot_charging``, ``charging_truck_presence``
+and ``charging_time_bound`` (one rate row per charge column holds the
+charging rule).  Timing checks use a 1e-6 hour tolerance and energy checks a
 1e-6 unit tolerance.  Battery levels are the running walk of the ledgers
 :func:`vrpdr.energy.build_ledgers` derives from the plan, one per fleet
 vehicle.  The report's two makespans come from

@@ -90,22 +90,20 @@ def test_cli_exact_infeasible_exit_code(tmp_path):
 
 
 def test_cli_export_lp_over_the_sortie_budget_exit_code(tmp_path, monkeypatch):
-    import functools
-
-    from vrpdr import cli
-    from vrpdr.core import ModelOptions
+    from vrpdr import milp
 
     runner = CliRunner()
     inst = tmp_path / "inst.json"
     lp = tmp_path / "model.lp"
     runner.invoke(main, ["generate", "--size", "5", "--seed", "1", "--out", str(inst)])
-    monkeypatch.setattr(cli, "ModelOptions", functools.partial(ModelOptions, max_sorties=1))
+    monkeypatch.setattr(milp, "MAX_SORTIE_COLUMNS", 1)
     r = runner.invoke(main, ["export-lp", "--instance", str(inst), "--out", str(lp)])
     assert r.exit_code == 3, r.output
     (line,) = r.output.strip().splitlines()
     assert line.startswith("budget exceeded: ") and "exceed the budget of 1;" in line
-    # no vrpdr command sets max_sorties, so the line does not ask for it
+    # no vrpdr command sets the budget, so the line does not ask for it
     assert "raise ModelOptions.max_sorties" not in line
+    assert "MAX_SORTIE_COLUMNS" not in line
     assert not lp.exists()
 
 
@@ -134,6 +132,33 @@ def test_cli_overflowing_coordinates_exit_code(tmp_path):
     r = runner.invoke(main, ["solve", "--instance", str(inst), "--out", str(tmp_path / "p.json")])
     assert r.exit_code == 4, r.output
     assert r.output.startswith("bad input: coordinates too far apart")
+
+
+@pytest.mark.parametrize(
+    "x, s_t, horizon",
+    [(4.4e307, 45.0, "inf"), (1e307, 0.5, "1e+308")],
+    ids=["infinite", "finite_but_not_doubled"],
+)
+def test_cli_export_lp_overflowing_horizon_exit_code(tmp_path, x, s_t, horizon):
+    """Coordinates that load can still overflow the model's horizon H, which
+    counts the depot's longest arc once per truck, or 2H, which the return
+    rows carry."""
+    runner = CliRunner()
+    inst = tmp_path / "inst.json"
+    lp = tmp_path / "model.lp"
+    runner.invoke(main, ["generate", "--size", "3", "--seed", "1", "--out", str(inst)])
+    doc = json.loads(inst.read_text())
+    doc["depot"]["x"] = doc["depot"]["y"] = 0.0
+    for c in doc["customers"]:
+        c["x"], c["y"] = x, 0.0
+    doc["fleet"]["num_trucks"] = 2
+    doc["fleet"]["s_t"] = s_t
+    inst.write_text(json.dumps(doc))
+    r = runner.invoke(main, ["export-lp", "--instance", str(inst), "--out", str(lp)])
+    assert r.exit_code == 4, r.output
+    (line,) = r.output.strip().splitlines()
+    assert line == f"bad input: model horizon {horizon} h overflows with 2 trucks"
+    assert not lp.exists()
 
 
 def test_cli_validate_unknown_node_exit_code(tmp_path):

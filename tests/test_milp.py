@@ -16,6 +16,7 @@ from vrpdr.core import (
     DRONE,
     FIT_TOL,
     ROBOT,
+    ConfigurationError,
     FleetSpec,
     InfeasibleError,
     Instance,
@@ -109,7 +110,7 @@ def test_charging_toggle_removes_exactly_the_charging_block(fleet):
     assert set(milp.CHARGING_FAMILIES) <= with_charging.families()
     assert without.families() == with_charging.families() - set(milp.CHARGING_FAMILIES)
     gone = {v.name for v in with_charging.variables} - {v.name for v in without.variables}
-    assert gone and all(n.startswith(("C_", "Ct_")) for n in gone)
+    assert gone and all(n.startswith("C_") for n in gone)
     kept_constraints = {c.name for c in without.constraints}
     full_constraints = {c.name for c in with_charging.constraints}
     removed = full_constraints - kept_constraints
@@ -161,12 +162,10 @@ def test_constraint_counts_match_closed_forms(n, fleet):
         # row per flow column
         assert counts[milp.SUBTOUR_FLOW] == n * (n + 1) + F
         assert counts[milp.DEPOT_BATTERY] == len(from_depot)
-        assert counts[milp.NO_DEPOT_CHARGE] == kinds
-        assert counts[milp.CHARGE_PRESENCE] == kinds * n
         assert counts[milp.BATTERY_BALANCE] == len(flying)
         assert counts[milp.OVERCHARGE] == len(flying)
-        assert counts[milp.CHARGE_TIME] == V
-        assert counts[milp.CHARGE_RATE] == kinds * V
+        # one rate row per charge column: per kind and truck-served customer
+        assert counts[milp.CHARGE_RATE] == kinds * n
         assert counts[milp.ARRIVAL_SEQ] == V * (V - 1)
         assert counts[milp.RETURN_SYNC] == P
         # docking: one launch and one recovery row per kind per anchor node
@@ -176,13 +175,15 @@ def test_constraint_counts_match_closed_forms(n, fleet):
             for kind in flying
         )
         assert counts[milp.DOCKING] == anchors
-        # columns: arcs, Gamma, A, a selection per kept pair, the charge
-        # (per kind) and charge-time columns per node, and the flow columns
-        assert len(model.variables) == V * (V - 1) + 1 + V + P + (kinds + 1) * V + F
-        # the candidate list keeps the caps, the columns keep reachability
-        # and launch times project out, so none of these has rows
+        # columns: arcs, Gamma, A, a selection per kept pair, a charge
+        # column per kind and truck-served customer, and the flow columns
+        assert len(model.variables) == V * (V - 1) + 1 + V + P + kinds * n + F
+        # the candidate list keeps the caps, the columns keep reachability,
+        # launch times project out and the rate rows hold the charging rule,
+        # so none of these has rows
         validator_only = {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE, milp.UNREACHABLE,
-                          milp.LAUNCH_SYNC}
+                          milp.LAUNCH_SYNC, milp.NO_DEPOT_CHARGE, milp.CHARGE_PRESENCE,
+                          milp.CHARGE_TIME}
         assert not counts.keys() & validator_only
 
 
@@ -332,10 +333,11 @@ def test_objective_value_examples(fleet):
     assert pure_time.weighted_objective == pytest.approx(10 / 45)
 
 
-def test_model_size_budget(fleet):
+def test_model_size_budget(fleet, monkeypatch):
     inst = bench.generate_instance(6, seed=0, fleet=fleet)
+    monkeypatch.setattr(milp, "MAX_SORTIE_COLUMNS", 10)
     with pytest.raises(ModelSizeError):
-        milp.build_model(inst, fleet, ModelOptions(max_sorties=10))
+        milp.build_model(inst, fleet)
 
 
 @pytest.mark.parametrize(
@@ -346,14 +348,15 @@ def test_model_size_budget(fleet):
     ],
     ids=["one_truck", "two_trucks_fixed_docking"],
 )
-def test_model_size_budget_counts_created_selections(fleet, options):
+def test_model_size_budget_counts_created_selections(fleet, options, monkeypatch):
     inst = bench.generate_instance(4, seed=24, fleet=fleet)
     sel = milp.build_model(inst, fleet, options).info["sel"]
     assert sel
-    budget = dataclasses.replace(options, max_sorties=len(sel))
-    assert milp.build_model(inst, fleet, budget).info["sel"] == sel
+    monkeypatch.setattr(milp, "MAX_SORTIE_COLUMNS", len(sel))
+    assert milp.build_model(inst, fleet, options).info["sel"] == sel
+    monkeypatch.setattr(milp, "MAX_SORTIE_COLUMNS", len(sel) - 1)
     with pytest.raises(ModelSizeError):
-        milp.build_model(inst, fleet, dataclasses.replace(budget, max_sorties=len(sel) - 1))
+        milp.build_model(inst, fleet, options)
 
 
 def test_model_size_budget_fails_before_the_full_enumeration(monkeypatch):
@@ -369,8 +372,9 @@ def test_model_size_budget_fails_before_the_full_enumeration(monkeypatch):
     monkeypatch.setattr(energy, "leg_energy", counted)
     milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
     full = calls.pop("leg_energy")
+    monkeypatch.setattr(milp, "MAX_SORTIE_COLUMNS", 100)
     with pytest.raises(ModelSizeError, match="exceed the budget of 100; shrink the instance"):
-        milp.build_model(inst, fleet, ModelOptions(max_sorties=100))
+        milp.build_model(inst, fleet)
     assert 0 < calls["leg_energy"] < full
 
 
@@ -572,6 +576,38 @@ def test_two_truck_finder_plan_substitutes():
     )
 
 
+def test_charge_on_a_long_leg_substitutes():
+    """A stop whose outgoing truck leg takes more than 2 h may charge rate ×
+    leg hours, as the validator allows.
+
+    Two drone sorties, one at each end of a 149-km leg (3.3 h): the drone
+    charges about 12,100 units on it, over twice its rate, and needs it for
+    the second sortie.  A row capping the charge at rate × (in-arcs +
+    out-arcs) would cut this optimum.
+    """
+    fleet = FleetSpec(num_robots=0)
+    inst = make_instance(
+        [(0, 0), (1, 0), (0.5, 2), (150, 0), (150.5, 2), (151, 0)],
+        weights=[1, 10, 1, 10, 1],
+        fleet=fleet,
+        reachable=[True, False, True, False, True],
+    )
+    plan = exact.solve_exact(inst, fleet)
+    assert plan.truck_routes == ((0, 1, 3, 5, 0),)
+    assert [(s.launch_node, s.sequence, s.recovery_node) for s in plan.sorties] == [
+        (0, (2,), 1),
+        (3, (4,), 5),
+    ]
+    (event,) = plan.charging_events
+    assert event.node == 1 and event.amount > 2 * fleet.C_rate_d
+    assert plan.objective_breakdown.weighted_objective == pytest.approx(466.58540400560497, abs=1e-9)
+    model = milp.build_model(inst, fleet)
+    values = milp.plan_assignment(model, plan, inst, fleet)
+    assert milp.check_assignment(model, values) == []
+    obj_lp, _ = lp_io.solve_lp_text(milp.export_lp(model), time_limit=120)
+    assert obj_lp == pytest.approx(plan.objective_breakdown.weighted_objective, abs=1e-6)
+
+
 # sha256 of export_lp text for realistic models; any change to a name, number
 # or line order shows here.  Each case also carries its HiGHS optimum.  The
 # first four were recorded on the model that still held a column for every
@@ -587,11 +623,13 @@ def test_two_truck_finder_plan_substitutes():
 # charging-off hash was recorded after its model gained the battery rows.
 # Every hash was recorded again when the timing rows took the instance's
 # horizon, the launch-time columns projected out and the arcs with a
-# truck-unreachable end lost their columns; no optimum moved.
+# truck-unreachable end lost their columns, and every charging-on hash again
+# when one rate row per charge column replaced the charging-time columns and
+# the depot-charge, presence and charging-time rows; no optimum moved.
 GOLDEN_LP_CASES = [
     pytest.param(
         5, 1, FleetSpec(), ModelOptions(),
-        "1a1373b3b4f8447254844a84365444907fa0257ec99a6ae8f5011b81ec3660c9",
+        "0211dfa16ada7eacd2907e6c10894bc2f0ec3004a551df767c51c0c303e1807e",
         82.3988645761878,
         id="n5_all_on",
     ),
@@ -603,56 +641,56 @@ GOLDEN_LP_CASES = [
     ),
     pytest.param(
         5, 3, FleetSpec(), ModelOptions(single_visit=True),
-        "d40e20cdf2ed8f97b2e61f8368997501b6668d99fc283ee2bd4f6552ead8ff93",
+        "326c8501edf1817977e7209acef7ff0af305ebc073c1e8c71ffceb8b864b5faa",
         66.90372127268479,
         id="n5_single_visit",
     ),
     pytest.param(
         3, 4, FleetSpec(num_trucks=2), ModelOptions(),
-        "ccf2e7a54a8a3110b432242fc9b9a77a0bf86a637d82252004fc530ba2f22177",
+        "609789bc94e6faad169662c840ef2e86420f1b965d6b7fb3641571e2eb170ae3",
         75.13698996712651,
         id="n3_two_trucks_flexible",
     ),
     pytest.param(
         5, 5, FleetSpec(), ModelOptions(single_trip=True),
-        "a5cfc9335923956d83a9565882b1b1e3a2afe7df651d37885aa23307953a95ed",
+        "c2902993c7be27c26717b262c70a44f11956b73685b296152d0daa58841d4a45",
         86.01783362954109,
         id="n5_single_trip",
     ),
     pytest.param(
         4, 6, FleetSpec(num_trucks=2, num_drones=2, num_robots=2),
         ModelOptions(flexible_docking=False),
-        "d55b6a9a5a1e2ea92ec380932630a229235bff46628ae5d83ebeb08e0182afd0",
+        "99bc414e5bcc4e0e91bea03beca81a4067fef68d4d8d79e8f30a3433e7d0b0aa",
         75.42247560106148,
         id="n4_two_of_each_fixed_docking",
     ),
     pytest.param(
         3, 7, FleetSpec(num_trucks=2, num_drones=2, num_robots=2), ModelOptions(),
-        "9812dee8dcdcb906a44fb2e7639f6965bcf2c73ad1dd63b8d126a0478bb185a5",
+        "446ac7ad2f39e7454915b525ca95a5dd210dc500316ee3fc535e275b9c23479c",
         96.32513744204857,
         id="n3_two_of_each_all_on",
     ),
     pytest.param(
         6, 1, FleetSpec(), ModelOptions(),
-        "5c2b4418f6cb997a5bee2abe976a6b472cadd8bef3d5a3465c8bf8d721c5528b",
+        "c539629c72f925e540ce71ea35af7b0ccbb8f0d297347fac237a6de89e95107d",
         82.38820704003133,
         id="n6_all_on",
     ),
     pytest.param(
         5, 2, FleetSpec(num_trucks=2), ModelOptions(),
-        "348b6ef03c418c395c34e76c6bda44f186d9911cecd13dc4e1e35a157d3ffeed",
+        "e1081383d1b0feb5b6c536ec6ced22aa950e65cd3da4ddc5ce226c2c30d534bf",
         95.92106830437342,
         id="n5_two_trucks_flexible",
     ),
     pytest.param(
         5, 0, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "2f2793499da6522ac4025baa6540ff395a18b1504f48d841a49d940868147e06",
+        "c4b235129aea927ccad257f2eb66ec89dd3c4f65bd3596a48f88fa9c90941533",
         112.9780976830463,
         id="n5_two_trucks_fixed_docking_s0",
     ),
     pytest.param(
         5, 1, FleetSpec(num_trucks=2), ModelOptions(flexible_docking=False),
-        "371fa337319bed74375e624b3e36611c691ad9a41eb651960dbddd0c91e54fca",
+        "0a77af45140e5f95d3bc0dee89422dd087d154d306f4b62e68653d329b508609",
         109.1385533020006,
         id="n5_two_trucks_fixed_docking_s1",
     ),
@@ -921,16 +959,26 @@ coordinate = st.floats(-20, 20) | st.floats(allow_nan=False, allow_infinity=Fals
 
 
 @settings(max_examples=300, deadline=None)
-@given(points=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=7))
-def test_horizon_is_finite_for_every_instance_that_loads(points):
-    """An instance either fails at load with ``InstanceError`` or has a
-    finite horizon, which bounds every arrival (default fleet)."""
+@given(
+    points=st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=7),
+    trucks=st.integers(1, 3),
+)
+def test_horizon_is_finite_for_every_instance_that_loads(points, trucks):
+    """An instance either fails at load with ``InstanceError``, or its model
+    fails to build with ``ConfigurationError``, or it has a horizon that
+    stays finite when doubled, as the return rows need."""
     try:
-        inst = make_instance(points)
+        inst = make_instance(points, fleet=FleetSpec(num_trucks=trucks))
     except InstanceError:
         return
     fleet = inst.fleet
     candidates = milp.enumerate_sortie_candidates(inst, fleet, ModelOptions())
-    assert math.isfinite(milp.horizon(inst, fleet, candidates))
+    try:
+        H = milp.horizon(inst, fleet, candidates)
+    except ConfigurationError:
+        with pytest.raises(ConfigurationError, match="horizon"):
+            milp.build_model(inst, fleet)
+        return
+    assert math.isfinite(2 * H)
     tour = [list(range(len(points))) + [0]]
     assert all(map(math.isfinite, schedule.arrival_times(tour, inst, fleet)[0]))

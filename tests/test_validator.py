@@ -194,7 +194,7 @@ def test_charging_event_families(fleet):
 
 def test_all_violation_families_exist_in_the_model(fleet):
     """Cross-module naming contract: a family the validator reports is a
-    model row group, or a rule that the model's columns keep.
+    model row group, or a rule that the model's columns or other rows keep.
 
     Three customers on a unit square, one of them off the truck network, so
     that every sortie shape fits both vehicle kinds and every family has rows.
@@ -202,8 +202,10 @@ def test_all_violation_families_exist_in_the_model(fleet):
     exists only for a candidate that meets both caps and is not cyclic at a
     customer, so such a row could never bind.  An arc with a truck-unreachable
     end has no column, and launch times project out of the return rows.  The
-    validator still reports all five, because a plan file can declare any
-    route, sortie and launch time.
+    depot has no charge column, and one rate row per charge column holds the
+    charging rule, so presence and charging-time rows would add nothing.  The
+    validator still reports all eight, because a plan file can declare any
+    route, sortie, launch time and charging event.
     """
     inst = make_instance(
         [(0, 0), (1, 0), (1, 1), (0, 1)], fleet=fleet, reachable=[True, True, False]
@@ -216,15 +218,13 @@ def test_all_violation_families_exist_in_the_model(fleet):
         milp.ARRIVAL_SEQ,
         milp.DOCKING,
         milp.RETURN_SYNC,
-        milp.NO_DEPOT_CHARGE,
-        milp.CHARGE_PRESENCE,
-        milp.CHARGE_TIME,
         milp.CHARGE_RATE,
         milp.BATTERY_BALANCE,
         milp.OVERCHARGE,
     }
     assert rows <= model_families
-    validator_only = {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE, milp.UNREACHABLE, milp.LAUNCH_SYNC}
+    validator_only = {milp.PAYLOAD, milp.RANGE, milp.PRECEDENCE, milp.UNREACHABLE, milp.LAUNCH_SYNC,
+                      milp.NO_DEPOT_CHARGE, milp.CHARGE_PRESENCE, milp.CHARGE_TIME}
     assert not validator_only & model_families
     candidates = model.info["candidates"]
     assert {kind for c in candidates for kind in c.dist} == {"drone", "robot"}
